@@ -160,10 +160,9 @@ impl Interpreter {
         let seq = self.seq;
         let mut rec = DynInst::new(seq, self.prog.pc_of(self.pc), inst.class());
 
-        let srcs = inst.srcs();
         let mut producers = [NO_PRODUCER; 2];
-        for (i, r) in srcs.iter().take(2).enumerate() {
-            producers[i] = self.producer_of(*r);
+        for (i, r) in inst.srcs().into_iter().enumerate() {
+            producers[i] = self.producer_of(r);
         }
         rec.srcs = producers;
         if let Some(rd) = inst.dst() {

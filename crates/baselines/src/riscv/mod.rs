@@ -9,15 +9,16 @@ pub mod interp;
 pub mod rename;
 
 use crate::prog::{CheckInst, Prog};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use ch_common::exec::{AluOp, BrCond, LoadOp, Srcs, StoreOp};
 use ch_common::op::OpClass;
 
 /// Number of logical registers (32 integer + 32 floating point).
 pub const NUM_REGS: u8 = 64;
 
 /// A logical register: `0..32` are the integer registers (`x0` hardwired
-/// to zero), `32..64` the floating-point registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// to zero), `32..64` the floating-point registers. The default is
+/// [`Reg::ZERO`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -200,17 +201,19 @@ impl RvInst {
 
     /// Source registers in operand order (the zero register included —
     /// it reads as zero but exercises no dataflow).
-    pub fn srcs(&self) -> Vec<Reg> {
+    pub fn srcs(&self) -> Srcs<Reg> {
         match *self {
-            RvInst::Alu { rs1, rs2, .. } => vec![rs1, rs2],
-            RvInst::AluImm { rs1, .. } => vec![rs1],
-            RvInst::Li { .. } | RvInst::Jump { .. } | RvInst::Call { .. } | RvInst::Nop => vec![],
-            RvInst::Load { base, .. } => vec![base],
-            RvInst::Store { rs, base, .. } => vec![rs, base],
-            RvInst::Branch { rs1, rs2, .. } => vec![rs1, rs2],
-            RvInst::CallReg { rs, .. } | RvInst::JumpReg { rs } => vec![rs],
-            RvInst::Mv { rs, .. } => vec![rs],
-            RvInst::Halt { rs } => vec![rs],
+            RvInst::Alu { rs1, rs2, .. } => Srcs::two(rs1, rs2),
+            RvInst::AluImm { rs1, .. } => Srcs::one(rs1),
+            RvInst::Li { .. } | RvInst::Jump { .. } | RvInst::Call { .. } | RvInst::Nop => {
+                Srcs::none()
+            }
+            RvInst::Load { base, .. } => Srcs::one(base),
+            RvInst::Store { rs, base, .. } => Srcs::two(rs, base),
+            RvInst::Branch { rs1, rs2, .. } => Srcs::two(rs1, rs2),
+            RvInst::CallReg { rs, .. } | RvInst::JumpReg { rs } => Srcs::one(rs),
+            RvInst::Mv { rs, .. } => Srcs::one(rs),
+            RvInst::Halt { rs } => Srcs::one(rs),
         }
     }
 

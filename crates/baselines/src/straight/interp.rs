@@ -181,10 +181,9 @@ impl Interpreter {
         let seq = self.seq;
         let mut rec = DynInst::new(seq, self.prog.pc_of(self.pc), inst.class());
 
-        let srcs = inst.srcs();
         let mut producers = [NO_PRODUCER; 2];
-        for (i, s) in srcs.iter().take(2).enumerate() {
-            producers[i] = self.producer_of(*s);
+        for (i, s) in inst.srcs().into_iter().enumerate() {
+            producers[i] = self.producer_of(s);
         }
         rec.srcs = producers;
 

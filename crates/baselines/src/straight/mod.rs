@@ -12,14 +12,14 @@ pub mod asm;
 pub mod interp;
 
 use crate::prog::{CheckInst, Prog};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use ch_common::exec::{AluOp, BrCond, LoadOp, Srcs, StoreOp};
 use ch_common::op::OpClass;
 
 /// Maximum source reference distance (M in the paper).
 pub const MAX_DISTANCE: u8 = 127;
 
-/// A STRAIGHT source operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A STRAIGHT source operand (the default is the zero register).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StSrc {
     /// `[d]`: the result of the instruction `d` back in program order
     /// (`1..=127`).
@@ -27,6 +27,7 @@ pub enum StSrc {
     /// The special stack-pointer register.
     Sp,
     /// The hardwired zero register.
+    #[default]
     Zero,
 }
 
@@ -159,21 +160,21 @@ impl StInst {
     }
 
     /// Source operands in operand order.
-    pub fn srcs(&self) -> Vec<StSrc> {
+    pub fn srcs(&self) -> Srcs<StSrc> {
         match *self {
-            StInst::Alu { src1, src2, .. } => vec![src1, src2],
-            StInst::AluImm { src1, .. } => vec![src1],
+            StInst::Alu { src1, src2, .. } => Srcs::two(src1, src2),
+            StInst::AluImm { src1, .. } => Srcs::one(src1),
             StInst::Li { .. }
             | StInst::Jump { .. }
             | StInst::Call { .. }
             | StInst::SpAddi { .. }
-            | StInst::Nop => vec![],
-            StInst::Load { base, .. } => vec![base],
-            StInst::Store { value, base, .. } => vec![value, base],
-            StInst::Branch { src1, src2, .. } => vec![src1, src2],
-            StInst::JumpReg { src } => vec![src],
-            StInst::Mv { src } => vec![src],
-            StInst::Halt { src } => vec![src],
+            | StInst::Nop => Srcs::none(),
+            StInst::Load { base, .. } => Srcs::one(base),
+            StInst::Store { value, base, .. } => Srcs::two(value, base),
+            StInst::Branch { src1, src2, .. } => Srcs::two(src1, src2),
+            StInst::JumpReg { src } => Srcs::one(src),
+            StInst::Mv { src } => Srcs::one(src),
+            StInst::Halt { src } => Srcs::one(src),
         }
     }
 

@@ -373,6 +373,83 @@ impl BrCond {
     }
 }
 
+/// The source operands of one instruction: at most two, in operand
+/// order, held inline so that asking for them never allocates (the
+/// interpreters do so once per executed instruction).
+///
+/// Each ISA supplies its own operand type `T`; unused slots hold
+/// `T::default()` (every ISA's zero register) and are never exposed.
+/// Derefs to the slice of used slots.
+///
+/// # Examples
+///
+/// ```
+/// use ch_common::exec::Srcs;
+///
+/// let s = Srcs::two(3u8, 4);
+/// assert_eq!(s.len(), 2);
+/// assert_eq!(s.into_iter().collect::<Vec<_>>(), [3, 4]);
+/// assert_eq!(&*Srcs::one(7u8), &[7]);
+/// assert!(Srcs::<u8>::none().is_empty());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Srcs<T> {
+    slots: [T; 2],
+    len: u8,
+}
+
+impl<T: Copy + Default> Srcs<T> {
+    /// No source operands.
+    pub fn none() -> Self {
+        Srcs {
+            slots: [T::default(); 2],
+            len: 0,
+        }
+    }
+
+    /// One source operand.
+    pub fn one(a: T) -> Self {
+        Srcs {
+            slots: [a, T::default()],
+            len: 1,
+        }
+    }
+
+    /// Two source operands, in operand order.
+    pub fn two(a: T, b: T) -> Self {
+        Srcs {
+            slots: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Srcs<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl<T> IntoIterator for Srcs<T> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Srcs<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// The shared arithmetic-edge-case conformance table.
 ///
 /// Every entry pins the documented RV64G-subset behaviour for an input

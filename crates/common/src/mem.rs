@@ -3,11 +3,65 @@
 //! Pages are allocated lazily, so a 64-bit address space costs only what is
 //! touched. Reads of untouched memory return zero, which matches what the
 //! emulated programs (whose data sections are zero-initialised) expect.
+//!
+//! Every interpreted load and store lands here, so an access that fits in
+//! one page costs one page lookup and a slice copy. Accesses that straddle
+//! a page boundary (including those that wrap at `u64::MAX`) go byte by
+//! byte.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
+
+/// Hashes a page number with one multiply (Fibonacci hashing). Keys are
+/// page numbers chosen by the emulated program's layout, not by an
+/// adversary, so SipHash's flooding resistance buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed (see `write_u64`); this keeps the
+        // trait total for any other key type.
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+
+/// Offset of `addr` inside its page.
+fn page_offset(addr: u64) -> usize {
+    (addr as usize) & (PAGE_SIZE - 1)
+}
+
+/// Splits the `len` bytes starting at `addr` into runs that each stay in
+/// one page: `(first address, offset in page, range in the byte buffer)`.
+/// Addresses wrap at `u64::MAX`, as byte-wise addressing does.
+fn page_runs(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr.wrapping_add(done as u64);
+            let off = page_offset(at);
+            let n = (len - done).min(PAGE_SIZE - off);
+            done += n;
+            (at, off, done - n..done)
+        })
+    })
+}
 
 /// A sparse little-endian memory.
 ///
@@ -23,7 +77,7 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap,
 }
 
 impl Memory {
@@ -37,6 +91,12 @@ impl Memory {
         self.pages.len()
     }
 
+    /// The page holding `addr`, if it is resident.
+    fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
+        self.pages.get(&(addr >> PAGE_BITS)).map(|p| &**p)
+    }
+
+    /// The page holding `addr`, made resident (zeroed) if it was not.
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
         self.pages
             .entry(addr >> PAGE_BITS)
@@ -45,15 +105,12 @@ impl Memory {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_BITS)) {
-            Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
-            None => 0,
-        }
+        self.page(addr).map_or(0, |p| p[page_offset(addr)])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        self.page_mut(addr)[page_offset(addr)] = value;
     }
 
     /// Reads `size` bytes (1, 2, 4, or 8) little-endian, zero-extended.
@@ -63,8 +120,16 @@ impl Memory {
     /// Panics if `size` is not 1, 2, 4, or 8.
     pub fn read(&self, addr: u64, size: u8) -> u64 {
         assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
+        let (off, n) = (page_offset(addr), usize::from(size));
+        if off + n <= PAGE_SIZE {
+            let mut buf = [0u8; 8];
+            if let Some(p) = self.page(addr) {
+                buf[..n].copy_from_slice(&p[off..off + n]);
+            }
+            return u64::from_le_bytes(buf);
+        }
         let mut v = 0u64;
-        for i in 0..size as u64 {
+        for i in 0..u64::from(size) {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
         }
         v
@@ -77,7 +142,12 @@ impl Memory {
     /// Panics if `size` is not 1, 2, 4, or 8.
     pub fn write(&mut self, addr: u64, size: u8, value: u64) {
         assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
-        for i in 0..size as u64 {
+        let (off, n) = (page_offset(addr), usize::from(size));
+        if off + n <= PAGE_SIZE {
+            self.page_mut(addr)[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
+            return;
+        }
+        for i in 0..u64::from(size) {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
@@ -92,18 +162,23 @@ impl Memory {
         self.write(addr, 8, value);
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
+    /// Copies a byte slice into memory starting at `addr`, one page
+    /// chunk at a time.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+        for (at, off, run) in page_runs(addr, bytes.len()) {
+            self.page_mut(at)[off..off + run.len()].copy_from_slice(&bytes[run]);
         }
     }
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
-            .collect()
+        let mut out = vec![0u8; len];
+        for (at, off, run) in page_runs(addr, len) {
+            if let Some(p) = self.page(at) {
+                out[run.clone()].copy_from_slice(&p[off..off + run.len()]);
+            }
+        }
+        out
     }
 }
 

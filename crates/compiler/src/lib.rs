@@ -45,7 +45,7 @@ pub mod passes;
 
 use ch_baselines::riscv::RvProgram;
 use ch_baselines::straight::StProgram;
-use ch_common::EncodingVariant;
+use ch_common::{EncodingVariant, IsaKind};
 use clockhands::Program as ChProgram;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -138,6 +138,76 @@ pub fn build_ir(src: &str) -> Result<ir::Module, CompileError> {
     Ok(module)
 }
 
+/// One ISA's compiled program, as [`compile_isa`] returns it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IsaProgram {
+    /// RISC-V-like binary.
+    Riscv(RvProgram),
+    /// STRAIGHT binary.
+    Straight(StProgram),
+    /// Clockhands binary.
+    Clockhands(ChProgram),
+}
+
+/// Turns a verifier report into a result. Lint warnings are tolerated;
+/// an error-severity finding becomes [`CompileError::Verify`] naming the
+/// report's ISA.
+fn check(report: ch_verify::Report) -> Result<(), CompileError> {
+    if report.is_clean() {
+        return Ok(());
+    }
+    let detail = report
+        .errors()
+        .map(|d| d.to_string())
+        .collect::<Vec<_>>()
+        .join("\n");
+    Err(CompileError::Verify {
+        isa: report.isa,
+        detail,
+    })
+}
+
+/// Compiles an IR module (from [`build_ir`]) for one ISA only: that
+/// ISA's backend and, when `verify` is set, its `ch-verify` pass. The
+/// result equals the matching field of [`compile`]'s set; callers that
+/// run one ISA skip the other two backends and verifiers.
+///
+/// # Errors
+///
+/// Returns [`CompileError::Backend`] or [`CompileError::Verify`]; either
+/// is about `isa`'s program, since no other ISA is compiled.
+pub fn compile_isa(
+    module: &ir::Module,
+    isa: IsaKind,
+    verify: bool,
+) -> Result<IsaProgram, CompileError> {
+    let prog = match isa {
+        IsaKind::Riscv => backend::riscv::compile(module).map(IsaProgram::Riscv),
+        IsaKind::Straight => backend::straight::compile(module).map(IsaProgram::Straight),
+        IsaKind::Clockhands => backend::clockhands::compile(module).map(IsaProgram::Clockhands),
+    }
+    .map_err(CompileError::Backend)?;
+    if verify {
+        verify_program(&prog)?;
+    }
+    Ok(prog)
+}
+
+/// Statically verifies one ISA's program, as [`compile_isa`] does when
+/// asked to.
+///
+/// # Errors
+///
+/// Returns [`CompileError::Verify`] naming the program's ISA.
+pub fn verify_program(prog: &IsaProgram) -> Result<(), CompileError> {
+    let opts = ch_verify::Options::default();
+    check(match prog {
+        IsaProgram::Riscv(p) => ch_verify::verify_riscv(p, &opts),
+        IsaProgram::Straight(p) => ch_verify::verify_straight(p, &opts),
+        IsaProgram::Clockhands(p) => ch_verify::verify_clockhands(p, &opts),
+    })
+}
+
 /// Compiles a Kern source for all three ISAs.
 ///
 /// # Errors
@@ -160,28 +230,13 @@ pub fn compile(src: &str) -> Result<CompiledSet, CompileError> {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::Verify`] naming the first failing ISA.
+/// Returns [`CompileError::Verify`] naming the first failing ISA, in the
+/// order Clockhands, STRAIGHT, RISC-V.
 pub fn verify_set(set: &CompiledSet) -> Result<(), CompileError> {
     let opts = ch_verify::Options::default();
-    let reports = [
-        ch_verify::verify_clockhands(&set.clockhands, &opts),
-        ch_verify::verify_straight(&set.straight, &opts),
-        ch_verify::verify_riscv(&set.riscv, &opts),
-    ];
-    for report in reports {
-        if !report.is_clean() {
-            let detail = report
-                .errors()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("\n");
-            return Err(CompileError::Verify {
-                isa: report.isa,
-                detail,
-            });
-        }
-    }
-    Ok(())
+    check(ch_verify::verify_clockhands(&set.clockhands, &opts))?;
+    check(ch_verify::verify_straight(&set.straight, &opts))?;
+    check(ch_verify::verify_riscv(&set.riscv, &opts))
 }
 
 /// Compiles a Kern source for all three ISAs and statically verifies

@@ -7,16 +7,17 @@
 //! zero register.
 
 use crate::hand::Hand;
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use ch_common::exec::{AluOp, BrCond, LoadOp, Srcs, StoreOp};
 use ch_common::op::OpClass;
 
-/// A source operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A source operand (the default is the zero register).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Src {
     /// `hand[distance]` — the value written to `hand` `distance+1` writes ago
     /// (distance 0 is the most recent write).
     Hand(Hand, u8),
     /// The hardwired zero register.
+    #[default]
     Zero,
 }
 
@@ -182,17 +183,17 @@ impl Inst {
     }
 
     /// The source operands, in operand order.
-    pub fn srcs(&self) -> Vec<Src> {
+    pub fn srcs(&self) -> Srcs<Src> {
         match *self {
-            Inst::Alu { src1, src2, .. } => vec![src1, src2],
-            Inst::AluImm { src1, .. } => vec![src1],
-            Inst::Li { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::Nop => vec![],
-            Inst::Load { base, .. } => vec![base],
-            Inst::Store { value, base, .. } => vec![value, base],
-            Inst::Branch { src1, src2, .. } => vec![src1, src2],
-            Inst::JumpReg { src } | Inst::CallReg { src, .. } => vec![src],
-            Inst::Mv { src, .. } => vec![src],
-            Inst::Halt { src } => vec![src],
+            Inst::Alu { src1, src2, .. } => Srcs::two(src1, src2),
+            Inst::AluImm { src1, .. } => Srcs::one(src1),
+            Inst::Li { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::Nop => Srcs::none(),
+            Inst::Load { base, .. } => Srcs::one(base),
+            Inst::Store { value, base, .. } => Srcs::two(value, base),
+            Inst::Branch { src1, src2, .. } => Srcs::two(src1, src2),
+            Inst::JumpReg { src } | Inst::CallReg { src, .. } => Srcs::one(src),
+            Inst::Mv { src, .. } => Srcs::one(src),
+            Inst::Halt { src } => Srcs::one(src),
         }
     }
 
@@ -319,7 +320,7 @@ mod tests {
             base: Src::Hand(Hand::T, 1),
             offset: 4,
         };
-        assert_eq!(st.srcs().len(), 2);
+        assert_eq!(&*st.srcs(), &[Src::Hand(Hand::V, 0), Src::Hand(Hand::T, 1)]);
         assert_eq!(
             Inst::Li {
                 dst: Hand::T,

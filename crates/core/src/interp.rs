@@ -186,10 +186,9 @@ impl Interpreter {
         let mut rec = DynInst::new(seq, pc_val, inst.class());
 
         // Resolve dataflow producers before any write of this instruction.
-        let srcs = inst.srcs();
         let mut producers = [NO_PRODUCER; 2];
-        for (i, s) in srcs.iter().take(2).enumerate() {
-            producers[i] = self.producer_of(*s)?;
+        for (i, s) in inst.srcs().into_iter().enumerate() {
+            producers[i] = self.producer_of(s)?;
         }
         rec.srcs = producers;
 

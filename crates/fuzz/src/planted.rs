@@ -312,6 +312,60 @@ fn draw_straight(
     Some(Corruption { at, slot, nd })
 }
 
+/// Plants one `model` distance corruption in a Clockhands program and
+/// describes it. Only instructions the verifier analyzes are candidate
+/// sites: corruptions in statically dead code are inconsequential by
+/// construction (W-UNREACH already reports the dead code itself).
+///
+/// Returns `None`, leaving `prog` unchanged, when the unmutated program
+/// is not verifier-clean or has no eligible operand.
+pub fn corrupt_clockhands(
+    rng: &mut TestRng,
+    prog: &mut clockhands::program::Program,
+    model: Model,
+) -> Option<String> {
+    let baseline = ch_verify::verify_clockhands(prog, &Options::default());
+    if !baseline.is_clean() {
+        return None;
+    }
+    let c = draw_clockhands(rng, prog, &baseline.covered, model)?;
+    let slot = ch_slots(&mut prog.insts[c.at])
+        .into_iter()
+        .nth(c.slot)
+        .unwrap();
+    let Src::Hand(hand, d) = *slot else {
+        unreachable!("ch_slots only yields Hand operands");
+    };
+    *slot = Src::Hand(hand, c.nd);
+    Some(format!(
+        "clockhands inst {}: {hand:?}[{d}] -> {hand:?}[{}]",
+        c.at, c.nd
+    ))
+}
+
+/// Plants one `model` distance corruption in a STRAIGHT program and
+/// describes it; as [`corrupt_clockhands`].
+pub fn corrupt_straight(
+    rng: &mut TestRng,
+    prog: &mut ch_baselines::straight::StProgram,
+    model: Model,
+) -> Option<String> {
+    let baseline = ch_verify::verify_straight(prog, &Options::default());
+    if !baseline.is_clean() {
+        return None;
+    }
+    let c = draw_straight(rng, prog, &baseline.covered, model)?;
+    let slot = st_slots(&mut prog.insts[c.at])
+        .into_iter()
+        .nth(c.slot)
+        .unwrap();
+    let StSrc::Dist(d) = *slot else {
+        unreachable!("st_slots only yields Dist operands");
+    };
+    *slot = StSrc::Dist(c.nd);
+    Some(format!("straight inst {}: [{d}] -> [{}]", c.at, c.nd))
+}
+
 /// Plants one distance corruption in the Clockhands output and
 /// classifies who catches it.
 fn plant_clockhands(
@@ -329,30 +383,10 @@ fn plant_clockhands(
         },
         Err(_) => return CaseOutcome::Skipped,
     };
-
-    // Corruptions in statically dead code are inconsequential by
-    // construction (W-UNREACH already reports the dead code itself), so
-    // only analyzed instructions are candidate sites.
-    let baseline = ch_verify::verify_clockhands(&set.clockhands, &Options::default());
-    if !baseline.is_clean() {
-        return CaseOutcome::Skipped;
-    }
     let mut prog = set.clockhands.clone();
-    let Some(c) = draw_clockhands(rng, &mut prog, &baseline.covered, model) else {
+    let Some(what) = corrupt_clockhands(rng, &mut prog, model) else {
         return CaseOutcome::Skipped;
     };
-    let slot = ch_slots(&mut prog.insts[c.at])
-        .into_iter()
-        .nth(c.slot)
-        .unwrap();
-    let Src::Hand(hand, d) = *slot else {
-        unreachable!("ch_slots only yields Hand operands");
-    };
-    *slot = Src::Hand(hand, c.nd);
-    let what = format!(
-        "clockhands inst {}: {hand:?}[{d}] -> {hand:?}[{}]",
-        c.at, c.nd
-    );
 
     if !ch_verify::verify_clockhands(&prog, &Options::default()).is_clean() {
         return CaseOutcome::CaughtStatic;
@@ -384,24 +418,10 @@ fn plant_straight(
         },
         Err(_) => return CaseOutcome::Skipped,
     };
-
-    let baseline = ch_verify::verify_straight(&set.straight, &Options::default());
-    if !baseline.is_clean() {
-        return CaseOutcome::Skipped;
-    }
     let mut prog = set.straight.clone();
-    let Some(c) = draw_straight(rng, &mut prog, &baseline.covered, model) else {
+    let Some(what) = corrupt_straight(rng, &mut prog, model) else {
         return CaseOutcome::Skipped;
     };
-    let slot = st_slots(&mut prog.insts[c.at])
-        .into_iter()
-        .nth(c.slot)
-        .unwrap();
-    let StSrc::Dist(d) = *slot else {
-        unreachable!("st_slots only yields Dist operands");
-    };
-    *slot = StSrc::Dist(c.nd);
-    let what = format!("straight inst {}: [{d}] -> [{}]", c.at, c.nd);
 
     if !ch_verify::verify_straight(&prog, &Options::default()).is_clean() {
         return CaseOutcome::CaughtStatic;

@@ -27,11 +27,14 @@ mod kernels;
 use ch_common::error::{HarnessError, Stage};
 use ch_common::inst::DynInst;
 use ch_common::IsaKind;
-use ch_compiler::{compile, compile_verified, CompileError, CompiledSet};
+use ch_compiler::{
+    build_ir, compile, compile_isa, compile_verified, CompileError, CompiledSet, IsaProgram,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Whether [`Workload::compile`] statically verifies the emitted
-/// programs (`ch-verify`). On by default — verification has caught real
+/// Whether [`Workload::compile`] and [`Workload::compile_for`] (and so
+/// every run and trace) statically verify the emitted programs
+/// (`ch-verify`). On by default — verification has caught real
 /// backend distance bugs and costs little at these program sizes.
 static VERIFY: AtomicBool = AtomicBool::new(true);
 
@@ -180,16 +183,16 @@ impl Workload {
         }
     }
 
-    /// `"coremark/test"`-style context string for error reporting.
-    fn context(self, scale: Scale) -> String {
-        format!("{}/{}", self.name(), scale.name())
-    }
-
-    /// Compiles the kernel, mapping failure to a [`HarnessError`] that
-    /// names the workload and scale.
-    pub fn compile_checked(self, scale: Scale) -> Result<CompiledSet, HarnessError> {
-        self.compile(scale)
-            .map_err(|e| HarnessError::new(self.context(scale), Stage::Compile, e.to_string()))
+    /// Compiles the kernel for `isa` alone: the shared front end, then
+    /// only that ISA's backend and, when [`verify_enabled`], only its
+    /// static verifier (see [`ch_compiler::compile_isa`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`CompileError`], which concerns `isa`'s
+    /// program (no other ISA is compiled).
+    pub fn compile_for(self, scale: Scale, isa: IsaKind) -> Result<IsaProgram, CompileError> {
+        compile_isa(&build_ir(&self.source(scale))?, isa, verify_enabled())
     }
 
     /// Functionally executes the kernel on `isa` and validates the
@@ -207,7 +210,7 @@ impl Workload {
         isa: IsaKind,
         limit: u64,
     ) -> Result<RunOutcome, HarnessError> {
-        self.trace_on(scale, isa, limit).map(|(_, r)| r)
+        self.execute(scale, isa, limit, false).map(|(_, r)| r)
     }
 
     /// As [`Workload::run_on`], but also returns the full committed
@@ -218,54 +221,52 @@ impl Workload {
         isa: IsaKind,
         limit: u64,
     ) -> Result<(Vec<DynInst>, RunOutcome), HarnessError> {
-        let isa_tag = match isa {
-            IsaKind::Riscv => "riscv",
-            IsaKind::Straight => "straight",
-            IsaKind::Clockhands => "clockhands",
-        };
-        let ctx = self.context(scale);
+        self.execute(scale, isa, limit, true)
+    }
+
+    /// Compiles the kernel for `isa` alone, interprets it (keeping the
+    /// committed trace only when `keep_trace` is set; otherwise the
+    /// returned trace is empty), and validates the checksum.
+    fn execute(
+        self,
+        scale: Scale,
+        isa: IsaKind,
+        limit: u64,
+        keep_trace: bool,
+    ) -> Result<(Vec<DynInst>, RunOutcome), HarnessError> {
         let fail = |stage, detail: String| {
-            Err(HarnessError::new(ctx.clone(), stage, detail).on_isa(isa_tag))
+            let ctx = format!("{}/{}", self.name(), scale.name());
+            HarnessError::new(ctx, stage, detail).on_isa(isa.name())
         };
-        let set = self.compile_checked(scale).map_err(|e| e.on_isa(isa_tag))?;
-        let (trace, exit_value, committed) = match isa {
-            IsaKind::Riscv => {
-                let mut cpu = match ch_baselines::riscv::interp::Interpreter::new(set.riscv) {
-                    Ok(cpu) => cpu,
-                    Err(e) => return fail(Stage::Validate, e.to_string()),
+        let prog = self
+            .compile_for(scale, isa)
+            .map_err(|e| fail(Stage::Compile, e.to_string()))?;
+        // The three interpreters share an interface but not a type.
+        macro_rules! interpret {
+            ($interp:ty, $prog:expr) => {{
+                let mut cpu =
+                    <$interp>::new($prog).map_err(|e| fail(Stage::Validate, e.to_string()))?;
+                let ran = if keep_trace {
+                    cpu.trace(limit)
+                        .map(|(t, r)| (t, r.exit_value, r.committed))
+                } else {
+                    cpu.run(limit)
+                        .map(|r| (Vec::new(), r.exit_value, r.committed))
                 };
-                match cpu.trace(limit) {
-                    Ok((t, r)) => (t, r.exit_value, r.committed),
-                    Err(e) => return fail(Stage::Execute, e.to_string()),
-                }
-            }
-            IsaKind::Straight => {
-                let mut cpu = match ch_baselines::straight::interp::Interpreter::new(set.straight) {
-                    Ok(cpu) => cpu,
-                    Err(e) => return fail(Stage::Validate, e.to_string()),
-                };
-                match cpu.trace(limit) {
-                    Ok((t, r)) => (t, r.exit_value, r.committed),
-                    Err(e) => return fail(Stage::Execute, e.to_string()),
-                }
-            }
-            IsaKind::Clockhands => {
-                let mut cpu = match clockhands::interp::Interpreter::new(set.clockhands) {
-                    Ok(cpu) => cpu,
-                    Err(e) => return fail(Stage::Validate, e.to_string()),
-                };
-                match cpu.trace(limit) {
-                    Ok((t, r)) => (t, r.exit_value, r.committed),
-                    Err(e) => return fail(Stage::Execute, e.to_string()),
-                }
-            }
+                ran.map_err(|e| fail(Stage::Execute, e.to_string()))?
+            }};
+        }
+        let (trace, exit_value, committed) = match prog {
+            IsaProgram::Riscv(p) => interpret!(ch_baselines::riscv::interp::Interpreter, p),
+            IsaProgram::Straight(p) => interpret!(ch_baselines::straight::interp::Interpreter, p),
+            IsaProgram::Clockhands(p) => interpret!(clockhands::interp::Interpreter, p),
         };
         let expect = self.reference(scale);
         if exit_value != expect {
-            return fail(
+            return Err(fail(
                 Stage::Mismatch,
                 format!("checksum {exit_value:#x} != reference {expect:#x}"),
-            );
+            ));
         }
         Ok((
             trace,

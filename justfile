@@ -80,8 +80,19 @@ opt-report *ARGS:
 density *ARGS:
     cargo run --release -p ch-bench --bin figures -- --scale test density {{ARGS}}
 
+# Cross-layer host benchmark (perfbench/NOTES.md): every workload, each
+# in a process of its own, 25 s per run. `just perfbench 3 1` runs seed 3
+# traced, printing per-layer span self times instead of end-to-end ones.
+perfbench seed="1" trace="0":
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload all --seconds 25 --seed {{seed}} --trace {{trace}}
+
+# The benchmark's build and its own tests (a CI job of its own).
+perfbench-test:
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --manifest-path perfbench/Cargo.toml
+
 # Everything CI runs.
-ci: build test fmt clippy doc fuzz planted verify-workloads bench-json serve-bench opt-report density
+ci: build test fmt clippy doc fuzz planted verify-workloads bench-json serve-bench opt-report density perfbench-test
 
 # Regenerate every table/figure at test scale with all cores.
 figures *ARGS:
