@@ -7,9 +7,9 @@
 //! gprofng display text -functions /tmp/prof.er
 //! ```
 
-use ch_bench::{branch_profile, set_jobs, soa_trace, sweep};
+use ch_bench::{relocated, set_jobs, sweep};
 use ch_common::config::{MachineConfig, WidthClass};
-use ch_common::IsaKind;
+use ch_common::{EncodingVariant, IsaKind};
 use ch_sim::run_fast_profiled;
 use ch_workloads::{Scale, Workload};
 use std::time::Instant;
@@ -25,8 +25,7 @@ fn main() {
         .flat_map(|&w| IsaKind::ALL.map(|isa| (w, isa)))
         .collect();
     sweep(&pairs, |&(w, isa)| {
-        soa_trace(w, isa, scale);
-        branch_profile(w, isa, scale);
+        relocated(w, isa, scale, EncodingVariant::Fixed);
     });
     let reps: usize = std::env::args()
         .nth(2)
@@ -37,11 +36,11 @@ fn main() {
         let mut check = 0u64;
         let t0 = Instant::now();
         for &(w, isa) in &pairs {
-            let t = soa_trace(w, isa, scale);
-            let p = branch_profile(w, isa, scale);
+            let r = relocated(w, isa, scale, EncodingVariant::Fixed);
             for width in WidthClass::ALL {
-                insts += t.len() as u64;
-                check ^= run_fast_profiled(MachineConfig::preset(width, isa), &t, &p).cycles;
+                insts += r.soa.len() as u64;
+                check ^=
+                    run_fast_profiled(MachineConfig::preset(width, isa), &r.soa, &r.profile).cycles;
             }
         }
         let wall = t0.elapsed().as_secs_f64();

@@ -21,12 +21,13 @@
 //! distance fields, and compete with a conventional ISA's full register
 //! specifiers.
 //!
-//! Fixed-width layouts relocate every PC to itself, so their counters
-//! are asserted byte-identical to the abstract-PC simulation — the
-//! byte-accurate fetch path is a refinement, not a fork, of the model
-//! every other figure uses.
+//! Every variant is timed through the one pipeline ([`crate::run`])
+//! every other figure uses; the fixed-width layout is asserted to be
+//! the identity map (every instruction 4 bytes at its abstract PC), so
+//! the byte-accurate fetch path is a refinement, not a fork, of that
+//! model.
 
-use crate::{compiled_set, encoded_set, jobs, par_map, simulate, simulate_encoded, trace};
+use crate::{compiled_set, encoded_set, jobs, par_map, run, trace, ConfigKey, Engine};
 use ch_common::config::{MachineConfig, WidthClass};
 use ch_common::{EncodingVariant, IsaKind};
 use ch_workloads::{Scale, Workload};
@@ -129,18 +130,23 @@ fn measure(w: Workload, scale: Scale, isa: IsaKind, variant: EncodingVariant) ->
             )
         }
     };
-    let c = simulate_encoded(w, isa, WidthClass::W8, scale, variant);
     if variant == EncodingVariant::Fixed {
-        // Fixed-width layouts keep the abstract PCs, so the byte-accurate
-        // fetch path must be invisible: counters byte-identical to the
-        // abstract-PC run every other figure is rendered from.
-        let abstract_c = simulate(w, isa, WidthClass::W8, scale);
+        // Fixed-width layouts keep the abstract PCs, so relocation — and
+        // the byte-accurate fetch path with it — must be invisible.
         assert!(
-            c == abstract_c,
-            "{}: fixed-width layout changed simulation results",
+            enc.program(isa).layout.is_identity(),
+            "{}: fixed-width layout moved instructions",
             ctx()
         );
     }
+    let c = run(&ConfigKey {
+        workload: w,
+        isa,
+        width: WidthClass::W8,
+        scale,
+        encoding: variant,
+        engine: Engine::Fast,
+    });
     Row {
         insts,
         text_bytes: text_bytes as u64,
@@ -152,14 +158,6 @@ fn measure(w: Workload, scale: Scale, isa: IsaKind, variant: EncodingVariant) ->
         icache_misses: c.icache_misses,
         straddles: c.icache_straddles,
         fetch_bytes: c.fetch_bytes,
-    }
-}
-
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Full => "full",
     }
 }
 
@@ -188,7 +186,7 @@ pub fn density_json(scale: Scale) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"pr\": {PR},");
-    let _ = writeln!(s, "  \"scale\": \"{}\",", scale_name(scale));
+    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
     let _ = writeln!(s, "  \"jobs\": {},", jobs());
     let _ = writeln!(s, "  \"width\": \"8f\",");
     for (ii, &isa) in ISAS.iter().enumerate() {
@@ -251,7 +249,7 @@ pub fn density_experiment(scale: Scale) -> String {
     let rebaseline = std::env::var_os("CH_BENCH_SKIP_CHECK").is_some();
     let same_scale = baseline
         .as_deref()
-        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale_name(scale))));
+        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale.name())));
     if same_scale || rebaseline {
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         let _ = writeln!(s, "snapshot written");

@@ -8,6 +8,22 @@
 //! kernels through the compiler, the functional interpreters, the timing
 //! simulator, and the energy/FPGA models as appropriate.
 //!
+//! ## The pipeline
+//!
+//! Every result is the counters of one [`ConfigKey`]
+//! (`workload/isa/width/scale/encoding/engine`), computed by [`run`].
+//! Each stage is cached per process under a prefix of that key, and
+//! every encoding takes the same path (the fixed layout's relocation is
+//! the identity):
+//!
+//! | stage | key | value |
+//! |---|---|---|
+//! | [`compiled_set`] | workload, scale | three-ISA `CompiledSet` |
+//! | [`encoded_set`] | + encoding | `EncodedSet` (bytes and layout) |
+//! | [`trace`] | workload, isa, scale | committed trace, abstract PCs |
+//! | [`relocated`] | + encoding | relocated `SoaTrace` + `BranchProfile` |
+//! | [`run`] | full key | `Counters` (fast and reference engines) |
+//!
 //! ## Parallel execution
 //!
 //! The `(workload, isa, width)` jobs behind a table or figure are
@@ -23,7 +39,7 @@
 //! ## Remote execution
 //!
 //! With a sweep server configured ([`remote::set_server`], the `figures
-//! --server ADDR` flag), [`simulate`] fills its local cache from the
+//! --server ADDR` flag), [`run`] fills its local cache from the
 //! server instead of the in-process engine, so repeated figure runs
 //! across processes share one server-side cache. Results travel as
 //! exact-integer JSON ([`Counters`] round-trips bit-for-bit), which
@@ -36,6 +52,7 @@ use ch_common::config::{MachineConfig, WidthClass};
 use ch_common::op::OpClass;
 use ch_common::stats::{BusyClock, Counters, ExperimentTiming};
 use ch_common::{DynInst, EncodingVariant, IsaKind};
+use ch_compiler::{CompiledSet, EncodedSet};
 use ch_energy::energy;
 use ch_fpga::resources;
 use ch_sim::{run_fast_profiled, BranchProfile, SoaTrace};
@@ -47,6 +64,7 @@ use std::time::Instant;
 pub mod cache;
 pub mod densityreport;
 pub mod driver;
+pub mod key;
 pub mod optreport;
 pub mod remote;
 pub mod report;
@@ -55,6 +73,7 @@ pub mod sweep;
 pub use cache::KeyedOnce;
 pub use densityreport::density_experiment;
 pub use driver::{jobs, par_for_each, par_map, set_jobs};
+pub use key::{ConfigKey, Engine};
 pub use optreport::opt_experiment;
 pub use report::bench_experiment;
 pub use sweep::{sweep, sweep_stream};
@@ -66,109 +85,20 @@ const LIMIT: u64 = 2_000_000_000;
 /// against wall time by [`timed`] to report the achieved speedup.
 static BUSY: BusyClock = BusyClock::new();
 
-type TraceKey = (Workload, IsaKind, u8);
-type SimKey = (Workload, IsaKind, WidthClass, u8);
-type EncKey = (Workload, IsaKind, u8, EncodingVariant);
-type EncSimKey = (Workload, IsaKind, WidthClass, u8, EncodingVariant);
-
-static TRACE_CACHE: KeyedOnce<TraceKey, Arc<[DynInst]>> = KeyedOnce::new();
-static SOA_CACHE: KeyedOnce<TraceKey, Arc<SoaTrace>> = KeyedOnce::new();
-static PROFILE_CACHE: KeyedOnce<TraceKey, Arc<BranchProfile>> = KeyedOnce::new();
-static SIM_CACHE: KeyedOnce<SimKey, Counters> = KeyedOnce::new();
-static REF_SIM_CACHE: KeyedOnce<SimKey, Counters> = KeyedOnce::new();
-static SET_CACHE: KeyedOnce<(Workload, u8), Arc<ch_compiler::CompiledSet>> = KeyedOnce::new();
-static ENCODED_CACHE: KeyedOnce<(Workload, u8, EncodingVariant), Arc<ch_compiler::EncodedSet>> =
+// The pipeline's stage caches, each keyed by a prefix of one
+// `ConfigKey` (`workload/isa/width/scale/encoding/engine`).
+static SET_CACHE: KeyedOnce<(Workload, Scale), Arc<CompiledSet>> = KeyedOnce::new();
+static ENCODED_CACHE: KeyedOnce<(Workload, Scale, EncodingVariant), Arc<EncodedSet>> =
     KeyedOnce::new();
-static ENC_SOA_CACHE: KeyedOnce<EncKey, Arc<SoaTrace>> = KeyedOnce::new();
-static ENC_PROFILE_CACHE: KeyedOnce<EncKey, Arc<BranchProfile>> = KeyedOnce::new();
-static ENC_SIM_CACHE: KeyedOnce<EncSimKey, Counters> = KeyedOnce::new();
+static TRACE_CACHE: KeyedOnce<(Workload, IsaKind, Scale), Arc<[DynInst]>> = KeyedOnce::new();
+static RELOCATED_CACHE: KeyedOnce<(Workload, IsaKind, Scale, EncodingVariant), Arc<Relocated>> =
+    KeyedOnce::new();
+static RUN_CACHE: KeyedOnce<ConfigKey, Counters> = KeyedOnce::new();
 
-fn scale_id(s: Scale) -> u8 {
-    match s {
-        Scale::Test => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-    }
-}
-
-/// The committed trace of one workload on one ISA (cached per process;
-/// a cache hit is a pointer bump, not a trace copy).
-pub fn trace(w: Workload, isa: IsaKind, scale: Scale) -> Arc<[DynInst]> {
-    TRACE_CACHE.get_or_compute((w, isa, scale_id(scale)), || {
-        BUSY.time(|| compute_trace(w, isa, scale))
-    })
-}
-
-fn compute_trace(w: Workload, isa: IsaKind, scale: Scale) -> Arc<[DynInst]> {
-    // trace_on validates the checksum against the Rust reference and, on
-    // any failure, names the workload/scale/ISA and pipeline stage — so a
-    // bad kernel aborts the figures run with a diagnosable message.
-    let (t, _outcome) = w
-        .trace_on(scale, isa, LIMIT)
-        .unwrap_or_else(|e| panic!("{e}"));
-    Arc::from(t)
-}
-
-/// The committed trace of one workload in the fast engine's
-/// structure-of-arrays layout (cached per process; built once from the
-/// [`trace`] cache and shared by every machine width that sweeps it).
-pub fn soa_trace(w: Workload, isa: IsaKind, scale: Scale) -> Arc<SoaTrace> {
-    SOA_CACHE.get_or_compute((w, isa, scale_id(scale)), || {
-        let t = trace(w, isa, scale);
-        BUSY.time(|| Arc::new(SoaTrace::new(t.iter())))
-    })
-}
-
-/// The pre-replayed branch-predictor outcomes of one workload's trace
-/// (cached per process; every preset shares one predictor geometry, so
-/// all five machine widths reuse one replay — see
-/// [`ch_sim::BranchProfile`]).
-pub fn branch_profile(w: Workload, isa: IsaKind, scale: Scale) -> Arc<BranchProfile> {
-    PROFILE_CACHE.get_or_compute((w, isa, scale_id(scale)), || {
-        let t = soa_trace(w, isa, scale);
-        // Geometry is width-independent; W4 stands in for all presets.
-        let cfg = MachineConfig::preset(WidthClass::W4, isa);
-        BUSY.time(|| Arc::new(BranchProfile::new(&cfg, &t)))
-    })
-}
-
-/// Simulates one workload on one Table 2 machine (cached per process).
-///
-/// Runs on the fast-path engine ([`ch_sim::FastEngine`]) with the
-/// cached [`branch_profile`]; the differential suite in `tests/`
-/// asserts its counters are byte-identical to the reference
-/// [`Simulator`](ch_sim::Simulator) on every workload × ISA × width.
-///
-/// With a sweep server configured ([`remote::set_server`]), a cache
-/// miss is fetched from the server instead of computed in-process; the
-/// exact [`Counters`] wire round-trip keeps the result — and everything
-/// rendered from it — byte-identical either way.
-pub fn simulate(w: Workload, isa: IsaKind, width: WidthClass, scale: Scale) -> Counters {
-    SIM_CACHE.get_or_compute((w, isa, width, scale_id(scale)), || {
-        if let Some(addr) = remote::server() {
-            return remote::fetch_sim(&addr, w, isa, width, scale, EncodingVariant::Fixed);
-        }
-        let t = soa_trace(w, isa, scale);
-        let p = branch_profile(w, isa, scale);
-        BUSY.time(|| run_fast_profiled(MachineConfig::preset(width, isa), &t, &p))
-    })
-}
-
-/// Simulates one workload on the reference (interpretive)
-/// [`Simulator`](ch_sim::Simulator) instead of the fast engine (cached
-/// per process, never routed to a server — the reference engine is the
-/// local ground truth the fast path is checked against).
-pub fn simulate_reference(w: Workload, isa: IsaKind, width: WidthClass, scale: Scale) -> Counters {
-    REF_SIM_CACHE.get_or_compute((w, isa, width, scale_id(scale)), || {
-        let t = trace(w, isa, scale);
-        BUSY.time(|| ch_sim::run_reference(MachineConfig::preset(width, isa), t.iter()))
-    })
-}
-
-/// The compiled (unencoded) three-ISA program set of one workload
-/// (cached per process; one compile shared by every encoding variant).
-pub fn compiled_set(w: Workload, scale: Scale) -> Arc<ch_compiler::CompiledSet> {
-    SET_CACHE.get_or_compute((w, scale_id(scale)), || {
+/// The compiled three-ISA program set of one workload (cached per
+/// process; one compile shared by every encoding).
+pub fn compiled_set(w: Workload, scale: Scale) -> Arc<CompiledSet> {
+    SET_CACHE.get_or_compute((w, scale), || {
         BUSY.time(|| {
             let set = ch_compiler::compile(&w.source(scale))
                 .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name()));
@@ -178,85 +108,125 @@ pub fn compiled_set(w: Workload, scale: Scale) -> Arc<ch_compiler::CompiledSet> 
 }
 
 /// The byte-accurate binary layout of one workload's programs under one
-/// encoding variant (cached per process).
-pub fn encoded_set(
-    w: Workload,
-    scale: Scale,
-    variant: EncodingVariant,
-) -> Arc<ch_compiler::EncodedSet> {
-    ENCODED_CACHE.get_or_compute((w, scale_id(scale), variant), || {
+/// encoding (cached per process).
+pub fn encoded_set(w: Workload, scale: Scale, encoding: EncodingVariant) -> Arc<EncodedSet> {
+    ENCODED_CACHE.get_or_compute((w, scale, encoding), || {
         let set = compiled_set(w, scale);
         BUSY.time(|| {
-            let enc = ch_compiler::encode_set(&set, variant)
-                .unwrap_or_else(|e| panic!("{}/{variant}: encode failed: {e}", w.name()));
+            let enc = ch_compiler::encode_set(&set, encoding)
+                .unwrap_or_else(|e| panic!("{}/{encoding}: encode failed: {e}", w.name()));
             Arc::new(enc)
         })
     })
 }
 
-fn encoded_layout(set: &ch_compiler::EncodedSet, isa: IsaKind) -> &ch_encode::Layout {
-    match isa {
-        IsaKind::Riscv => &set.riscv.layout,
-        IsaKind::Straight => &set.straight.layout,
-        IsaKind::Clockhands => &set.clockhands.layout,
-    }
-}
-
-/// The committed trace of one workload relocated onto the byte-accurate
-/// layout of one encoding variant, in the fast engine's layout (cached
-/// per process). Under [`EncodingVariant::Fixed`] the relocation is the
-/// identity, so the trace — and every counter simulated from it — is
-/// byte-identical to the abstract-PC [`soa_trace`].
-pub fn encoded_soa_trace(
-    w: Workload,
-    isa: IsaKind,
-    scale: Scale,
-    variant: EncodingVariant,
-) -> Arc<SoaTrace> {
-    ENC_SOA_CACHE.get_or_compute((w, isa, scale_id(scale), variant), || {
-        let t = trace(w, isa, scale);
-        let enc = encoded_set(w, scale, variant);
+/// The committed trace of one workload on one ISA, at abstract PCs
+/// (cached per process; a cache hit is a pointer bump, not a trace
+/// copy).
+pub fn trace(w: Workload, isa: IsaKind, scale: Scale) -> Arc<[DynInst]> {
+    TRACE_CACHE.get_or_compute((w, isa, scale), || {
+        // trace_on validates the checksum against the Rust reference and,
+        // on any failure, names the workload/scale/ISA and pipeline stage
+        // — so a bad kernel aborts the run with a diagnosable message.
         BUSY.time(|| {
-            let mut relocated = t.to_vec();
-            ch_encode::relocate_trace(&mut relocated, encoded_layout(&enc, isa));
-            Arc::new(SoaTrace::new(relocated.iter()))
+            let (t, _outcome) = w
+                .trace_on(scale, isa, LIMIT)
+                .unwrap_or_else(|e| panic!("{e}"));
+            Arc::from(t)
         })
     })
 }
 
-/// The branch-predictor replay over a relocated trace (cached per
-/// process). Compressed layouts move PCs, which moves predictor index
-/// bits, so the replay is per-variant.
-pub fn encoded_branch_profile(
+/// The timing engine's input for one `(workload, isa, scale,
+/// encoding)`: the committed trace relocated onto the encoding's byte
+/// layout, and its branch-predictor replay.
+pub struct Relocated {
+    /// The relocated trace in the fast engine's structure-of-arrays
+    /// layout.
+    pub soa: SoaTrace,
+    /// The pre-replayed branch-predictor outcomes over [`soa`](Self::soa)
+    /// (every preset shares one predictor geometry, so all five machine
+    /// widths reuse one replay — see [`ch_sim::BranchProfile`]).
+    pub profile: BranchProfile,
+}
+
+/// The [`Relocated`] timing input of one `(workload, isa, scale,
+/// encoding)` (cached per process; shared by every machine width).
+///
+/// Relocation is folded into the SoA build, so no relocated copy of
+/// the trace is ever materialized. Under [`EncodingVariant::Fixed`] the
+/// layout is the identity, so the columns equal those of the abstract
+/// [`trace`]; compressed layouts move PCs, which moves predictor index
+/// bits, so each encoding has its own replay.
+pub fn relocated(
     w: Workload,
     isa: IsaKind,
     scale: Scale,
-    variant: EncodingVariant,
-) -> Arc<BranchProfile> {
-    ENC_PROFILE_CACHE.get_or_compute((w, isa, scale_id(scale), variant), || {
-        let t = encoded_soa_trace(w, isa, scale, variant);
-        let cfg = MachineConfig::preset(WidthClass::W4, isa);
-        BUSY.time(|| Arc::new(BranchProfile::new(&cfg, &t)))
+    encoding: EncodingVariant,
+) -> Arc<Relocated> {
+    RELOCATED_CACHE.get_or_compute((w, isa, scale, encoding), || {
+        let t = trace(w, isa, scale);
+        let enc = encoded_set(w, scale, encoding);
+        let layout = &enc.program(isa).layout;
+        BUSY.time(|| {
+            let soa = SoaTrace::new(t.iter().map(|d| layout.relocate(d)));
+            // Geometry is width-independent; W4 stands in for all presets.
+            let profile = BranchProfile::new(&MachineConfig::preset(WidthClass::W4, isa), &soa);
+            Arc::new(Relocated { soa, profile })
+        })
     })
 }
 
-/// Simulates one workload on one Table 2 machine with its code laid out
-/// under `variant` (cached per process; routed to a sweep server like
-/// [`simulate`] when one is configured).
-pub fn simulate_encoded(
-    w: Workload,
-    isa: IsaKind,
-    width: WidthClass,
-    scale: Scale,
-    variant: EncodingVariant,
-) -> Counters {
-    ENC_SIM_CACHE.get_or_compute((w, isa, width, scale_id(scale), variant), || {
+/// Computes one configuration: the counters of `key`'s workload on its
+/// Table 2 machine with its code laid out under its encoding, on its
+/// engine (cached per process — the pipeline's one entry point).
+///
+/// [`Engine::Fast`] runs the fast-path engine over the cached
+/// [`relocated`] input; [`Engine::Reference`] runs the reference
+/// [`Simulator`](ch_sim::Simulator) over the same relocated stream. The
+/// differential suite in `tests/` asserts the two agree byte for byte
+/// on every workload × ISA × width × encoding.
+///
+/// With a sweep server configured ([`remote::set_server`]), a cache
+/// miss is fetched from the server instead of computed in-process; the
+/// exact [`Counters`] wire round-trip keeps the result — and everything
+/// rendered from it — byte-identical either way.
+///
+/// # Panics
+///
+/// Panics if any stage fails (compile, encode, interpretation or the
+/// server), and always for [`Engine::Poison`], the diagnostic engine
+/// that exercises panic isolation.
+pub fn run(key: &ConfigKey) -> Counters {
+    if key.engine == Engine::Poison {
+        panic!("poison engine requested for {key}");
+    }
+    RUN_CACHE.get_or_compute(*key, || {
         if let Some(addr) = remote::server() {
-            return remote::fetch_sim(&addr, w, isa, width, scale, variant);
+            return remote::fetch_sim(&addr, key);
         }
-        let t = encoded_soa_trace(w, isa, scale, variant);
-        let p = encoded_branch_profile(w, isa, scale, variant);
-        BUSY.time(|| run_fast_profiled(MachineConfig::preset(width, isa), &t, &p))
+        let cfg = MachineConfig::preset(key.width, key.isa);
+        if key.engine == Engine::Fast {
+            let r = relocated(key.workload, key.isa, key.scale, key.encoding);
+            return BUSY.time(|| run_fast_profiled(cfg, &r.soa, &r.profile));
+        }
+        let t = trace(key.workload, key.isa, key.scale);
+        let enc = encoded_set(key.workload, key.scale, key.encoding);
+        let layout = &enc.program(key.isa).layout;
+        BUSY.time(|| ch_sim::run_reference(cfg, t.iter().map(|d| layout.relocate(d))))
+    })
+}
+
+/// Simulates one workload on one Table 2 machine: [`run`] of the
+/// fixed-encoding, fast-engine key.
+pub fn simulate(w: Workload, isa: IsaKind, width: WidthClass, scale: Scale) -> Counters {
+    run(&ConfigKey {
+        workload: w,
+        isa,
+        width,
+        scale,
+        encoding: EncodingVariant::Fixed,
+        engine: Engine::Fast,
     })
 }
 
@@ -764,11 +734,10 @@ pub fn ablation(scale: Scale) -> String {
         .flat_map(|&w| [&base, &equal, &deep].map(|cfg| (w, cfg)))
         .collect();
     let cycles = par_map(&jobs, |&(w, cfg)| {
-        let t = soa_trace(w, IsaKind::Clockhands, scale);
         // The ablations vary hand quotas and front-end depth only, so the
         // predictor replay (geometry-keyed) is shared with the main sweep.
-        let p = branch_profile(w, IsaKind::Clockhands, scale);
-        BUSY.time(|| run_fast_profiled(cfg.clone(), &t, &p).cycles)
+        let r = relocated(w, IsaKind::Clockhands, scale, EncodingVariant::Fixed);
+        BUSY.time(|| run_fast_profiled(cfg.clone(), &r.soa, &r.profile).cycles)
     });
     for (w, row) in Workload::ALL.iter().zip(cycles.chunks(3)) {
         let _ = writeln!(
@@ -883,13 +852,13 @@ pub fn traces(scale: Scale) -> String {
         .collect();
     warm_traces(scale, combos.iter().copied());
     let outputs = par_map(&combos, |&(w, isa)| {
-        let t = soa_trace(w, isa, scale);
+        let r = relocated(w, isa, scale, EncodingVariant::Fixed);
         BUSY.time(|| {
             let engine = ch_sim::FastEngine::with_tracer(
                 MachineConfig::preset(WidthClass::W8, isa),
                 ch_sim::TraceBuffer::with_limit(INSTS),
             );
-            let (_, buf) = engine.run(&t);
+            let (_, buf) = engine.run_profiled(&r.soa, &r.profile);
             let last = buf.records().last().map(|r| r.stamps.commit).unwrap_or(0);
             (buf.to_kanata(), buf.to_jsonl(), buf.records().len(), last)
         })

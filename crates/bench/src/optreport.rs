@@ -119,14 +119,6 @@ fn measure(w: Workload, scale: Scale, isa: IsaKind, opt: &OptConfig) -> Row {
 /// The ISAs the optimization layer applies to, in render order.
 const ISAS: [IsaKind; 2] = [IsaKind::Clockhands, IsaKind::Straight];
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
-}
-
 /// Measures every workload × ISA with and without the optimization
 /// layer and renders the `BENCH_8.json` snapshot.
 pub fn opt_json(scale: Scale) -> String {
@@ -156,7 +148,7 @@ pub fn opt_json(scale: Scale) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"pr\": {PR},");
-    let _ = writeln!(s, "  \"scale\": \"{}\",", scale_name(scale));
+    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
     let _ = writeln!(s, "  \"jobs\": {},", jobs());
     let _ = writeln!(s, "  \"width\": \"8f\",");
     for (ii, &isa) in ISAS.iter().enumerate() {
@@ -227,7 +219,7 @@ pub fn opt_experiment(scale: Scale) -> String {
     let rebaseline = std::env::var_os("CH_BENCH_SKIP_CHECK").is_some();
     let same_scale = baseline
         .as_deref()
-        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale_name(scale))));
+        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale.name())));
     if same_scale || rebaseline {
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         let _ = writeln!(s, "snapshot written");

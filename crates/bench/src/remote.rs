@@ -16,11 +16,12 @@
 //! produced.
 //!
 //! [`set_server`] installs a process-wide server address; while one is
-//! set, [`crate::simulate`] routes cache misses to that server instead
+//! set, [`crate::run`] routes cache misses to that server instead
 //! of the in-process engine (cache hits are still served locally — the
 //! local [`crate::cache::KeyedOnce`] then acts as a client-side result
 //! cache).
 
+use crate::key::ConfigKey;
 use ch_common::json::Json;
 use ch_common::stats::Counters;
 use std::fmt::Write as _;
@@ -28,7 +29,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 
-/// Process-wide sweep-server address used by [`crate::simulate`]
+/// Process-wide sweep-server address used by [`crate::run`]
 /// (`None` = simulate in-process).
 static SERVER: Mutex<Option<String>> = Mutex::new(None);
 
@@ -617,26 +618,20 @@ impl Client {
     }
 }
 
-/// Fetches one simulation from the configured server, retrying
+/// Fetches one configuration from the configured server, retrying
 /// `overloaded` rejections with the server-suggested backoff. Panics on
-/// any other failure — `figures --server` must abort loudly rather than
-/// silently fall back to a half-local run.
-pub(crate) fn fetch_sim(
-    addr: &str,
-    workload: ch_workloads::Workload,
-    isa: ch_common::IsaKind,
-    width: ch_common::config::WidthClass,
-    scale: ch_workloads::Scale,
-    encoding: ch_common::EncodingVariant,
-) -> Counters {
+/// any other failure, naming the full canonical key — `figures
+/// --server` must abort loudly rather than silently fall back to a
+/// half-local run.
+pub(crate) fn fetch_sim(addr: &str, key: &ConfigKey) -> Counters {
     let req = SimRequest {
         id: 0,
-        workload: workload.name().to_string(),
-        isa: isa.name().to_string(),
-        width: width.label().to_string(),
-        scale: scale.name().to_string(),
-        encoding: encoding.name().to_string(),
-        engine: "fast".to_string(),
+        workload: key.workload.name().to_string(),
+        isa: key.isa.name().to_string(),
+        width: key.width.label().to_string(),
+        scale: key.scale.name().to_string(),
+        encoding: key.encoding.name().to_string(),
+        engine: key.engine.name().to_string(),
         timeout_ms: 0,
     };
     let mut backoff = std::time::Duration::from_millis(25);
@@ -648,7 +643,10 @@ pub(crate) fn fetch_sim(
             Ok(r) => return r.counters,
             Err(ClientError::Server(e)) if e.code == "overloaded" => {
                 if std::time::Instant::now() >= deadline {
-                    panic!("sweep server {addr} overloaded for 60s: {}", e.message);
+                    panic!(
+                        "sweep server {addr} overloaded for 60s on {key}: {}",
+                        e.message
+                    );
                 }
                 let wait = e
                     .retry_after_ms
@@ -657,12 +655,7 @@ pub(crate) fn fetch_sim(
                 std::thread::sleep(wait);
                 backoff = (backoff * 2).min(std::time::Duration::from_secs(1));
             }
-            Err(e) => panic!(
-                "sweep server {addr} failed on {}/{}/{}: {e}",
-                workload.name(),
-                isa.name(),
-                width.label()
-            ),
+            Err(e) => panic!("sweep server {addr} failed on {key}: {e}"),
         }
     }
 }
@@ -798,6 +791,56 @@ mod tests {
             let line = resp.to_line();
             assert_eq!(Response::parse(&line).unwrap(), resp, "{line}");
         }
+    }
+
+    #[test]
+    fn fetch_failure_names_the_full_key_and_sends_its_engine() {
+        use std::io::{BufRead, BufReader, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // A one-request server that refuses whatever it is sent.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).unwrap();
+            let Ok(Request::Sim(req)) = Request::parse(line.trim_end()) else {
+                panic!("expected a sim request, got {line}");
+            };
+            let refusal = Response::Error(ErrorRecord {
+                id: req.id,
+                key: None,
+                code: "bad-request".into(),
+                message: "refused".into(),
+                retry_after_ms: None,
+            });
+            writeln!(&stream, "{}", refusal.to_line()).unwrap();
+            req
+        });
+        let key = ConfigKey {
+            workload: ch_workloads::Workload::Xz,
+            isa: ch_common::IsaKind::Clockhands,
+            width: ch_common::config::WidthClass::W8,
+            scale: ch_workloads::Scale::Small,
+            encoding: ch_common::EncodingVariant::Compressed,
+            engine: crate::Engine::Reference,
+        };
+        let panic = std::panic::catch_unwind(|| fetch_sim(&addr, &key)).unwrap_err();
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("xz/clockhands/8f/small/compressed/reference"),
+            "{message}"
+        );
+        let req = server.join().unwrap();
+        assert_eq!(
+            (
+                req.scale.as_str(),
+                req.encoding.as_str(),
+                req.engine.as_str()
+            ),
+            ("small", "compressed", "reference")
+        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! over PR. Baselines are host-dependent; set `CH_BENCH_SKIP_CHECK=1`
 //! to snapshot on a different machine without tripping the gate.
 
-use crate::{branch_profile, full_sweep, jobs, par_map, soa_trace, trace, warm_traces};
+use crate::{full_sweep, jobs, par_map, relocated, trace, warm_traces};
 use ch_common::config::MachineConfig;
 use ch_common::stats::Counters;
-use ch_common::IsaKind;
+use ch_common::{EncodingVariant, IsaKind};
 use ch_sim::run_fast_profiled;
 use ch_workloads::{Scale, Workload};
 use std::fmt::Write as _;
@@ -32,14 +32,6 @@ pub const PR: u32 = 6;
 /// Maximum tolerated per-instruction wall-time regression of the fast
 /// sweep versus the committed baseline (0.25 = 25 %).
 pub const REGRESSION_TOLERANCE: f64 = 0.25;
-
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
-}
 
 struct EnginePass {
     wall_ms: f64,
@@ -81,13 +73,12 @@ pub fn bench_json(scale: Scale) -> String {
         .flat_map(|&w| IsaKind::ALL.map(|isa| (w, isa)))
         .collect();
     crate::sweep(&pairs, |&(w, isa)| {
-        soa_trace(w, isa, scale);
-        branch_profile(w, isa, scale);
+        relocated(w, isa, scale, EncodingVariant::Fixed);
     });
 
     let fast = run_pass(&combos, |cfg, w, isa| {
-        let p = branch_profile(w, isa, scale);
-        run_fast_profiled(cfg, &soa_trace(w, isa, scale), &p)
+        let r = relocated(w, isa, scale, EncodingVariant::Fixed);
+        run_fast_profiled(cfg, &r.soa, &r.profile)
     });
     let reference = run_pass(&combos, |cfg, w, isa| {
         ch_sim::run_reference(cfg, trace(w, isa, scale).iter())
@@ -115,7 +106,7 @@ pub fn bench_json(scale: Scale) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"pr\": {PR},");
-    let _ = writeln!(s, "  \"scale\": \"{}\",", scale_name(scale));
+    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
     let _ = writeln!(s, "  \"jobs\": {},", jobs());
     let _ = writeln!(s, "  \"configs\": {},", combos.len());
     let _ = writeln!(s, "  \"insts\": {insts},");
@@ -219,7 +210,7 @@ pub fn bench_experiment(scale: Scale) -> String {
     // clobber the committed small-scale baseline.
     let same_scale = baseline
         .as_deref()
-        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale_name(scale))));
+        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale.name())));
     match baseline.as_deref() {
         Some(b) if !rebaseline && same_scale => match check_regression(b, &json) {
             Ok(verdict) => {

@@ -1,49 +1,76 @@
 //! Differential test: the fast-path engine must be **byte-identical**
 //! to the reference simulator — every counter, including the full stall
-//! breakdown — on every workload × ISA × width combination, and the
-//! cached parallel driver must return the same results at any worker
-//! count.
+//! breakdown — on every workload × ISA × width × encoding combination,
+//! and the cached parallel driver must return the same results at any
+//! worker count.
 //!
 //! This is the correctness bar of the engine restructuring: the fast
 //! engine is only allowed to be a faster evaluation order of the same
-//! timing model, never a different model.
+//! timing model, never a different model. The fast side is the
+//! pipeline's own `run` (relocated SoA build, cached predictor replay);
+//! the reference side is an independent `Simulator` over a trace
+//! relocated here.
 
-use ch_bench::{set_jobs, simulate, soa_trace, sweep, trace};
+use ch_bench::{encoded_set, relocated, run, set_jobs, simulate, sweep, trace, ConfigKey, Engine};
 use ch_common::config::{MachineConfig, WidthClass};
-use ch_common::IsaKind;
+use ch_common::{DynInst, EncodingVariant, IsaKind};
 use ch_sim::{run_fast, FastEngine, Simulator, TraceBuffer};
 use ch_workloads::{Scale, Workload};
 
 const SCALE: Scale = Scale::Test;
 
-fn reference(w: Workload, isa: IsaKind, width: WidthClass) -> ch_sim::Counters {
-    let t = trace(w, isa, SCALE);
-    let mut sim = Simulator::new(MachineConfig::preset(width, isa));
-    for inst in t.iter() {
-        sim.step(inst);
+/// Asserts `run` equals the reference simulator over `trace` at every
+/// width of one `(workload, isa, encoding)`.
+fn check_widths(w: Workload, isa: IsaKind, encoding: EncodingVariant, trace: &[DynInst]) {
+    for width in WidthClass::ALL {
+        let fast = run(&ConfigKey {
+            workload: w,
+            isa,
+            width,
+            scale: SCALE,
+            encoding,
+            engine: Engine::Fast,
+        });
+        let reference = Simulator::new(MachineConfig::preset(width, isa)).run(trace);
+        assert_eq!(
+            fast,
+            reference,
+            "fast engine diverged on {}/{}/{}/{encoding} (stalls: fast {:?} vs ref {:?})",
+            w.name(),
+            isa.tag(),
+            width.label(),
+            fast.stalls,
+            reference.stalls
+        );
     }
-    sim.finish()
 }
 
+/// Fixed layouts: the pipeline's relocated run against the reference on
+/// the abstract-PC trace, so a non-identity fixed relocation would show
+/// up as a counter difference.
 #[test]
 fn fast_engine_matches_reference_on_every_combo() {
     for w in Workload::ALL {
         for isa in IsaKind::ALL {
-            let soa = soa_trace(w, isa, SCALE);
-            for width in WidthClass::ALL {
-                let fast = run_fast(MachineConfig::preset(width, isa), &soa);
-                let reference = reference(w, isa, width);
-                assert_eq!(
-                    fast,
-                    reference,
-                    "fast engine diverged on {}/{}/{} (stalls: fast {:?} vs ref {:?})",
-                    w.name(),
-                    isa.tag(),
-                    width.label(),
-                    fast.stalls,
-                    reference.stalls
-                );
-            }
+            check_widths(w, isa, EncodingVariant::Fixed, &trace(w, isa, SCALE));
+        }
+    }
+}
+
+/// Compressed layouts: byte-accurate PCs, 2-byte instructions and I$
+/// line straddles, against the reference on a trace relocated with
+/// `ch_encode::relocate_trace`.
+#[test]
+fn fast_engine_matches_reference_on_compressed_layouts() {
+    let encoding = EncodingVariant::Compressed;
+    for w in Workload::ALL {
+        let enc = encoded_set(w, SCALE, encoding);
+        for isa in IsaKind::ALL {
+            let layout = &enc.program(isa).layout;
+            assert!(layout.compact_count() > 0, "{}/{}", w.name(), isa.tag());
+            let mut t = trace(w, isa, SCALE).to_vec();
+            ch_encode::relocate_trace(&mut t, layout);
+            check_widths(w, isa, encoding, &t);
         }
     }
 }
@@ -56,15 +83,12 @@ fn traced_fast_engine_matches_reference_stamps() {
         let cfg = MachineConfig::preset(WidthClass::W8, isa);
         let t = trace(w, isa, SCALE);
         let mut sim = Simulator::with_tracer(cfg.clone(), TraceBuffer::new());
-        for inst in t.iter() {
-            sim.step(inst);
-        }
-        let ref_counters = sim.finish();
+        let ref_counters = sim.run(t.iter());
         let ref_records = sim.into_tracer();
 
-        let soa = soa_trace(w, isa, SCALE);
+        let r = relocated(w, isa, SCALE, EncodingVariant::Fixed);
         let (fast_counters, fast_records) =
-            FastEngine::with_tracer(cfg, TraceBuffer::new()).run(&soa);
+            FastEngine::with_tracer(cfg, TraceBuffer::new()).run(&r.soa);
 
         assert_eq!(fast_counters, ref_counters, "{}/{}", w.name(), isa.tag());
         assert_eq!(
@@ -106,7 +130,8 @@ fn parallel_sweep_is_worker_count_invariant() {
         assert_eq!(serial, parallel, "jobs={jobs}");
         // And bypassing the memoized cache entirely:
         let uncached = sweep(&keys, |&(w, isa, wd)| {
-            run_fast(MachineConfig::preset(wd, isa), &soa_trace(w, isa, SCALE))
+            let r = relocated(w, isa, SCALE, EncodingVariant::Fixed);
+            run_fast(MachineConfig::preset(wd, isa), &r.soa)
         });
         assert_eq!(serial, uncached, "uncached, jobs={jobs}");
     }

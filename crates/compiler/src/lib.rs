@@ -267,6 +267,17 @@ pub struct EncodedSet {
     pub clockhands: ch_encode::EncodedProgram,
 }
 
+impl EncodedSet {
+    /// The encoded program of one ISA.
+    pub fn program(&self, isa: IsaKind) -> &ch_encode::EncodedProgram {
+        match isa {
+            IsaKind::Riscv => &self.riscv,
+            IsaKind::Straight => &self.straight,
+            IsaKind::Clockhands => &self.clockhands,
+        }
+    }
+}
+
 /// Lays out a compiled set as real code bytes under `variant`.
 ///
 /// The backends only emit encodable programs (registers below 64, hand

@@ -58,8 +58,9 @@ pub type Target = u32;
 
 /// One Clockhands instruction.
 ///
-/// Immediates are kept as native integers; the binary encoder
-/// ([`crate::encode`]) range-checks them against the instruction format.
+/// Immediates are kept as native integers; the binary encoder (the
+/// `ch-encode` crate) places them inline or, when they outgrow their
+/// field, in a literal pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Inst {
     /// Register-register ALU operation: `op dst, src1, src2`.

@@ -16,7 +16,6 @@
 //!   (H = 4 hands, D = 16 maximum reference distance).
 //! * [`inst`] — the instruction set (an RV64G-subset with Clockhands
 //!   operands, per Fig. 5 of the paper).
-//! * [`encode`] — the 32-bit binary instruction format.
 //! * [`asm`] — textual assembler / disassembler in the paper's syntax.
 //! * [`program`] — program container and validation.
 //! * [`state`] — the architectural hand file (logical shift registers).
@@ -52,7 +51,6 @@
 //! ```
 
 pub mod asm;
-pub mod encode;
 pub mod hand;
 pub mod inst;
 pub mod interp;

@@ -608,10 +608,7 @@ mod tests {
     fn fixed_layout_is_abstract() {
         let insts = sample();
         let enc = crate::encode_clockhands(&insts, EncodingVariant::Fixed).unwrap();
-        assert!(enc.layout.sizes.iter().all(|&s| s == 4));
-        for (i, &pc) in enc.layout.pcs.iter().enumerate() {
-            assert_eq!(pc, crate::TEXT_BASE + 4 * i as u64);
-        }
+        assert!(enc.layout.is_identity());
         assert_eq!(enc.bytes.len(), 4 * insts.len());
     }
 
@@ -635,6 +632,51 @@ mod tests {
             src6(Src::Hand(Hand::S, 15), 7),
             Err(EncodeError::BadSrc { at: 7 })
         ));
+    }
+
+    #[test]
+    fn distance_and_immediate_field_boundaries() {
+        // d = 15 is the deepest t/u/v distance (s stops at 14, its 15 is
+        // the zero register) and must survive the 4-bit distance field
+        // untruncated; d = 16 is out of range on every hand (a `& 0xf`
+        // bug would fold it onto d = 0 silently).
+        let mv = |src| Inst::Mv { dst: Hand::T, src };
+        let deepest: Vec<Inst> = [Hand::T, Hand::U, Hand::V]
+            .map(|h| mv(Src::Hand(h, 15)))
+            .into_iter()
+            .chain([mv(Src::Hand(Hand::S, 14))])
+            .collect();
+        for h in Hand::ALL {
+            assert!(
+                matches!(
+                    crate::encode_clockhands(&[mv(Src::Hand(h, 16))], EncodingVariant::Fixed),
+                    Err(EncodeError::BadSrc { at: 0 })
+                ),
+                "{h:?}[16]"
+            );
+        }
+        // The 16-bit `addi` immediate is inline up to its signed range
+        // and spills to the literal pool one past either end.
+        let addi = |imm| Inst::AluImm {
+            op: AluOp::Add,
+            dst: Hand::T,
+            src1: Src::Hand(Hand::T, 0),
+            imm,
+        };
+        let inline = [i16::MIN as i32, i16::MAX as i32].map(addi);
+        let pooled = [i16::MIN as i32 - 1, i16::MAX as i32 + 1].map(addi);
+        for variant in EncodingVariant::ALL {
+            for (insts, pool) in [
+                (deepest.clone(), 0),
+                (inline.to_vec(), 0),
+                (pooled.to_vec(), 2),
+            ] {
+                let enc = crate::encode_clockhands(&insts, variant).unwrap();
+                assert_eq!(enc.pool.len(), pool, "{variant}: {insts:?}");
+                let back = crate::decode_clockhands(&enc.bytes, &enc.pool).unwrap();
+                assert_eq!(back, insts, "{variant}");
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,43 @@ impl Layout {
     pub fn relocate_pc(&self, abstract_pc: u64) -> u64 {
         self.pcs[((abstract_pc - TEXT_BASE) / 4) as usize]
     }
+
+    /// One committed instruction moved from its abstract PC
+    /// (`TEXT_BASE + 4i`) onto this layout: the laid-out byte PC, the
+    /// real instruction size, and a taken-branch target relocated when
+    /// it points into the text section. Targets outside the text section
+    /// (there are none today, but indirect targets are forwarded
+    /// untouched as a guard) pass through unchanged.
+    pub fn relocate(&self, inst: &DynInst) -> DynInst {
+        let mut d = inst.clone();
+        self.relocate_in_place(&mut d);
+        d
+    }
+
+    fn relocate_in_place(&self, d: &mut DynInst) {
+        let end = TEXT_BASE + 4 * self.sizes.len() as u64;
+        let in_text = |pc: u64| pc >= TEXT_BASE && pc <= end && pc.is_multiple_of(4);
+        debug_assert!(in_text(d.pc), "trace pc {:#x} outside text", d.pc);
+        let idx = ((d.pc - TEXT_BASE) / 4) as usize;
+        d.pc = self.pcs[idx];
+        d.size = self.sizes[idx];
+        if let Some(ctrl) = d.ctrl.as_mut() {
+            if in_text(ctrl.target) {
+                ctrl.target = self.relocate_pc(ctrl.target);
+            }
+        }
+    }
+
+    /// Whether relocation onto this layout is the identity map: every
+    /// instruction 4 bytes wide at its abstract PC `TEXT_BASE + 4i`.
+    pub fn is_identity(&self) -> bool {
+        self.sizes.iter().all(|&s| s == 4)
+            && self
+                .pcs
+                .iter()
+                .enumerate()
+                .all(|(i, &pc)| pc == TEXT_BASE + 4 * i as u64)
+    }
 }
 
 /// An encoded program: code bytes, literal pool, and layout.
@@ -307,25 +344,12 @@ pub fn decode_riscv(
     stream::decode_stream::<riscv::Rv>(bytes, pool)
 }
 
-/// Rewrites a committed trace from abstract PCs (`TEXT_BASE + 4i`) to
-/// the laid-out byte PCs of `layout`, filling in real instruction
-/// sizes and relocating taken-branch targets that point into the text
-/// section. Targets outside the text section (there are none today,
-/// but indirect targets are forwarded untouched as a guard) pass
-/// through unchanged.
+/// Rewrites a committed trace in place from abstract PCs to the
+/// laid-out byte PCs of `layout` ([`Layout::relocate`] on every
+/// instruction).
 pub fn relocate_trace(trace: &mut [DynInst], layout: &Layout) {
-    let end = TEXT_BASE + 4 * layout.sizes.len() as u64;
-    let in_text = |pc: u64| pc >= TEXT_BASE && pc <= end && pc.is_multiple_of(4);
     for d in trace.iter_mut() {
-        debug_assert!(in_text(d.pc), "trace pc {:#x} outside text", d.pc);
-        let idx = ((d.pc - TEXT_BASE) / 4) as usize;
-        d.pc = layout.pcs[idx];
-        d.size = layout.sizes[idx];
-        if let Some(ctrl) = d.ctrl.as_mut() {
-            if in_text(ctrl.target) {
-                ctrl.target = layout.relocate_pc(ctrl.target);
-            }
-        }
+        layout.relocate_in_place(d);
     }
 }
 
@@ -401,6 +425,7 @@ mod tests {
                 TEXT_BASE + 16,
             ),
         ];
+        assert!(!layout.is_identity());
         relocate_trace(&mut trace, &layout);
         assert_eq!(trace[0].pc, TEXT_BASE + 2);
         assert_eq!(trace[0].size, 4);

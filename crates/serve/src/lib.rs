@@ -3,7 +3,7 @@
 //! # ch-serve — a persistent, deduplicating sweep service
 //!
 //! The experiment suite's unit of work is one `(workload, isa, width,
-//! scale, engine)` simulation, and the same configurations come up over
+//! scale, encoding, engine)` simulation, and the same configurations come up over
 //! and over: Fig. 13 and Fig. 14 share all 75 of them, CI re-runs what
 //! a developer just ran locally, and a parameter sweep differs from the
 //! previous one in a handful of points. `ch-serve` keeps one process
@@ -14,7 +14,8 @@
 //!
 //! * [`key`] — the canonical [`ConfigKey`] every request is normalized
 //!   to, so spelling variants (`ch` vs `clockhands`, `8f` vs `w8`)
-//!   dedupe to one job;
+//!   dedupe to one job (the key is `ch-bench`'s own pipeline key,
+//!   re-exported here), and the expansion of sweep requests into keys;
 //! * [`service`] — the [`Service`]: a bounded job queue, a worker pool,
 //!   and a per-key job registry generalizing `ch-bench`'s
 //!   [`KeyedOnce`](ch_bench::cache::KeyedOnce) design with explicit

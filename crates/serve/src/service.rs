@@ -22,7 +22,7 @@
 //! registry lock. Since no thread ever holds the registry lock while
 //! acquiring the completion lock, the two orders cannot deadlock.
 
-use crate::key::{ConfigKey, Engine};
+use crate::key::ConfigKey;
 use ch_common::stats::Counters;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 /// How a simulation runs: maps a key to its counters, or panics (the
 /// service turns the panic into a memoized `Failed`). The default
-/// runner dispatches on [`Engine`]; tests inject slow or failing ones.
+/// runner is [`ch_bench::run`]; tests inject slow or failing ones.
 pub type Runner = dyn Fn(&ConfigKey) -> Counters + Send + Sync;
 
 /// Tunables for a [`Service`].
@@ -181,36 +181,14 @@ impl Clone for Service {
     }
 }
 
-/// Runs one configuration on the engine it names, through `ch-bench`'s
-/// process-wide caches (so all widths of one `(workload, isa, scale)`
-/// share a single trace, SoA conversion, and predictor replay).
-///
-/// Fixed-encoding fast jobs run on the abstract-PC path — byte-identical
-/// to the byte-accurate one by the `ch-bench` differential suite, and
-/// cache-shared with every figure — while compressed jobs go through the
-/// relocated-layout path ([`ch_bench::simulate_encoded`]).
-pub fn engine_runner(key: &ConfigKey) -> Counters {
-    use ch_common::EncodingVariant;
-    match (key.engine, key.encoding) {
-        (Engine::Fast, EncodingVariant::Fixed) => {
-            ch_bench::simulate(key.workload, key.isa, key.width, key.scale)
-        }
-        (Engine::Fast, variant) => {
-            ch_bench::simulate_encoded(key.workload, key.isa, key.width, key.scale, variant)
-        }
-        (Engine::Reference, _) => {
-            // ConfigKey::validate pins reference jobs to the fixed layout.
-            ch_bench::simulate_reference(key.workload, key.isa, key.width, key.scale)
-        }
-        (Engine::Poison, _) => panic!("poison engine requested for {key}"),
-    }
-}
-
 impl Service {
-    /// Starts the worker pool with the default engine-dispatching
-    /// runner.
+    /// Starts the worker pool with the pipeline's own runner,
+    /// [`ch_bench::run`]: every configuration goes through `ch-bench`'s
+    /// process-wide stage caches, so all widths of one `(workload, isa,
+    /// scale, encoding)` share a single trace, relocated SoA conversion
+    /// and predictor replay.
     pub fn start(cfg: ServiceConfig) -> Service {
-        Service::with_runner(cfg, Box::new(engine_runner))
+        Service::with_runner(cfg, Box::new(ch_bench::run))
     }
 
     /// Starts the worker pool with a custom runner (tests inject slow
@@ -450,7 +428,7 @@ fn worker_loop(inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::expand_sweep;
+    use crate::key::{expand_sweep, Engine};
 
     fn counters_with(cycles: u64) -> Counters {
         let mut c = Counters::new();

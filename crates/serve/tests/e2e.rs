@@ -8,6 +8,7 @@
 //!   server itself — is unaffected;
 //! * a client-side timeout abandons the wait, not the computation, and
 //!   does not disturb other in-flight requests;
+//! * a compressed-layout `sim` equals the in-process pipeline's result;
 //! * `figures --server ADDR` output is byte-identical to the in-process
 //!   run (subprocess test over the simulation-driven experiments).
 
@@ -220,6 +221,38 @@ fn timeout_abandons_wait_not_computation() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.timeouts, 1);
     assert_eq!(stats.computed, 2, "slow config ran once, not twice");
+}
+
+/// The compressed layout over the wire: a `fast`/`compressed` `sim`
+/// answers with exactly the counters the in-process pipeline computes
+/// for that key — not the fixed layout's.
+#[test]
+fn compressed_sim_matches_in_process_run() {
+    let addr = spawn_engine_server(2);
+    let r = Client::connect(&addr)
+        .expect("connect")
+        .sim(SimRequest {
+            id: 0,
+            workload: "xz".into(),
+            isa: "ch".into(),
+            width: "8f".into(),
+            scale: "test".into(),
+            encoding: "compressed".into(),
+            engine: "fast".into(),
+            timeout_ms: 0,
+        })
+        .expect("compressed sim");
+    let key = ConfigKey::parse("xz", "clockhands", "8f", "test", "compressed", "fast").unwrap();
+    assert_eq!(r.key, key.canonical());
+    assert_eq!(r.counters, ch_bench::run(&key));
+    let fixed = ConfigKey {
+        encoding: ch_common::EncodingVariant::Fixed,
+        ..key
+    };
+    assert!(
+        r.counters.fetch_bytes < ch_bench::run(&fixed).fetch_bytes,
+        "compressed code fetches fewer bytes than fixed"
+    );
 }
 
 /// Locates (building if necessary) the `figures` binary next to the

@@ -38,6 +38,7 @@ use ch_common::inst::{CtrlKind, DstTag, DynInst, NO_PRODUCER};
 use ch_common::op::{FuKind, OpClass};
 use ch_common::stats::{Counters, StallReason};
 use ch_common::IsaKind;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 /// In-flight stores tracked for forwarding/ordering.
@@ -292,10 +293,16 @@ impl<T: PipelineTracer> Simulator<T> {
         self.tracer
     }
 
-    /// Runs the whole stream to completion, returning the counters.
-    pub fn run(&mut self, stream: impl Iterator<Item = DynInst>) -> Counters {
+    /// Runs the whole stream to completion, returning the counters. The
+    /// stream may yield owned instructions (an interpreter) or borrowed
+    /// ones (a cached trace).
+    pub fn run<I>(&mut self, stream: I) -> Counters
+    where
+        I: IntoIterator,
+        I::Item: Borrow<DynInst>,
+    {
         for inst in stream {
-            self.step(&inst);
+            self.step(inst.borrow());
         }
         self.finish()
     }

@@ -62,6 +62,7 @@ use ch_common::inst::{CtrlInfo, CtrlKind, DstTag, DynInst, MemAccess, NO_PRODUCE
 use ch_common::op::{FuKind, OpClass};
 use ch_common::stats::{Counters, StallReason};
 use ch_common::IsaKind;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 // ---- packed per-instruction decode word ----
@@ -169,10 +170,18 @@ pub struct SoaTrace {
 }
 
 impl SoaTrace {
-    /// Packs a `DynInst` stream into column layout (one pass).
-    pub fn new<'a>(insts: impl IntoIterator<Item = &'a DynInst>) -> SoaTrace {
+    /// Packs a `DynInst` stream into column layout (one pass). The
+    /// stream may be borrowed (`trace.iter()`) or produced on the fly
+    /// (`trace.iter().map(|d| layout.relocate(d))`), so a rewritten
+    /// trace never needs a copy of its own.
+    pub fn new<I>(insts: I) -> SoaTrace
+    where
+        I: IntoIterator,
+        I::Item: Borrow<DynInst>,
+    {
         let mut t = SoaTrace::default();
         for inst in insts {
+            let inst = inst.borrow();
             assert_eq!(
                 inst.seq,
                 t.pc.len() as u64,
@@ -1004,7 +1013,7 @@ mod tests {
 
     #[test]
     fn empty_stream_is_all_zero() {
-        let soa = SoaTrace::new(std::iter::empty());
+        let soa = SoaTrace::new(std::iter::empty::<&DynInst>());
         let cfg = MachineConfig::preset(WidthClass::W8, IsaKind::Clockhands);
         let c = run_fast(cfg.clone(), &soa);
         assert_eq!(c.cycles, 0);

@@ -44,9 +44,8 @@ pub use crate::trace::{
 };
 pub use ch_common::stats::Counters;
 
-use ch_common::config::{MachineConfig, WidthClass};
+use ch_common::config::MachineConfig;
 use ch_common::inst::DynInst;
-use ch_common::IsaKind;
 
 // Experiment drivers move simulations across worker threads; keep the
 // simulator and its outputs thread-safe (compile-time audit).
@@ -56,46 +55,36 @@ const _: () = assert_send::<Simulator>();
 const _: () = assert_send_sync::<Counters>();
 const _: () = assert_send_sync::<DynInst>();
 
-/// Convenience: simulate a stream on a Table 2 preset.
-pub fn simulate(
-    width: WidthClass,
-    isa: IsaKind,
-    stream: impl Iterator<Item = DynInst>,
-) -> Counters {
-    Simulator::new(MachineConfig::preset(width, isa)).run(stream)
-}
-
-/// Runs the reference (interpretive) engine over an already-committed
-/// trace and returns its counters.
+/// Runs the reference (interpretive) engine over a committed trace and
+/// returns its counters.
 ///
-/// This is the cache-friendly entry point the experiment drivers and
-/// the sweep service use: the trace is borrowed (typically out of an
-/// `Arc<[DynInst]>` shared across worker threads and machine widths),
-/// never consumed, so one decoded trace serves every configuration that
-/// sweeps it. The fast path ([`run_fast`] / [`run_fast_profiled`]) has
-/// the same shape over [`SoaTrace`]; the differential suite asserts the
-/// two engines' counters are identical on every workload × ISA × width.
-pub fn run_reference<'a>(
-    cfg: MachineConfig,
-    trace: impl IntoIterator<Item = &'a DynInst>,
-) -> Counters {
-    let mut sim = Simulator::new(cfg);
-    for inst in trace {
-        sim.step(inst);
-    }
-    sim.finish()
+/// The trace may be borrowed (typically out of an `Arc<[DynInst]>`
+/// shared across worker threads and machine widths) or rewritten on the
+/// fly (a relocated trace), so one cached trace serves every
+/// configuration that sweeps it. The fast path ([`run_fast`] /
+/// [`run_fast_profiled`]) has the same shape over [`SoaTrace`]; the
+/// differential suite asserts the two engines' counters are identical
+/// on every workload × ISA × width × encoding.
+pub fn run_reference<I>(cfg: MachineConfig, trace: I) -> Counters
+where
+    I: IntoIterator,
+    I::Item: std::borrow::Borrow<DynInst>,
+{
+    Simulator::new(cfg).run(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ch_common::config::WidthClass;
+    use ch_common::IsaKind;
     use clockhands::asm::assemble;
     use clockhands::interp::Interpreter;
 
     fn run_ch(src: &str, width: WidthClass) -> Counters {
         let prog = assemble(src).expect("assembles");
-        let mut cpu = Interpreter::new(prog).expect("valid");
-        simulate(width, IsaKind::Clockhands, &mut cpu)
+        let cpu = Interpreter::new(prog).expect("valid");
+        run_reference(MachineConfig::preset(width, IsaKind::Clockhands), cpu)
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn dependence_beyond_old_ready_ring_still_binds() {
             .with_mem(0x90_0000, 8),
     );
 
-    let c = Simulator::new(cfg).run(trace.into_iter());
+    let c = Simulator::new(cfg).run(trace);
     assert_eq!(c.committed, FILLERS + 2);
     // Two serialised memory round trips; the overlapped (buggy) schedule
     // finishes in roughly one (~510k cycles here).
@@ -113,7 +113,7 @@ fn issue_bandwidth_survives_stalls_past_old_ring() {
     let issue_stamps = |mem_latency: u32| -> Vec<u64> {
         let (cfg, trace) = build(mem_latency);
         let mut sim = Simulator::with_tracer(cfg.clone(), TraceBuffer::new());
-        let c = sim.run(trace.into_iter());
+        let c = sim.run(trace);
         assert!(c.slots_conserved(cfg.commit_width));
         sim.tracer()
             .records()

@@ -139,7 +139,7 @@ fn empty_stream_reports_zero_cycles() {
     // as 0 + 0 == commit_width × 0, with no phantom drain slots.
     let cfg = MachineConfig::preset(WidthClass::W8, IsaKind::Clockhands);
     let commit_width = cfg.commit_width;
-    let c = Simulator::new(cfg).run(std::iter::empty());
+    let c = Simulator::new(cfg).run(std::iter::empty::<ch_common::DynInst>());
     assert_eq!(c.cycles, 0, "an empty stream must not report cycles");
     assert_eq!(c.committed, 0);
     assert_eq!(c.stalls.drain, 0, "no commit slots were ever offered");

@@ -66,7 +66,7 @@ fn fixed_width_streams_never_straddle() {
     let trace: Vec<DynInst> = (0..n)
         .map(|seq| DynInst::new(seq, BASE + 4 * seq, OpClass::IntAlu))
         .collect();
-    let c = Simulator::new(cfg()).run(trace.into_iter());
+    let c = Simulator::new(cfg()).run(trace);
     assert_eq!(c.icache_straddles, 0);
     assert_eq!(c.fetch_bytes, 4 * n);
 }
@@ -131,7 +131,7 @@ fn fast_engine_matches_reference_on_compact_sizes() {
     let soa = SoaTrace::new(&trace);
     let fast = run_fast(cfg(), &soa);
     let bytes = trace_bytes(&trace);
-    let reference = Simulator::new(cfg()).run(trace.into_iter());
+    let reference = Simulator::new(cfg()).run(trace);
     assert_eq!(fast, reference, "fast engine diverged from reference");
     assert_eq!(
         reference.fetch_bytes, bytes,
@@ -154,7 +154,7 @@ fn ras_predicts_byte_accurate_fallthrough() {
             .with_ctrl(CtrlKind::Ret, true, BASE + 2),
         DynInst::new(3, BASE + 2, OpClass::Other).with_size(4),
     ];
-    let c = Simulator::new(cfg()).run(trace.into_iter());
+    let c = Simulator::new(cfg()).run(trace);
     assert_eq!(c.branch_mispredicts, 0);
 }
 

@@ -103,7 +103,3 @@ figures *ARGS:
 # subcommands (submit/sweep/stats) at it; see docs/PROTOCOL.md.
 serve *ARGS:
     cargo run --release -p ch-serve -- serve {{ARGS}}
-
-# Harness microbenchmarks (compilation / emulation / simulation speed).
-bench:
-    cargo bench -p ch-bench

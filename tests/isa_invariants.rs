@@ -2,7 +2,8 @@
 //! the register-pointer ring allocation, and the binary encoding.
 
 use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
-use clockhands::encode::{decode, encode};
+use ch_common::EncodingVariant;
+use ch_encode::{decode_clockhands, encode_clockhands};
 use clockhands::hand::Hand;
 use clockhands::inst::{Inst, Src};
 use clockhands::rp::RingFile;
@@ -70,18 +71,32 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
     ]
 }
 
+/// A random instruction sequence whose control-transfer targets all
+/// land inside it.
+fn arb_program() -> impl Strategy<Value = Vec<Inst>> {
+    proptest::collection::vec(arb_inst(), 1..64).prop_map(|mut prog| {
+        let n = prog.len() as u32;
+        for inst in &mut prog {
+            if let Inst::Branch { target, .. } | Inst::Jump { target } | Inst::Call { target, .. } =
+                inst
+            {
+                *target %= n;
+            }
+        }
+        prog
+    })
+}
+
 proptest! {
     #[test]
-    fn encode_decode_roundtrip(inst in arb_inst(), at in 200u32..300) {
-        // Branch displacements of ±100 instructions around `at` fit every
-        // format; all other fields are drawn from encodable ranges.
-        prop_assume!(match inst {
-            Inst::Branch { target, .. } => (at as i64 - target as i64).abs() < 100,
-            _ => true,
-        });
-        if let Ok(word) = encode(&inst, at) {
-            let back = decode(word, at).expect("decodes");
-            prop_assert_eq!(inst, back);
+    fn encode_decode_roundtrip(prog in arb_program()) {
+        // Every field is drawn from its architectural range, so every
+        // program encodes; wide immediates and far displacements spill
+        // to the literal pool instead of failing.
+        for variant in EncodingVariant::ALL {
+            let enc = encode_clockhands(&prog, variant).expect("in-range program encodes");
+            let back = decode_clockhands(&enc.bytes, &enc.pool).expect("decodes");
+            prop_assert_eq!(&back, &prog, "{}", variant);
         }
     }
 
