@@ -65,7 +65,7 @@ pub fn hands_sweep(trace: &[DynInst]) -> HandsSweep {
                 }
             }
         }
-        if let Some(ctrl) = inst.ctrl {
+        if let Some(ctrl) = inst.ctrl() {
             match ctrl.kind {
                 CtrlKind::Call => call_depth += 1,
                 CtrlKind::Ret => {

@@ -72,7 +72,7 @@ pub fn straight_increase(trace: &[DynInst]) -> StraightIncrease {
                 }
             }
         }
-        if let Some(ctrl) = inst.ctrl {
+        if let Some(ctrl) = inst.ctrl() {
             if ctrl.taken && ctrl.target <= inst.pc {
                 // Backward taken branch: iteration boundary.
                 if let Some(pos) = stack.iter().position(|l| l.head_pc == ctrl.target) {
@@ -101,7 +101,7 @@ pub fn straight_increase(trace: &[DynInst]) -> StraightIncrease {
     // reachable by fall-through. Count fall-through entries to such PCs.
     let mut targets: HashSet<u64> = HashSet::new();
     for inst in trace {
-        if let Some(c) = inst.ctrl {
+        if let Some(c) = inst.ctrl() {
             targets.insert(c.target);
         }
     }
@@ -109,7 +109,7 @@ pub fn straight_increase(trace: &[DynInst]) -> StraightIncrease {
     let mut prev: Option<&DynInst> = None;
     for inst in trace {
         if let Some(p) = prev {
-            let fell_through = p.pc + 4 == inst.pc && !p.ctrl.map(|c| c.taken).unwrap_or(false);
+            let fell_through = p.pc + 4 == inst.pc && !p.redirects_fetch();
             if fell_through && targets.contains(&inst.pc) {
                 *fallthrough_entries.entry(inst.pc).or_default() += 1;
             }

@@ -72,6 +72,8 @@ pub struct ConfigKey {
 impl ConfigKey {
     /// Normalizes raw request strings into a key, or explains which
     /// field is unknown (the message becomes a `bad-request` error).
+    /// Every combination of known fields is a key [`crate::run`]
+    /// computes.
     pub fn parse(
         workload: &str,
         isa: &str,
@@ -80,7 +82,7 @@ impl ConfigKey {
         encoding: &str,
         engine: &str,
     ) -> Result<ConfigKey, String> {
-        let key = ConfigKey {
+        Ok(ConfigKey {
             workload: Workload::from_name(workload).ok_or_else(|| {
                 format!("unknown workload `{workload}` (coremark|bzip2|mcf|lbm|xz)")
             })?,
@@ -94,24 +96,7 @@ impl ConfigKey {
                 .ok_or_else(|| format!("unknown encoding `{encoding}` (fixed|compressed)"))?,
             engine: Engine::from_name(engine)
                 .ok_or_else(|| format!("unknown engine `{engine}` (fast|reference|poison)"))?,
-        };
-        key.validate()?;
-        Ok(key)
-    }
-
-    /// Rejects combinations the sweep service does not offer: it serves
-    /// the reference engine on the fixed layout only, the ground truth
-    /// the figures' model is checked against. ([`crate::run`] computes
-    /// every key; the differential suite checks compressed counters
-    /// in-process.)
-    pub fn validate(&self) -> Result<(), String> {
-        if self.engine == Engine::Reference && self.encoding != EncodingVariant::Fixed {
-            return Err(format!(
-                "engine `reference` only supports encoding `fixed`, not `{}`",
-                self.encoding
-            ));
-        }
-        Ok(())
+        })
     }
 
     /// The canonical `workload/isa/width/scale/encoding/engine`
@@ -162,13 +147,5 @@ mod tests {
         assert!(e.contains("huffman"), "{e}");
         let e = ConfigKey::parse("xz", "ch", "8f", "test", "fixed", "warp").unwrap_err();
         assert!(e.contains("warp"), "{e}");
-    }
-
-    #[test]
-    fn reference_engine_rejects_compressed_encoding() {
-        let e = ConfigKey::parse("xz", "ch", "8f", "test", "compressed", "reference").unwrap_err();
-        assert!(e.contains("reference"), "{e}");
-        // Fixed-width reference remains valid.
-        assert!(ConfigKey::parse("xz", "ch", "8f", "test", "fixed", "reference").is_ok());
     }
 }

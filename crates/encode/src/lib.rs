@@ -97,9 +97,9 @@ impl Layout {
         let idx = ((d.pc - TEXT_BASE) / 4) as usize;
         d.pc = self.pcs[idx];
         d.size = self.sizes[idx];
-        if let Some(ctrl) = d.ctrl.as_mut() {
+        if let Some(ctrl) = d.ctrl() {
             if in_text(ctrl.target) {
-                ctrl.target = self.relocate_pc(ctrl.target);
+                d.set_ctrl_target(self.relocate_pc(ctrl.target));
             }
         }
     }
@@ -356,7 +356,7 @@ pub fn relocate_trace(trace: &mut [DynInst], layout: &Layout) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_common::inst::CtrlKind;
+    use ch_common::inst::{CtrlInfo, CtrlKind, MemAccess};
     use ch_common::op::OpClass;
 
     #[test]
@@ -424,6 +424,15 @@ mod tests {
                 true,
                 TEXT_BASE + 16,
             ),
+            // Direction and kind survive a relocated target.
+            DynInst::new(3, TEXT_BASE, OpClass::CondBr).with_ctrl(
+                CtrlKind::Cond,
+                false,
+                TEXT_BASE + 4,
+            ),
+            // A data address that happens to fall in the text range is
+            // not a target and stays put.
+            DynInst::new(4, TEXT_BASE + 4, OpClass::Load).with_mem(TEXT_BASE + 8, 8),
         ];
         assert!(!layout.is_identity());
         relocate_trace(&mut trace, &layout);
@@ -431,8 +440,25 @@ mod tests {
         assert_eq!(trace[0].size, 4);
         assert_eq!(trace[1].pc, TEXT_BASE + 6);
         assert_eq!(trace[1].size, 2);
-        assert_eq!(trace[1].ctrl.unwrap().target, TEXT_BASE);
-        assert_eq!(trace[2].ctrl.unwrap().target, TEXT_BASE + 10);
+        assert_eq!(trace[1].ctrl().unwrap().target, TEXT_BASE);
+        assert_eq!(trace[2].ctrl().unwrap().target, TEXT_BASE + 10);
+        assert_eq!(
+            trace[3].ctrl(),
+            Some(CtrlInfo {
+                kind: CtrlKind::Cond,
+                taken: false,
+                target: TEXT_BASE + 2,
+            })
+        );
+        assert_eq!(trace[3].mem(), None);
+        assert_eq!(
+            trace[4].mem(),
+            Some(MemAccess {
+                addr: TEXT_BASE + 8,
+                size: 8,
+            })
+        );
+        assert_eq!(trace[4].ctrl(), None);
     }
 
     #[test]

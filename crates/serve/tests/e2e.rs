@@ -8,7 +8,8 @@
 //!   server itself — is unaffected;
 //! * a client-side timeout abandons the wait, not the computation, and
 //!   does not disturb other in-flight requests;
-//! * a compressed-layout `sim` equals the in-process pipeline's result;
+//! * a compressed-layout `sim` equals the in-process pipeline's result,
+//!   on the fast and on the reference engine;
 //! * `figures --server ADDR` output is byte-identical to the in-process
 //!   run (subprocess test over the simulation-driven experiments).
 
@@ -253,6 +254,57 @@ fn compressed_sim_matches_in_process_run() {
         r.counters.fetch_bytes < ch_bench::run(&fixed).fetch_bytes,
         "compressed code fetches fewer bytes than fixed"
     );
+}
+
+/// The reference engine on the compressed layout over the wire: the
+/// key is served, as a `sim` and inside a `sweep`, with exactly the
+/// counters the in-process pipeline computes for it, which equal the
+/// fast engine's.
+#[test]
+fn compressed_reference_sim_matches_in_process_run() {
+    let addr = spawn_engine_server(2);
+    let mut client = Client::connect(&addr).expect("connect");
+    let r = client
+        .sim(SimRequest {
+            id: 0,
+            workload: "xz".into(),
+            isa: "ch".into(),
+            width: "8f".into(),
+            scale: "test".into(),
+            encoding: "compressed".into(),
+            engine: "ref".into(),
+            timeout_ms: 0,
+        })
+        .expect("compressed reference sim");
+    let key =
+        ConfigKey::parse("xz", "clockhands", "8f", "test", "compressed", "reference").unwrap();
+    assert_eq!(r.key, "xz/clockhands/8f/test/compressed/reference");
+    assert_eq!(r.counters, ch_bench::run(&key));
+    let fast = ConfigKey {
+        engine: ch_serve::Engine::Fast,
+        ..key
+    };
+    assert_eq!(r.counters, ch_bench::run(&fast));
+
+    let mut swept = Vec::new();
+    let (n, errors) = client
+        .sweep(
+            SweepRequest {
+                id: 1,
+                workloads: vec!["xz".into()],
+                isas: vec!["ch".into()],
+                widths: vec!["8f".into()],
+                scale: "test".into(),
+                encoding: "compressed".into(),
+                engine: "reference".into(),
+                timeout_ms: 0,
+            },
+            |rec| swept.push(rec.expect("sweep must not error")),
+        )
+        .expect("compressed reference sweep");
+    assert_eq!((n, errors), (1, 0));
+    assert_eq!(swept[0].key, r.key);
+    assert_eq!(swept[0].counters, r.counters);
 }
 
 /// Locates (building if necessary) the `figures` binary next to the

@@ -404,7 +404,7 @@ impl<T: PipelineTracer> Simulator<T> {
 
         // ---------- Branch prediction ----------
         let mut mispredicted = false;
-        if let Some(ctrl) = inst.ctrl {
+        if let Some(ctrl) = inst.ctrl() {
             let fallthrough = inst.pc + size;
             match ctrl.kind {
                 CtrlKind::Cond => {
@@ -581,7 +581,7 @@ impl<T: PipelineTracer> Simulator<T> {
                 }
             }
         }
-        if inst.ctrl.is_some() {
+        if inst.ctrl().is_some() {
             c.checkpoints += 1;
         }
         let alloc = bw_slot(&mut self.alloc_bw, alloc, cfg.front_width);
@@ -658,7 +658,7 @@ impl<T: PipelineTracer> Simulator<T> {
         // Set when the memory hierarchy (miss, store-data wait, or a
         // violation penalty) delays this instruction's completion.
         let mut mem_stall = false;
-        if let Some(mem) = inst.mem {
+        if let Some(mem) = inst.mem() {
             self.counters.lsq_searches += 1;
             if inst.class == OpClass::Load {
                 self.counters.loads += 1;
@@ -804,7 +804,7 @@ exec {exec_start} complete {complete} commit {commit}",
 
         // Track stores for forwarding decisions by later loads.
         if inst.class == OpClass::Store {
-            if let Some(mem) = inst.mem {
+            if let Some(mem) = inst.mem() {
                 if self.store_window.len() >= STORE_WINDOW {
                     self.store_window.pop_front();
                 }

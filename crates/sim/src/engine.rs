@@ -6,9 +6,10 @@
 //! ## Why a second engine
 //!
 //! The reference `Simulator::step` consumes one [`DynInst`] at a time:
-//! a ~100-byte record of `Option`s that is re-inspected from scratch on
-//! every step (which functional unit? what execute latency? how many
-//! sources?), with every counter bumped individually. That shape is
+//! a 48-byte record whose memory and control facts are unpacked on
+//! demand, and re-inspects it from scratch on every step (which
+//! functional unit? what execute latency? how many sources?), with
+//! every counter bumped individually. That shape is
 //! ideal for auditing the timing model but wastes most of its cycles on
 //! re-decoding and bookkeeping. The figure sweeps run the *same* cached
 //! trace against five machine widths, so the decode work is pure
@@ -16,10 +17,12 @@
 //!
 //! [`SoaTrace`] hoists that repetition out of the loop: one pass over
 //! the `DynInst` stream packs the per-instruction facts the timing loop
-//! needs into a 28-byte-per-instruction column layout (pc, two producer
-//! seqs, one `u32` of decode bits) plus compacted side arrays for the
-//! memory and control minorities, and pre-sums every counter that is a
-//! pure function of the trace (committed, sources read, loads, branch
+//! needs into a 20-byte-per-instruction column layout (an 8-byte pc, two
+//! `u32` producer indices, one `u32` of decode bits), plus two small
+//! columns (class and destination tag, 3 bytes) read only to rebuild
+//! records for a tracer, compacted side arrays for the memory and
+//! control minorities, and pre-sums every counter that is a pure
+//! function of the trace (committed, sources read, loads, branch
 //! predictions made, ...). [`FastEngine::run`] then times the whole
 //! stream in one monomorphised loop:
 //!
@@ -58,7 +61,7 @@ use crate::storeset::StoreSet;
 use crate::tage::{Btb, Ras, Tage};
 use crate::trace::{NullTracer, PipelineTracer, StageStamps};
 use ch_common::config::MachineConfig;
-use ch_common::inst::{CtrlInfo, CtrlKind, DstTag, DynInst, MemAccess, NO_PRODUCER};
+use ch_common::inst::{CtrlKind, DstTag, DynInst, MemAccess, NO_PRODUCER};
 use ch_common::op::{FuKind, OpClass};
 use ch_common::stats::{Counters, StallReason};
 use ch_common::IsaKind;
@@ -99,31 +102,37 @@ const NSRC_SHIFT: u32 = 20;
 /// The static instruction took a 16-bit compact encoding (size 2, not 4).
 const COMPACT: u32 = 1 << 22;
 
-const CTRL_CALL: u32 = 0;
-const CTRL_RET: u32 = 1;
-const CTRL_JUMP: u32 = 2;
-const CTRL_IND: u32 = 3;
-const CTRL_COND: u32 = 4;
+/// "No producer" in the `u32` producer column ([`NO_PRODUCER`] in a
+/// `DynInst`). Never a stream index: `SoaTrace::new` caps the stream at
+/// `u32::MAX` instructions, so indices stop at `u32::MAX - 1`.
+const NO_SRC: u32 = u32::MAX;
 
-fn ctrl_code(kind: CtrlKind) -> u32 {
-    match kind {
-        CtrlKind::Call => CTRL_CALL,
-        CtrlKind::Ret => CTRL_RET,
-        CtrlKind::Jump => CTRL_JUMP,
-        CtrlKind::IndirectJump => CTRL_IND,
-        CtrlKind::Cond => CTRL_COND,
+/// Narrows a producer `seq` to the `u32` column; exact for every stream
+/// `SoaTrace::new` accepts.
+fn narrow_src(p: u64) -> u32 {
+    if p == NO_PRODUCER {
+        NO_SRC
+    } else {
+        u32::try_from(p)
+            .ok()
+            .filter(|&p| p != NO_SRC)
+            .expect("producer seq fits the u32 column")
     }
 }
 
-fn ctrl_kind(code: u32) -> CtrlKind {
-    match code {
-        CTRL_CALL => CtrlKind::Call,
-        CTRL_RET => CtrlKind::Ret,
-        CTRL_JUMP => CtrlKind::Jump,
-        CTRL_IND => CtrlKind::IndirectJump,
-        _ => CtrlKind::Cond,
+/// The inverse of [`narrow_src`].
+fn widen_src(p: u32) -> u64 {
+    if p == NO_SRC {
+        NO_PRODUCER
+    } else {
+        p as u64
     }
 }
+
+const CTRL_CALL: u32 = CtrlKind::Call.code() as u32;
+const CTRL_RET: u32 = CtrlKind::Ret.code() as u32;
+const CTRL_JUMP: u32 = CtrlKind::Jump.code() as u32;
+const CTRL_COND: u32 = CtrlKind::Cond.code() as u32;
 
 /// Counter totals that are a pure function of the trace, summed once at
 /// build time and added to the [`Counters`] after the timing loop.
@@ -154,11 +163,14 @@ struct TraceTotals {
 /// `new` panics if the stream is not the dense, 0-based commit-order
 /// sequence the functional interpreters produce (`seq == index`); the
 /// engine indexes its rings by position, which is only equivalent under
-/// that invariant.
+/// that invariant. It also panics on a stream of 2³² or more
+/// instructions, which the `u32` producer and control columns cannot
+/// index.
 #[derive(Debug, Clone, Default)]
 pub struct SoaTrace {
     pc: Vec<u64>,
-    srcs: Vec<[u64; 2]>,
+    /// Producer stream index per source; [`NO_SRC`] when absent.
+    srcs: Vec<[u32; 2]>,
     meta: Vec<u32>,
     class: Vec<OpClass>,
     dst: Vec<Option<DstTag>>,
@@ -179,13 +191,26 @@ impl SoaTrace {
         I: IntoIterator,
         I::Item: Borrow<DynInst>,
     {
-        let mut t = SoaTrace::default();
+        let insts = insts.into_iter();
+        let n = insts.size_hint().0;
+        let mut t = SoaTrace {
+            pc: Vec::with_capacity(n),
+            srcs: Vec::with_capacity(n),
+            meta: Vec::with_capacity(n),
+            class: Vec::with_capacity(n),
+            dst: Vec::with_capacity(n),
+            ..SoaTrace::default()
+        };
         for inst in insts {
             let inst = inst.borrow();
             assert_eq!(
                 inst.seq,
                 t.pc.len() as u64,
                 "SoaTrace requires the dense commit-order stream the interpreters emit"
+            );
+            assert!(
+                inst.seq < NO_SRC as u64,
+                "SoaTrace holds fewer than 2^32 instructions"
             );
             let fu = inst.class.fu_kind();
             let nsrc = inst.sources().count() as u32;
@@ -212,13 +237,13 @@ impl SoaTrace {
             if matches!(fu, FuKind::Float | FuKind::FpDiv) {
                 t.totals.fp += 1;
             }
-            if let Some(mem) = inst.mem {
+            if let Some(mem) = inst.mem() {
                 m |= HAS_MEM;
                 t.totals.mem += 1;
                 t.mem.push(mem);
             }
-            if let Some(ctrl) = inst.ctrl {
-                m |= HAS_CTRL | (ctrl_code(ctrl.kind) << CTRL_SHIFT);
+            if let Some(ctrl) = inst.ctrl() {
+                m |= HAS_CTRL | ((ctrl.kind.code() as u32) << CTRL_SHIFT);
                 if ctrl.taken {
                     m |= CTRL_TAKEN;
                 }
@@ -240,7 +265,7 @@ impl SoaTrace {
                 }
             }
             t.pc.push(inst.pc);
-            t.srcs.push(inst.srcs);
+            t.srcs.push(inst.srcs.map(narrow_src));
             t.meta.push(m);
             t.class.push(inst.class);
             t.dst.push(inst.dst);
@@ -262,20 +287,22 @@ impl SoaTrace {
     /// only; `mem_idx`/`ctrl_idx` are the side-array cursors at `i`).
     fn rebuild(&self, i: usize, mem_idx: usize, ctrl_idx: usize) -> DynInst {
         let m = self.meta[i];
-        DynInst {
-            seq: i as u64,
-            pc: self.pc[i],
-            size: if m & COMPACT != 0 { 2 } else { 4 },
-            class: self.class[i],
-            srcs: self.srcs[i],
-            dst: self.dst[i],
-            mem: (m & HAS_MEM != 0).then(|| self.mem[mem_idx]),
-            ctrl: (m & HAS_CTRL != 0).then(|| CtrlInfo {
-                kind: ctrl_kind((m >> CTRL_SHIFT) & CTRL_MASK),
-                taken: m & CTRL_TAKEN != 0,
-                target: self.ctrl_target[ctrl_idx],
-            }),
+        let mut d = DynInst::new(i as u64, self.pc[i], self.class[i])
+            .with_size(if m & COMPACT != 0 { 2 } else { 4 });
+        d.srcs = self.srcs[i].map(widen_src);
+        d.dst = self.dst[i];
+        if m & HAS_MEM != 0 {
+            let mem = self.mem[mem_idx];
+            d = d.with_mem(mem.addr, mem.size);
         }
+        if m & HAS_CTRL != 0 {
+            d = d.with_ctrl(
+                CtrlKind::from_code(((m >> CTRL_SHIFT) & CTRL_MASK) as u8),
+                m & CTRL_TAKEN != 0,
+                self.ctrl_target[ctrl_idx],
+            );
+        }
+        d
     }
 }
 
@@ -286,25 +313,31 @@ impl SoaTrace {
 #[derive(Debug)]
 struct SeqRing {
     buf: Vec<u64>,
-    count: u64,
+    /// The slot the next push writes (the oldest entry once full).
+    cursor: usize,
+    full: bool,
 }
 
 impl SeqRing {
     fn new(limit: usize) -> SeqRing {
         SeqRing {
             buf: vec![0; limit.max(1)],
-            count: 0,
+            cursor: 0,
+            full: false,
         }
     }
 
     /// Pushes `seq`; returns the displaced oldest entry once full.
     #[inline]
     fn push(&mut self, seq: u64) -> Option<u64> {
-        let cap = self.buf.len() as u64;
-        let idx = (self.count % cap) as usize;
-        let old = (self.count >= cap).then(|| self.buf[idx]);
+        let idx = self.cursor;
+        let old = self.full.then(|| self.buf[idx]);
         self.buf[idx] = seq;
-        self.count += 1;
+        self.cursor += 1;
+        if self.cursor == self.buf.len() {
+            self.cursor = 0;
+            self.full = true;
+        }
         old
     }
 }
@@ -564,6 +597,8 @@ impl<T: PipelineTracer> FastEngine<T> {
         let commit_width = cfg.commit_width;
         let sched = cfg.scheduler as u64;
         let line = cfg.l1i.line as u64;
+        assert!(line.is_power_of_two(), "I$ line size is a power of two");
+        let line_shift = line.trailing_zeros();
         let isa = cfg.isa;
 
         for i in 0..n {
@@ -593,7 +628,7 @@ impl<T: PipelineTracer> FastEngine<T> {
             }
             // A unit straddling an I$ line boundary touches both lines
             // (impossible for the aligned fixed-width layout).
-            if pc / line != (pc + size - 1) / line {
+            if pc >> line_shift != (pc + size - 1) >> line_shift {
                 c.icache_straddles += 1;
                 if !icache.access(pc + size - 1) {
                     c.icache_misses += 1;
@@ -724,9 +759,10 @@ impl<T: PipelineTracer> FastEngine<T> {
             let mut ready = 0u64;
             let mut ready_src = NO_PRODUCER;
             for &p in &t.srcs[i] {
-                if p == NO_PRODUCER {
+                if p == NO_SRC {
                     continue;
                 }
+                let p = p as u64;
                 let rdy = if seq - p >= rob {
                     0
                 } else {
@@ -1019,6 +1055,61 @@ mod tests {
         assert_eq!(c.cycles, 0);
         assert_eq!(c.committed, 0);
         assert!(c.slots_conserved(cfg.commit_width));
+    }
+
+    /// Rebuilds every record of `soa` from its packed columns.
+    fn rebuild_all(soa: &SoaTrace) -> Vec<DynInst> {
+        let (mut mem_idx, mut ctrl_idx) = (0, 0);
+        (0..soa.len())
+            .map(|i| {
+                let d = soa.rebuild(i, mem_idx, ctrl_idx);
+                mem_idx += (soa.meta[i] & HAS_MEM != 0) as usize;
+                ctrl_idx += (soa.meta[i] & HAS_CTRL != 0) as usize;
+                d
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rebuild_restores_every_test_scale_record() {
+        use ch_workloads::{Scale, Workload};
+        for w in Workload::ALL {
+            for isa in IsaKind::ALL {
+                let (insts, _) = w
+                    .trace_on(Scale::Test, isa, 50_000_000)
+                    .expect("workload runs");
+                let soa = SoaTrace::new(insts.iter());
+                let rebuilt = rebuild_all(&soa);
+                assert_eq!(rebuilt.len(), insts.len());
+                for (a, b) in rebuilt.iter().zip(&insts) {
+                    assert_eq!(a, b, "{}/{isa:?} seq {}", w.name(), b.seq);
+                }
+                let absent = insts
+                    .iter()
+                    .flat_map(|d| d.srcs)
+                    .filter(|&s| s == NO_PRODUCER)
+                    .count();
+                assert!(
+                    absent > 0,
+                    "{}/{isa:?}: no sourceless slot checked",
+                    w.name()
+                );
+                assert!(!soa.mem.is_empty() && !soa.ctrl_at.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_producer_column_round_trips_its_extremes() {
+        for p in [0, 1, u32::MAX as u64 - 1, NO_PRODUCER] {
+            assert_eq!(widen_src(narrow_src(p)), p);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fits the u32 column")]
+    fn producer_beyond_the_u32_column_is_rejected() {
+        let _ = narrow_src(u32::MAX as u64);
     }
 
     #[test]

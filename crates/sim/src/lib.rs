@@ -58,8 +58,8 @@ const _: () = assert_send_sync::<DynInst>();
 /// Runs the reference (interpretive) engine over a committed trace and
 /// returns its counters.
 ///
-/// The trace may be borrowed (typically out of an `Arc<[DynInst]>`
-/// shared across worker threads and machine widths) or rewritten on the
+/// The trace may be borrowed (typically out of a cached trace shared
+/// across worker threads and machine widths) or rewritten on the
 /// fly (a relocated trace), so one cached trace serves every
 /// configuration that sweeps it. The fast path ([`run_fast`] /
 /// [`run_fast_profiled`]) has the same shape over [`SoaTrace`]; the

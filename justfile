@@ -86,6 +86,13 @@ density *ARGS:
 perfbench seed="1" trace="0":
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload all --seconds 25 --seed {{seed}} --trace {{trace}}
 
+# Paired A/B of the host benchmark against a base revision: builds both
+# sides, runs `pairs` alternating untraced runs of one workload (or
+# `all`), and prints each side's median and IQR/median per end-to-end
+# metric, e.g. `just bench-pairs HEAD~1 cold_sweep 10`.
+bench-pairs base workload pairs="10":
+    ./scripts/bench_pairs.sh {{base}} {{workload}} {{pairs}}
+
 # The benchmark's build and its own tests (a CI job of its own).
 perfbench-test:
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
