@@ -30,6 +30,7 @@
 pub mod config;
 pub mod error;
 pub mod exec;
+pub mod heap;
 pub mod inst;
 pub mod json;
 pub mod mem;

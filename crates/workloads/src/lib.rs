@@ -215,12 +215,18 @@ impl Workload {
 
     /// As [`Workload::run_on`], but also returns the full committed
     /// [`DynInst`] trace (the stream the timing simulator consumes).
+    ///
+    /// The first call sets the process's heap policy
+    /// ([`ch_common::heap`]): trace buffers come from the heap and reuse
+    /// the pages of dropped ones, so the peak resident size does not
+    /// depend on the order in which traces are built.
     pub fn trace_on(
         self,
         scale: Scale,
         isa: IsaKind,
         limit: u64,
     ) -> Result<(Vec<DynInst>, RunOutcome), HarnessError> {
+        ch_common::heap::keep_large_blocks_on_heap();
         self.execute(scale, isa, limit, true)
     }
 
