@@ -103,6 +103,7 @@ pub fn hand_usage<'a>(trace: impl Iterator<Item = &'a DynInst> + Clone) -> HandU
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ch_common::exec::Machine;
     use ch_compiler::compile;
     use clockhands::interp::Interpreter;
 

@@ -125,6 +125,7 @@ mod tests {
     use super::*;
     use ch_baselines::riscv::asm::assemble;
     use ch_baselines::riscv::interp::Interpreter;
+    use ch_common::exec::Machine;
 
     fn trace_of(src: &str) -> Vec<DynInst> {
         let prog = assemble(src).expect("assembles");

@@ -1,6 +1,7 @@
 //! Functional interpreter for STRAIGHT.
 
 use super::{StInst, StProgram, StSrc, MAX_DISTANCE};
+use ch_common::exec::Machine;
 use ch_common::inst::{CtrlKind, DstTag, DynInst, NO_PRODUCER};
 use ch_common::mem::Memory;
 
@@ -44,21 +45,13 @@ impl std::fmt::Display for StError {
 
 impl std::error::Error for StError {}
 
-/// Outcome of a completed run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunResult {
-    /// Value of the `halt` source.
-    pub exit_value: u64,
-    /// Instructions committed.
-    pub committed: u64,
-}
-
 /// Functional STRAIGHT interpreter.
 ///
 /// # Examples
 ///
 /// ```
 /// use ch_baselines::straight::asm::assemble;
+/// use ch_common::exec::Machine;
 /// use ch_baselines::straight::interp::Interpreter;
 ///
 /// let prog = assemble(
@@ -81,7 +74,6 @@ pub struct Interpreter {
     pc: u32,
     seq: u64,
     halted: Option<u64>,
-    error: Option<StError>,
 }
 
 impl Interpreter {
@@ -107,33 +99,7 @@ impl Interpreter {
             pc,
             seq: 0,
             halted: None,
-            error: None,
         })
-    }
-
-    /// Shared memory view.
-    pub fn mem(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable memory view (for preloading inputs).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Exit value once halted.
-    pub fn exit_value(&self) -> Option<u64> {
-        self.halted
-    }
-
-    /// Error that stopped the iterator stream, if any.
-    pub fn error(&self) -> Option<&StError> {
-        self.error.as_ref()
-    }
-
-    /// Instructions committed so far.
-    pub fn committed(&self) -> u64 {
-        self.seq
     }
 
     /// Current SP special-register value.
@@ -164,13 +130,33 @@ impl Interpreter {
         }
     }
 
-    /// Executes one instruction; `Ok(None)` once halted.
+    fn index_of_pc(&self, pc_val: u64) -> Result<u32, StError> {
+        let base = self.prog.pc_of(0);
+        if pc_val < base || !(pc_val - base).is_multiple_of(4) {
+            return Err(StError::PcOffEnd { pc: u32::MAX });
+        }
+        let idx = ((pc_val - base) / 4) as u32;
+        if idx as usize >= self.prog.len() {
+            return Err(StError::PcOffEnd { pc: idx });
+        }
+        Ok(idx)
+    }
+}
+
+impl Machine for Interpreter {
+    type Error = StError;
+
+    const LIMIT_REACHED: StError = StError::LimitReached;
+
+    /// Executes one instruction.
     ///
     /// # Errors
     ///
     /// Returns [`StError`] on bad control flow or a read of a slot older
     /// than the program.
-    pub fn step(&mut self) -> Result<Option<DynInst>, StError> {
+    // Inlined into the run loops, which are instantiated in the caller's crate.
+    #[inline]
+    fn step(&mut self) -> Result<Option<DynInst>, StError> {
         if self.halted.is_some() {
             return Ok(None);
         }
@@ -276,80 +262,20 @@ impl Interpreter {
         Ok(Some(rec))
     }
 
-    fn index_of_pc(&self, pc_val: u64) -> Result<u32, StError> {
-        let base = self.prog.pc_of(0);
-        if pc_val < base || !(pc_val - base).is_multiple_of(4) {
-            return Err(StError::PcOffEnd { pc: u32::MAX });
-        }
-        let idx = ((pc_val - base) / 4) as u32;
-        if idx as usize >= self.prog.len() {
-            return Err(StError::PcOffEnd { pc: idx });
-        }
-        Ok(idx)
+    fn exit_value(&self) -> Option<u64> {
+        self.halted
     }
 
-    /// Runs to completion (at most `limit` instructions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StError::LimitReached`] if the program does not halt in
-    /// time, or any error from [`Interpreter::step`].
-    pub fn run(&mut self, limit: u64) -> Result<RunResult, StError> {
-        for _ in 0..limit {
-            if self.step()?.is_none() {
-                break;
-            }
-        }
-        // Uniform limit-boundary rule across all three ISA interpreters:
-        // once the step budget is spent, the outcome depends only on
-        // whether the machine has halted — not on which loop exit we took.
-        match self.halted {
-            Some(exit_value) => Ok(RunResult {
-                exit_value,
-                committed: self.seq,
-            }),
-            None => Err(StError::LimitReached),
-        }
+    fn committed(&self) -> u64 {
+        self.seq
     }
 
-    /// Runs to completion, collecting the full trace.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::run`].
-    pub fn trace(&mut self, limit: u64) -> Result<(Vec<DynInst>, RunResult), StError> {
-        let mut out = Vec::new();
-        for _ in 0..limit {
-            match self.step()? {
-                Some(rec) => out.push(rec),
-                None => break,
-            }
-        }
-        match self.halted {
-            Some(exit_value) => Ok((
-                out,
-                RunResult {
-                    exit_value,
-                    committed: self.seq,
-                },
-            )),
-            None => Err(StError::LimitReached),
-        }
+    fn mem(&self) -> &Memory {
+        &self.mem
     }
-}
 
-/// Streaming adapter; errors are stashed for [`Interpreter::error`].
-impl Iterator for Interpreter {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        match self.step() {
-            Ok(opt) => opt,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
+    fn into_mem(self) -> Memory {
+        self.mem
     }
 }
 
@@ -364,7 +290,7 @@ mod tests {
     use super::*;
     use crate::straight::asm::assemble;
 
-    fn run_src(src: &str) -> RunResult {
+    fn run_src(src: &str) -> ch_common::exec::RunResult {
         let prog = assemble(src).expect("assembles");
         Interpreter::new(prog)
             .expect("valid")

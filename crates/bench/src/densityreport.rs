@@ -27,7 +27,8 @@
 //! the byte-accurate fetch path is a refinement, not a fork, of that
 //! model.
 
-use crate::{compiled_set, encoded_set, jobs, par_map, run, trace, ConfigKey, Engine};
+use crate::snapshot::write_ungated;
+use crate::{compiled_set, encoded_set, par_map, run, trace, ConfigKey, Engine};
 use ch_common::config::{MachineConfig, WidthClass};
 use ch_common::{EncodingVariant, IsaKind};
 use ch_workloads::{Scale, Workload};
@@ -75,8 +76,10 @@ impl Row {
     }
 
     /// Committed bytes over the byte capacity of the started fetch
-    /// groups (the W8 machines fetch 32 bytes per group).
-    fn fetch_utilization(&self, group_bytes: u64) -> f64 {
+    /// groups. Group capacity is per-width, not per-ISA: every W8
+    /// preset fetches front_width x 4 bytes per group.
+    fn fetch_utilization(&self) -> f64 {
+        let group_bytes = MachineConfig::preset(WidthClass::W8, IsaKind::Riscv).fetch_bytes as u64;
         self.fetch_bytes as f64 / (self.fetch_groups * group_bytes) as f64
     }
 }
@@ -161,176 +164,145 @@ fn measure(w: Workload, scale: Scale, isa: IsaKind, variant: EncodingVariant) ->
     }
 }
 
-/// Measures every workload × ISA × variant and renders the
-/// `BENCH_9.json` snapshot.
-pub fn density_json(scale: Scale) -> String {
-    let combos: Vec<(Workload, IsaKind, EncodingVariant)> = Workload::ALL
-        .iter()
-        .flat_map(|&w| {
-            ISAS.into_iter()
-                .flat_map(move |isa| EncodingVariant::ALL.map(move |v| (w, isa, v)))
-        })
-        .collect();
-    let rows = par_map(&combos, |&(w, isa, v)| measure(w, scale, isa, v));
-    let row = |w: Workload, isa: IsaKind, v: EncodingVariant| -> &Row {
-        let at = combos
-            .iter()
-            .position(|&(cw, ci, cv)| cw == w && ci == isa && cv == v)
-            .unwrap();
-        &rows[at]
-    };
-    // Group byte capacity is per-width, not per-ISA: every W8 preset
-    // fetches front_width x 4 bytes per group.
-    let group_bytes = MachineConfig::preset(WidthClass::W8, IsaKind::Riscv).fetch_bytes as u64;
+/// A ratio as the snapshot records it: rounded to four decimals.
+fn recorded(x: f64) -> f64 {
+    format!("{x:.4}").parse().expect("a formatted float parses")
+}
 
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"pr\": {PR},");
-    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
-    let _ = writeln!(s, "  \"jobs\": {},", jobs());
-    let _ = writeln!(s, "  \"width\": \"8f\",");
-    for (ii, &isa) in ISAS.iter().enumerate() {
-        let _ = writeln!(s, "  \"{}\": {{", isa.name());
-        for (vi, variant) in EncodingVariant::ALL.into_iter().enumerate() {
-            let _ = writeln!(s, "    \"{variant}\": [");
-            for (wi, &w) in Workload::ALL.iter().enumerate() {
-                let r = row(w, isa, variant);
+/// Every workload × ISA × variant, measured.
+struct Rows {
+    combos: Vec<(Workload, IsaKind, EncodingVariant)>,
+    /// One row per combo, in `combos` order.
+    rows: Vec<Row>,
+}
+
+impl Rows {
+    fn measure(scale: Scale) -> Rows {
+        let combos: Vec<(Workload, IsaKind, EncodingVariant)> = Workload::ALL
+            .iter()
+            .flat_map(|&w| {
+                ISAS.into_iter()
+                    .flat_map(move |isa| EncodingVariant::ALL.map(move |v| (w, isa, v)))
+            })
+            .collect();
+        let rows = par_map(&combos, |&(w, isa, v)| measure(w, scale, isa, v));
+        Rows { combos, rows }
+    }
+
+    fn row(&self, w: Workload, isa: IsaKind, v: EncodingVariant) -> &Row {
+        let at = self.combos.iter().position(|&c| c == (w, isa, v)).unwrap();
+        &self.rows[at]
+    }
+
+    /// Renders the `BENCH_9.json` snapshot.
+    fn json(&self, scale: Scale) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "{{");
+        let _ = writeln!(s, "  \"pr\": {PR},");
+        let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
+        let _ = writeln!(s, "  \"width\": \"8f\",");
+        for (ii, &isa) in ISAS.iter().enumerate() {
+            let _ = writeln!(s, "  \"{}\": {{", isa.name());
+            for (vi, variant) in EncodingVariant::ALL.into_iter().enumerate() {
+                let _ = writeln!(s, "    \"{variant}\": [");
+                for (wi, &w) in Workload::ALL.iter().enumerate() {
+                    let r = self.row(w, isa, variant);
+                    let _ = writeln!(
+                        s,
+                        "      {{\"name\": \"{}\", \"insts\": {}, \"text_bytes\": {}, \
+                         \"pool_bytes\": {}, \"compact\": {}, \"bytes_per_inst\": {:.4}, \
+                         \"cycles\": {}, \"icache_mpki\": {:.4}, \"straddles\": {}, \
+                         \"fetch_util\": {:.4}}}{}",
+                        w.name(),
+                        r.insts,
+                        r.text_bytes,
+                        r.pool_bytes,
+                        r.compact,
+                        r.bytes_per_inst(),
+                        r.cycles,
+                        r.icache_mpki(),
+                        r.straddles,
+                        r.fetch_utilization(),
+                        if wi + 1 < Workload::ALL.len() {
+                            ","
+                        } else {
+                            ""
+                        }
+                    );
+                }
                 let _ = writeln!(
                     s,
-                    "      {{\"name\": \"{}\", \"insts\": {}, \"text_bytes\": {}, \
-                     \"pool_bytes\": {}, \"compact\": {}, \"bytes_per_inst\": {:.4}, \
-                     \"cycles\": {}, \"icache_mpki\": {:.4}, \"straddles\": {}, \
-                     \"fetch_util\": {:.4}}}{}",
-                    w.name(),
-                    r.insts,
-                    r.text_bytes,
-                    r.pool_bytes,
-                    r.compact,
-                    r.bytes_per_inst(),
-                    r.cycles,
-                    r.icache_mpki(),
-                    r.straddles,
-                    r.fetch_utilization(group_bytes),
-                    if wi + 1 < Workload::ALL.len() {
+                    "    ]{}",
+                    if vi + 1 < EncodingVariant::ALL.len() {
                         ","
                     } else {
                         ""
                     }
                 );
             }
-            let _ = writeln!(
-                s,
-                "    ]{}",
-                if vi + 1 < EncodingVariant::ALL.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
+            let _ = writeln!(s, "  }}{}", if ii + 1 < ISAS.len() { "," } else { "" });
         }
-        let _ = writeln!(s, "  }}{}", if ii + 1 < ISAS.len() { "," } else { "" });
+        let _ = writeln!(s, "}}");
+        s
     }
-    let _ = writeln!(s, "}}");
-    s
+
+    /// Renders the per-workload density table, showing the ratios as
+    /// the snapshot records them.
+    fn table(&self) -> String {
+        let mut s = String::new();
+        let _ = writeln!(
+            s,
+            "{:<12} {:<4} {:<10} {:>6} {:>8} {:>7} {:>9} {:>8} {:>10}",
+            "workload",
+            "ISA",
+            "variant",
+            "insts",
+            "bytes/i",
+            "16-bit",
+            "cycles",
+            "I$ mpki",
+            "fetch-util"
+        );
+        for isa in ISAS {
+            let tag = match isa {
+                IsaKind::Riscv => "RV",
+                IsaKind::Straight => "ST",
+                IsaKind::Clockhands => "CH",
+            };
+            for variant in EncodingVariant::ALL {
+                for w in Workload::ALL {
+                    let r = self.row(w, isa, variant);
+                    let _ = writeln!(
+                        s,
+                        "{:<12} {:<4} {:<10} {:>6} {:>8.2} {:>7} {:>9} {:>8.2} {:>9.1}%",
+                        w.name(),
+                        tag,
+                        variant.name(),
+                        r.insts,
+                        recorded(r.bytes_per_inst()),
+                        r.compact,
+                        r.cycles,
+                        recorded(r.icache_mpki()),
+                        recorded(r.fetch_utilization()) * 100.0
+                    );
+                }
+            }
+        }
+        s
+    }
 }
 
 /// The `figures density` experiment: measure, snapshot, summarise.
 ///
 /// Writes `BENCH_<pr>.json` into the working directory (the repo root
-/// under `just density`) and renders a human-readable density table.
-/// A committed snapshot at a different scale is left untouched unless
-/// `CH_BENCH_SKIP_CHECK=1` forces a re-baseline.
+/// under `just density`) under the shared snapshot policy
+/// ([`crate::snapshot`]) and renders a human-readable density table.
 pub fn density_experiment(scale: Scale) -> String {
-    let json = density_json(scale);
+    let rows = Rows::measure(scale);
     let path = format!("BENCH_{PR}.json");
     let mut s = String::new();
     let _ = writeln!(s, "Code-density snapshot ({path})");
-    let baseline = std::fs::read_to_string(&path).ok();
-    let rebaseline = std::env::var_os("CH_BENCH_SKIP_CHECK").is_some();
-    let same_scale = baseline
-        .as_deref()
-        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale.name())));
-    if same_scale || rebaseline {
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        let _ = writeln!(s, "snapshot written");
-    } else {
-        let _ = writeln!(
-            s,
-            "committed snapshot is a different scale: not overwritten \
-             (CH_BENCH_SKIP_CHECK=1 to re-baseline)"
-        );
-    }
-    let _ = write!(s, "{}", render_table(&json));
+    let _ = writeln!(s, "{}", write_ungated(&path, scale, &rows.json(scale)));
+    let _ = write!(s, "{}", rows.table());
     s
-}
-
-/// Renders the per-workload density table from a snapshot's JSON text.
-fn render_table(json: &str) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<12} {:<4} {:<10} {:>6} {:>8} {:>7} {:>9} {:>8} {:>10}",
-        "workload",
-        "ISA",
-        "variant",
-        "insts",
-        "bytes/i",
-        "16-bit",
-        "cycles",
-        "I$ mpki",
-        "fetch-util"
-    );
-    let mut isa = "??";
-    let mut variant = "??";
-    for line in json.lines() {
-        let t = line.trim();
-        for (key, tag) in [
-            ("\"riscv\"", "RV"),
-            ("\"straight\"", "ST"),
-            ("\"clockhands\"", "CH"),
-        ] {
-            if t.starts_with(key) {
-                isa = tag;
-            }
-        }
-        for v in ["fixed", "compressed"] {
-            if t.starts_with(&format!("\"{v}\"")) {
-                variant = v;
-            }
-        }
-        let Some(name) = field_str(t, "name") else {
-            continue;
-        };
-        let g = |k: &str| field_num(t, k).unwrap_or(0.0);
-        let _ = writeln!(
-            s,
-            "{:<12} {:<4} {:<10} {:>6} {:>8.2} {:>7} {:>9} {:>8.2} {:>9.1}%",
-            name,
-            isa,
-            variant,
-            g("insts"),
-            g("bytes_per_inst"),
-            g("compact"),
-            g("cycles"),
-            g("icache_mpki"),
-            g("fetch_util") * 100.0
-        );
-    }
-    s
-}
-
-fn field_str<'j>(line: &'j str, key: &str) -> Option<&'j str> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    line[at..].split('"').next()
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

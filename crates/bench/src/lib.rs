@@ -68,6 +68,7 @@ pub mod key;
 pub mod optreport;
 pub mod remote;
 pub mod report;
+pub mod snapshot;
 pub mod sweep;
 
 pub use cache::KeyedOnce;
@@ -76,7 +77,7 @@ pub use driver::{jobs, par_for_each, par_map, set_jobs};
 pub use key::{ConfigKey, Engine};
 pub use optreport::opt_experiment;
 pub use report::bench_experiment;
-pub use sweep::{sweep, sweep_stream};
+pub use sweep::sweep;
 
 /// Interpreter instruction budget.
 const LIMIT: u64 = 2_000_000_000;

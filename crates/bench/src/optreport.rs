@@ -22,10 +22,12 @@
 //! both variants must be measured fresh, never through a cache that
 //! only knows the process-wide configuration.
 
-use crate::{jobs, par_map};
+use crate::par_map;
+use crate::snapshot::write_ungated;
 use ch_common::config::{MachineConfig, WidthClass};
 use ch_common::IsaKind;
 use ch_compiler::backend::opt::OptConfig;
+use ch_compiler::IsaProgram;
 use ch_sim::{run_fast_profiled, BranchProfile, SoaTrace};
 use ch_workloads::{Scale, Workload};
 use std::fmt::Write as _;
@@ -64,32 +66,21 @@ fn measure(w: Workload, scale: Scale, isa: IsaKind, opt: &OptConfig) -> Row {
 
     let m = ch_compiler::build_ir(&w.source(scale))
         .unwrap_or_else(|e| panic!("{}: frontend failed: {e}", ctx()));
-    let vopts = ch_verify::Options::default();
-    let (report, trace, exit_value, committed) = match isa {
+    let prog = match isa {
         IsaKind::Clockhands => {
-            let p = ch_compiler::backend::clockhands::compile_with(&m, opt)
-                .unwrap_or_else(|e| panic!("{}: backend failed: {e}", ctx()));
-            let report = ch_verify::verify_clockhands(&p, &vopts);
-            let mut cpu = clockhands::interp::Interpreter::new(p)
-                .unwrap_or_else(|e| panic!("{}: bad program: {e}", ctx()));
-            let (t, r) = cpu
-                .trace(LIMIT)
-                .unwrap_or_else(|e| panic!("{}: execution failed: {e}", ctx()));
-            (report, t, r.exit_value, r.committed)
+            ch_compiler::backend::clockhands::compile_with(&m, opt).map(IsaProgram::Clockhands)
         }
         IsaKind::Straight => {
-            let p = ch_compiler::backend::straight::compile_with(&m, opt)
-                .unwrap_or_else(|e| panic!("{}: backend failed: {e}", ctx()));
-            let report = ch_verify::verify_straight(&p, &vopts);
-            let mut cpu = ch_baselines::straight::interp::Interpreter::new(p)
-                .unwrap_or_else(|e| panic!("{}: bad program: {e}", ctx()));
-            let (t, r) = cpu
-                .trace(LIMIT)
-                .unwrap_or_else(|e| panic!("{}: execution failed: {e}", ctx()));
-            (report, t, r.exit_value, r.committed)
+            ch_compiler::backend::straight::compile_with(&m, opt).map(IsaProgram::Straight)
         }
         IsaKind::Riscv => unreachable!("opt experiment covers the rotating-register ISAs"),
-    };
+    }
+    .unwrap_or_else(|e| panic!("{}: backend failed: {e}", ctx()));
+    let report = prog.verify();
+    let run = prog
+        .execute(LIMIT, true)
+        .unwrap_or_else(|e| panic!("{}: {} failed: {e}", ctx(), e.stage()));
+    let (trace, exit_value, committed) = (run.trace, run.result.exit_value, run.result.committed);
     assert!(
         report.is_clean(),
         "{}: verifier errors:\n{}",
@@ -119,171 +110,139 @@ fn measure(w: Workload, scale: Scale, isa: IsaKind, opt: &OptConfig) -> Row {
 /// The ISAs the optimization layer applies to, in render order.
 const ISAS: [IsaKind; 2] = [IsaKind::Clockhands, IsaKind::Straight];
 
-/// Measures every workload × ISA with and without the optimization
-/// layer and renders the `BENCH_8.json` snapshot.
-pub fn opt_json(scale: Scale) -> String {
-    let combos: Vec<(Workload, IsaKind, bool)> = Workload::ALL
-        .iter()
-        .flat_map(|&w| {
-            ISAS.into_iter()
-                .flat_map(move |isa| [(w, isa, true), (w, isa, false)])
-        })
-        .collect();
-    let rows = par_map(&combos, |&(w, isa, on)| {
-        let opt = if on {
-            OptConfig::full()
-        } else {
-            OptConfig::none()
-        };
-        measure(w, scale, isa, &opt)
-    });
-    let row = |w: Workload, isa: IsaKind, on: bool| -> &Row {
-        let at = combos
-            .iter()
-            .position(|&(cw, ci, con)| cw == w && ci == isa && con == on)
-            .unwrap();
-        &rows[at]
-    };
+/// Every workload × ISA measured with and without the optimization
+/// layer.
+struct Rows {
+    combos: Vec<(Workload, IsaKind, bool)>,
+    /// One row per combo, in `combos` order.
+    rows: Vec<Row>,
+}
 
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"pr\": {PR},");
-    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
-    let _ = writeln!(s, "  \"jobs\": {},", jobs());
-    let _ = writeln!(s, "  \"width\": \"8f\",");
-    for (ii, &isa) in ISAS.iter().enumerate() {
-        let total = |on: bool, f: &dyn Fn(&Row) -> usize| -> usize {
-            Workload::ALL.iter().map(|&w| f(row(w, isa, on))).sum()
-        };
-        let name = match isa {
-            IsaKind::Clockhands => "clockhands",
-            _ => "straight",
-        };
-        let _ = writeln!(s, "  \"{name}\": {{");
-        let _ = writeln!(s, "    \"insts\": {},", total(true, &|r| r.insts));
-        let _ = writeln!(s, "    \"insts_noopt\": {},", total(false, &|r| r.insts));
-        let _ = writeln!(
-            s,
-            "    \"dead_relays\": {},",
-            total(true, &|r| r.dead_relays)
-        );
-        let _ = writeln!(
-            s,
-            "    \"redundant_fixes\": {},",
-            total(true, &|r| r.redundant_fixes)
-        );
-        let _ = writeln!(s, "    \"workloads\": [");
-        for (wi, &w) in Workload::ALL.iter().enumerate() {
-            let (o, n) = (row(w, isa, true), row(w, isa, false));
+impl Rows {
+    fn measure(scale: Scale) -> Rows {
+        let combos: Vec<(Workload, IsaKind, bool)> = Workload::ALL
+            .iter()
+            .flat_map(|&w| {
+                ISAS.into_iter()
+                    .flat_map(move |isa| [(w, isa, true), (w, isa, false)])
+            })
+            .collect();
+        let rows = par_map(&combos, |&(w, isa, on)| {
+            let opt = if on {
+                OptConfig::full()
+            } else {
+                OptConfig::none()
+            };
+            measure(w, scale, isa, &opt)
+        });
+        Rows { combos, rows }
+    }
+
+    fn row(&self, w: Workload, isa: IsaKind, on: bool) -> &Row {
+        let at = self.combos.iter().position(|&c| c == (w, isa, on)).unwrap();
+        &self.rows[at]
+    }
+
+    /// Renders the `BENCH_8.json` snapshot.
+    fn json(&self, scale: Scale) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "{{");
+        let _ = writeln!(s, "  \"pr\": {PR},");
+        let _ = writeln!(s, "  \"scale\": \"{}\",", scale.name());
+        let _ = writeln!(s, "  \"width\": \"8f\",");
+        for (ii, &isa) in ISAS.iter().enumerate() {
+            let total = |on: bool, f: &dyn Fn(&Row) -> usize| -> usize {
+                Workload::ALL.iter().map(|&w| f(self.row(w, isa, on))).sum()
+            };
+            let _ = writeln!(s, "  \"{}\": {{", isa.name());
+            let _ = writeln!(s, "    \"insts\": {},", total(true, &|r| r.insts));
+            let _ = writeln!(s, "    \"insts_noopt\": {},", total(false, &|r| r.insts));
             let _ = writeln!(
                 s,
-                "      {{\"name\": \"{}\", \"insts\": {}, \"insts_noopt\": {}, \
-                 \"dead_relays\": {}, \"redundant_fixes\": {}, \
-                 \"cycles\": {}, \"cycles_noopt\": {}, \
-                 \"ipc\": {:.4}, \"ipc_noopt\": {:.4}}}{}",
-                w.name(),
-                o.insts,
-                n.insts,
-                o.dead_relays,
-                o.redundant_fixes,
-                o.cycles,
-                n.cycles,
-                o.ipc(),
-                n.ipc(),
-                if wi + 1 < Workload::ALL.len() {
-                    ","
-                } else {
-                    ""
-                }
+                "    \"dead_relays\": {},",
+                total(true, &|r| r.dead_relays)
             );
+            let _ = writeln!(
+                s,
+                "    \"redundant_fixes\": {},",
+                total(true, &|r| r.redundant_fixes)
+            );
+            let _ = writeln!(s, "    \"workloads\": [");
+            for (wi, &w) in Workload::ALL.iter().enumerate() {
+                let (o, n) = (self.row(w, isa, true), self.row(w, isa, false));
+                let _ = writeln!(
+                    s,
+                    "      {{\"name\": \"{}\", \"insts\": {}, \"insts_noopt\": {}, \
+                     \"dead_relays\": {}, \"redundant_fixes\": {}, \
+                     \"cycles\": {}, \"cycles_noopt\": {}, \
+                     \"ipc\": {:.4}, \"ipc_noopt\": {:.4}}}{}",
+                    w.name(),
+                    o.insts,
+                    n.insts,
+                    o.dead_relays,
+                    o.redundant_fixes,
+                    o.cycles,
+                    n.cycles,
+                    o.ipc(),
+                    n.ipc(),
+                    if wi + 1 < Workload::ALL.len() {
+                        ","
+                    } else {
+                        ""
+                    }
+                );
+            }
+            let _ = writeln!(s, "    ]");
+            let _ = writeln!(s, "  }}{}", if ii + 1 < ISAS.len() { "," } else { "" });
         }
-        let _ = writeln!(s, "    ]");
-        let _ = writeln!(s, "  }}{}", if ii + 1 < ISAS.len() { "," } else { "" });
+        let _ = writeln!(s, "}}");
+        s
     }
-    let _ = writeln!(s, "}}");
-    s
+
+    /// Renders the per-workload delta table.
+    fn table(&self) -> String {
+        let mut s = String::new();
+        let _ = writeln!(
+            s,
+            "{:<12} {:<4} {:>6} {:>8} {:>7} {:>9} {:>10} {:>7}",
+            "workload", "ISA", "insts", "(no-opt)", "Δinsts", "cycles", "(no-opt)", "Δcyc%"
+        );
+        for isa in ISAS {
+            let tag = match isa {
+                IsaKind::Clockhands => "CH",
+                _ => "ST",
+            };
+            for w in Workload::ALL {
+                let (o, n) = (self.row(w, isa, true), self.row(w, isa, false));
+                let _ = writeln!(
+                    s,
+                    "{:<12} {:<4} {:>6} {:>8} {:>7} {:>9} {:>10} {:>6.1}%",
+                    w.name(),
+                    tag,
+                    o.insts,
+                    n.insts,
+                    o.insts as i64 - n.insts as i64,
+                    o.cycles,
+                    n.cycles,
+                    (o.cycles as f64 - n.cycles as f64) / n.cycles as f64 * 100.0
+                );
+            }
+        }
+        s
+    }
 }
 
 /// The `figures opt` experiment: measure, snapshot, summarise.
 ///
 /// Writes `BENCH_<pr>.json` into the working directory (the repo root
-/// under `just opt-report`) and renders a human-readable delta table.
-/// A committed snapshot at a different scale is left untouched unless
-/// `CH_BENCH_SKIP_CHECK=1` forces a re-baseline.
+/// under `just opt-report`) under the shared snapshot policy
+/// ([`crate::snapshot`]) and renders a human-readable delta table.
 pub fn opt_experiment(scale: Scale) -> String {
-    let json = opt_json(scale);
+    let rows = Rows::measure(scale);
     let path = format!("BENCH_{PR}.json");
     let mut s = String::new();
     let _ = writeln!(s, "Optimization-layer snapshot ({path})");
-    let baseline = std::fs::read_to_string(&path).ok();
-    let rebaseline = std::env::var_os("CH_BENCH_SKIP_CHECK").is_some();
-    let same_scale = baseline
-        .as_deref()
-        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale.name())));
-    if same_scale || rebaseline {
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        let _ = writeln!(s, "snapshot written");
-    } else {
-        let _ = writeln!(
-            s,
-            "committed snapshot is a different scale: not overwritten \
-             (CH_BENCH_SKIP_CHECK=1 to re-baseline)"
-        );
-    }
-    let _ = write!(s, "{}", render_table(&json));
+    let _ = writeln!(s, "{}", write_ungated(&path, scale, &rows.json(scale)));
+    let _ = write!(s, "{}", rows.table());
     s
-}
-
-/// Renders the per-workload delta table from a snapshot's JSON text.
-fn render_table(json: &str) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<12} {:<4} {:>6} {:>8} {:>7} {:>9} {:>10} {:>7}",
-        "workload", "ISA", "insts", "(no-opt)", "Δinsts", "cycles", "(no-opt)", "Δcyc%"
-    );
-    let mut isa = "??";
-    for line in json.lines() {
-        let t = line.trim();
-        if t.starts_with("\"clockhands\"") {
-            isa = "CH";
-        } else if t.starts_with("\"straight\"") {
-            isa = "ST";
-        }
-        let Some(name) = field_str(t, "name") else {
-            continue;
-        };
-        let g = |k: &str| field_num(t, k).unwrap_or(0.0);
-        let (i, i0) = (g("insts"), g("insts_noopt"));
-        let (c, c0) = (g("cycles"), g("cycles_noopt"));
-        let _ = writeln!(
-            s,
-            "{:<12} {:<4} {:>6} {:>8} {:>7} {:>9} {:>10} {:>6.1}%",
-            name,
-            isa,
-            i,
-            i0,
-            i - i0,
-            c,
-            c0,
-            (c - c0) / c0 * 100.0
-        );
-    }
-    s
-}
-
-fn field_str<'j>(line: &'j str, key: &str) -> Option<&'j str> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    line[at..].split('"').next()
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -17,13 +17,16 @@
 //! over PR. Baselines are host-dependent; set `CH_BENCH_SKIP_CHECK=1`
 //! to snapshot on a different machine without tripping the gate.
 
+use crate::snapshot::{rebaseline_requested, write_snapshot, Written};
 use crate::{full_sweep, jobs, par_map, relocated, trace, warm_traces};
 use ch_common::config::MachineConfig;
+use ch_common::json::Json;
 use ch_common::stats::Counters;
 use ch_common::{EncodingVariant, IsaKind};
 use ch_sim::run_fast_profiled;
 use ch_workloads::{Scale, Workload};
 use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
 /// The PR this snapshot format belongs to (names the JSON file).
@@ -150,18 +153,6 @@ pub fn bench_json(scale: Scale) -> String {
     s
 }
 
-/// Extracts the numeric value of a top-level `"key": value` field from
-/// the hand-written snapshot format (keys are unique and unnested).
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Compares a freshly measured snapshot against the committed baseline.
 ///
 /// Returns a one-line verdict, or an error when the fast sweep's
@@ -169,11 +160,10 @@ pub fn json_number(json: &str, key: &str) -> Option<f64> {
 /// [`REGRESSION_TOLERANCE`]. Throughput (Minst/s) is wall time per
 /// instruction inverted, so comparing it compares wall time for the
 /// same suite even when instruction counts drift between PRs.
-pub fn check_regression(baseline: &str, current: &str) -> Result<String, String> {
-    let old = json_number(baseline, "sweep_minsts_per_sec")
-        .ok_or("baseline snapshot has no sweep_minsts_per_sec")?;
-    let new = json_number(current, "sweep_minsts_per_sec")
-        .ok_or("current snapshot has no sweep_minsts_per_sec")?;
+pub fn check_regression(baseline: &Json, current: &Json) -> Result<String, String> {
+    let throughput = |snap: &Json| snap.get("sweep_minsts_per_sec").and_then(Json::as_f64);
+    let old = throughput(baseline).ok_or("baseline snapshot has no sweep_minsts_per_sec")?;
+    let new = throughput(current).ok_or("current snapshot has no sweep_minsts_per_sec")?;
     let ratio = old / new; // >1 = slower now
     if ratio > 1.0 + REGRESSION_TOLERANCE {
         return Err(format!(
@@ -203,43 +193,32 @@ pub fn bench_experiment(scale: Scale) -> String {
     let path = format!("BENCH_{PR}.json");
     let mut s = String::new();
     let _ = writeln!(s, "Benchmark snapshot ({path})");
-    let baseline = std::fs::read_to_string(&path).ok();
-    let rebaseline = std::env::var_os("CH_BENCH_SKIP_CHECK").is_some();
-    // Throughput only compares within a scale (test-scale traces are
-    // warmup-dominated), and a casual default-scale run must not
-    // clobber the committed small-scale baseline.
-    let same_scale = baseline
-        .as_deref()
-        .is_none_or(|b| b.contains(&format!("\"scale\": \"{}\"", scale.name())));
-    match baseline.as_deref() {
-        Some(b) if !rebaseline && same_scale => match check_regression(b, &json) {
-            Ok(verdict) => {
-                let _ = writeln!(s, "{verdict}");
-            }
-            Err(e) => panic!("{e}"),
-        },
-        Some(_) if !rebaseline => {
-            let _ = writeln!(
-                s,
-                "baseline is a different scale: not compared, snapshot not written \
-                 (CH_BENCH_SKIP_CHECK=1 to re-baseline)"
-            );
-        }
-        _ => {
-            let _ = writeln!(s, "no committed baseline checked (new snapshot)");
-        }
-    }
-    if same_scale || rebaseline {
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    }
-    let fast = json_number(&json, "sweep_minsts_per_sec").unwrap_or(0.0);
-    let reference = json_number(&json, "reference_minsts_per_sec").unwrap_or(0.0);
-    let speedup = json_number(&json, "speedup").unwrap_or(0.0);
-    let insts = json_number(&json, "insts").unwrap_or(0.0);
+    let fresh = Json::parse(&json).expect("the snapshot is valid JSON");
+    let written = write_snapshot(
+        Path::new(&path),
+        scale,
+        &json,
+        rebaseline_requested(),
+        |baseline| check_regression(baseline, &fresh),
+    );
+    let _ = match written.unwrap_or_else(|e| panic!("{e}")) {
+        Written::OverBaseline(verdict) => writeln!(s, "{verdict}"),
+        Written::KeptOtherScale => writeln!(
+            s,
+            "baseline is a different scale: not compared, snapshot not written \
+             (CH_BENCH_SKIP_CHECK=1 to re-baseline)"
+        ),
+        Written::Fresh => writeln!(s, "no committed baseline checked (new snapshot)"),
+    };
+    let num = |key: &str| fresh.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    let fast = num("sweep_minsts_per_sec");
+    let reference = num("reference_minsts_per_sec");
+    let speedup = num("speedup");
+    let insts = num("insts");
     let _ = writeln!(
         s,
         "{} configs, {:.1}M committed insts, {} workers",
-        json_number(&json, "configs").unwrap_or(0.0),
+        num("configs"),
         insts / 1e6,
         jobs(),
     );
@@ -258,23 +237,30 @@ mod tests {
 
     const SNAP: &str = "{\n  \"sweep_minsts_per_sec\": 100.0,\n  \"speedup\": 5.0\n}";
 
+    fn parse(snap: &str) -> Json {
+        Json::parse(snap).expect("valid snapshot")
+    }
+
     #[test]
-    fn json_number_extracts_fields() {
-        assert_eq!(json_number(SNAP, "sweep_minsts_per_sec"), Some(100.0));
-        assert_eq!(json_number(SNAP, "speedup"), Some(5.0));
-        assert_eq!(json_number(SNAP, "missing"), None);
+    fn snapshot_fields_parse() {
+        let snap = parse(SNAP);
+        let num = |key: &str| snap.get(key).and_then(Json::as_f64);
+        assert_eq!(num("sweep_minsts_per_sec"), Some(100.0));
+        assert_eq!(num("speedup"), Some(5.0));
+        assert_eq!(num("missing"), None);
     }
 
     #[test]
     fn regression_gate_trips_past_tolerance() {
-        let old = SNAP;
-        let ok = "{\"sweep_minsts_per_sec\": 90.0}";
-        let slower_but_within = "{\"sweep_minsts_per_sec\": 81.0}";
-        let too_slow = "{\"sweep_minsts_per_sec\": 70.0}";
-        assert!(check_regression(old, ok).is_ok());
-        assert!(check_regression(old, slower_but_within).is_ok());
-        assert!(check_regression(old, too_slow).is_err());
+        let old = &parse(SNAP);
+        let at = |v: f64| parse(&format!("{{\"sweep_minsts_per_sec\": {v:.1}}}"));
+        let ok = at(90.0);
+        let slower_but_within = at(81.0);
+        let too_slow = at(70.0);
+        assert!(check_regression(old, &ok).is_ok());
+        assert!(check_regression(old, &slower_but_within).is_ok());
+        assert!(check_regression(old, &too_slow).is_err());
         // Faster is always fine.
-        assert!(check_regression(old, "{\"sweep_minsts_per_sec\": 500.0}").is_ok());
+        assert!(check_regression(old, &at(500.0)).is_ok());
     }
 }

@@ -6,23 +6,15 @@
 //! share all 75 simulations; per-workload rows re-ask for the same
 //! baseline run). The first-generation drivers handled that with
 //! hand-rolled warm-up passes ([`crate::par_map`] plus a process-wide
-//! keyed cache). This module generalises the pattern:
-//!
-//! * [`sweep`] — dedupe the key list, evaluate each **distinct** key
-//!   exactly once on the worker pool, and return results **in input
-//!   order** (repeats are clones of the single computation);
-//! * [`sweep_stream`] — the same, but results are handed to a sink
-//!   closure in input order *as they complete*, so a renderer can start
-//!   emitting rows while the tail of the sweep is still simulating.
-//!
-//! Both are deterministic at any `--jobs` setting: output order is the
-//! input key order, never completion order.
+//! keyed cache). This module generalises the pattern: [`sweep`] dedupes the key list, evaluates each **distinct** key
+//! exactly once on the worker pool, and returns results **in input
+//! order** (repeats are clones of the single computation). It is
+//! deterministic at any `--jobs` setting: output order is the input key
+//! order, never completion order.
 
-use crate::{jobs, par_map};
+use crate::par_map;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Evaluates `f` once per **distinct** key and returns one result per
 /// input key, in input order.
@@ -59,70 +51,11 @@ where
     keys.iter().map(|k| results[index[k]].clone()).collect()
 }
 
-/// Like [`sweep`], but delivers each result to `sink` in input order as
-/// soon as it (and everything before it) is available, instead of
-/// waiting for the whole sweep.
-///
-/// The sink runs on the calling thread; workers never block on it
-/// (results they finish early are parked until their turn). Rendering
-/// the head of a table therefore overlaps with simulating its tail.
-pub fn sweep_stream<K, V>(keys: &[K], f: impl Fn(&K) -> V + Sync, mut sink: impl FnMut(&K, V))
-where
-    K: Eq + Hash + Clone + Sync,
-    V: Clone + Send,
-{
-    let mut unique: Vec<K> = Vec::new();
-    let mut index: HashMap<K, usize> = HashMap::with_capacity(keys.len());
-    for k in keys {
-        index.entry(k.clone()).or_insert_with(|| {
-            unique.push(k.clone());
-            unique.len() - 1
-        });
-    }
-    let workers = jobs().min(unique.len());
-    if workers <= 1 {
-        // Serial: compute distinct keys lazily in first-use order.
-        let mut done: Vec<Option<V>> = vec![None; unique.len()];
-        for k in keys {
-            let i = index[k];
-            if done[i].is_none() {
-                done[i] = Some(f(k));
-            }
-            sink(k, done[i].clone().expect("just computed"));
-        }
-        return;
-    }
-    let slots: Mutex<Vec<Option<V>>> = Mutex::new(vec![None; unique.len()]);
-    let ready = Condvar::new();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(k) = unique.get(i) else { break };
-                let v = f(k);
-                slots.lock().expect("sweep slots")[i] = Some(v);
-                ready.notify_all();
-            });
-        }
-        // Drain in input order on this thread while workers fill slots.
-        for k in keys {
-            let i = index[k];
-            let mut guard = slots.lock().expect("sweep slots");
-            while guard[i].is_none() {
-                guard = ready.wait(guard).expect("sweep slots");
-            }
-            let v = guard[i].clone().expect("checked above");
-            drop(guard);
-            sink(k, v);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::set_jobs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn sweep_dedupes_and_preserves_order() {
@@ -143,34 +76,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stream_delivers_in_input_order() {
-        for workers in [1, 4] {
-            set_jobs(workers);
-            let keys: Vec<u64> = (0..32).map(|i| i % 5).collect();
-            let mut seen = Vec::new();
-            sweep_stream(
-                &keys,
-                |&k| {
-                    // Skew cost so completion order differs from input order.
-                    if k % 2 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    k + 100
-                },
-                |&k, v| seen.push((k, v)),
-            );
-            set_jobs(0);
-            assert_eq!(
-                seen,
-                keys.iter().map(|&k| (k, k + 100)).collect::<Vec<_>>(),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
     fn sweep_handles_empty_input() {
         assert_eq!(sweep::<u32, u32>(&[], |&k| k), Vec::<u32>::new());
-        sweep_stream::<u32, u32>(&[], |&k| k, |_, _| panic!("no keys, no calls"));
     }
 }

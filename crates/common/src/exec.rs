@@ -9,7 +9,15 @@
 //! to/from `f64` (RV64G keeps FP in separate registers, but STRAIGHT and
 //! Clockhands use a unified 64-bit file, so a unified value model is the
 //! common denominator).
+//!
+//! The interpreter driver lives here once as well: each ISA's
+//! interpreter implements [`Machine`] (one `step` plus its halted
+//! state, committed count and memory), and the trait's provided
+//! [`Machine::run`], [`Machine::trace`] and [`Machine::records`] are the
+//! only run loops, all applying the one limit rule.
 
+use crate::inst::DynInst;
+use crate::mem::Memory;
 use crate::op::OpClass;
 
 /// Two-source (or source+immediate) computational operation.
@@ -447,6 +455,138 @@ impl<'a, T> IntoIterator for &'a Srcs<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
+    }
+}
+
+/// Outcome of a run that halted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunResult {
+    /// Value of the `halt` source operand.
+    pub exit_value: u64,
+    /// Instructions committed (the halt itself is not counted).
+    pub committed: u64,
+}
+
+/// A functional interpreter: ISA semantics behind one `step`, driven by
+/// the provided run loops.
+///
+/// The loops are generic, so each interpreter gets its own statically
+/// dispatched copy; nothing is called through a `dyn` per step.
+pub trait Machine {
+    /// The interpreter's runtime error.
+    type Error;
+
+    /// The error the loops report when the step budget is spent before
+    /// the machine halts.
+    const LIMIT_REACHED: Self::Error;
+
+    /// Executes one instruction: `Ok(Some(rec))` for a committed
+    /// instruction, `Ok(None)` once halted (the halt emits no record).
+    ///
+    /// # Errors
+    ///
+    /// The interpreter's fault for the instruction at the current PC.
+    fn step(&mut self) -> Result<Option<DynInst>, Self::Error>;
+
+    /// The exit value, once the program has halted.
+    fn exit_value(&self) -> Option<u64>;
+
+    /// Instructions committed so far.
+    fn committed(&self) -> u64;
+
+    /// The machine's memory.
+    fn mem(&self) -> &Memory;
+
+    /// Gives up the machine for its memory.
+    fn into_mem(self) -> Memory
+    where
+        Self: Sized;
+
+    /// Runs to a halt within `limit` steps, discarding the records.
+    ///
+    /// # Errors
+    ///
+    /// [`Machine::LIMIT_REACHED`] if the machine has not halted once
+    /// the budget is spent, or any error [`Machine::step`] raises.
+    fn run(&mut self, limit: u64) -> Result<RunResult, Self::Error> {
+        for _ in 0..limit {
+            if self.step()?.is_none() {
+                break;
+            }
+        }
+        halted(self)
+    }
+
+    /// As [`Machine::run`], collecting the committed records.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::run`].
+    fn trace(&mut self, limit: u64) -> Result<(Vec<DynInst>, RunResult), Self::Error> {
+        let mut out = Vec::new();
+        for _ in 0..limit {
+            match self.step()? {
+                Some(rec) => out.push(rec),
+                None => break,
+            }
+        }
+        Ok((out, halted(self)?))
+    }
+
+    /// Streams the committed records until the machine halts or errs;
+    /// the error is kept on the stream ([`Records::error`]).
+    fn records(&mut self) -> Records<'_, Self>
+    where
+        Self: Sized,
+    {
+        Records {
+            machine: self,
+            error: None,
+        }
+    }
+}
+
+/// The limit rule: once the step budget is spent, the outcome depends
+/// only on whether the machine has halted, not on which loop exit was
+/// taken. A halted machine reports its result even for a zero budget.
+fn halted<M: Machine + ?Sized>(m: &M) -> Result<RunResult, M::Error> {
+    match m.exit_value() {
+        Some(exit_value) => Ok(RunResult {
+            exit_value,
+            committed: m.committed(),
+        }),
+        None => Err(M::LIMIT_REACHED),
+    }
+}
+
+/// The record stream of [`Machine::records`].
+#[derive(Debug)]
+pub struct Records<'a, M: Machine> {
+    machine: &'a mut M,
+    error: Option<M::Error>,
+}
+
+impl<M: Machine> Records<'_, M> {
+    /// The error that ended the stream, if any.
+    pub fn error(&self) -> Option<&M::Error> {
+        self.error.as_ref()
+    }
+}
+
+impl<M: Machine> Iterator for Records<'_, M> {
+    type Item = DynInst;
+
+    fn next(&mut self) -> Option<DynInst> {
+        if self.error.is_some() {
+            return None;
+        }
+        match self.machine.step() {
+            Ok(rec) => rec,
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
     }
 }
 

@@ -1520,6 +1520,7 @@ fn est_fix_writes(targets: &[(VReg, i64)], nat: &HashMap<VReg, i64>) -> i64 {
 mod tests {
     use super::*;
     use crate::build_ir;
+    use ch_common::exec::Machine;
     use clockhands::interp::Interpreter;
 
     fn compile_src(src: &str) -> Program {

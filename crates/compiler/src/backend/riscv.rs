@@ -629,6 +629,7 @@ mod tests {
     use super::*;
     use crate::build_ir;
     use ch_baselines::riscv::interp::Interpreter;
+    use ch_common::exec::Machine;
 
     fn run(src: &str) -> u64 {
         let m = build_ir(src).expect("ir");

@@ -840,6 +840,7 @@ mod tests {
     use super::*;
     use crate::build_ir;
     use ch_baselines::straight::interp::Interpreter;
+    use ch_common::exec::Machine;
     use ch_common::op::OpClass;
 
     fn run(src: &str) -> u64 {

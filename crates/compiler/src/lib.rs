@@ -45,7 +45,9 @@ pub mod passes;
 
 use ch_baselines::riscv::RvProgram;
 use ch_baselines::straight::StProgram;
-use ch_common::{EncodingVariant, IsaKind};
+use ch_common::exec::{Machine, RunResult};
+use ch_common::inst::DynInst;
+use ch_common::{EncodingVariant, IsaKind, Memory, Stage};
 use clockhands::Program as ChProgram;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -126,6 +128,17 @@ pub struct CompiledSet {
     pub clockhands: ChProgram,
 }
 
+impl CompiledSet {
+    /// The program of one ISA.
+    pub fn program(&self, isa: IsaKind) -> IsaProgram {
+        match isa {
+            IsaKind::Riscv => IsaProgram::Riscv(self.riscv.clone()),
+            IsaKind::Straight => IsaProgram::Straight(self.straight.clone()),
+            IsaKind::Clockhands => IsaProgram::Clockhands(self.clockhands.clone()),
+        }
+    }
+}
+
 /// Builds the optimised IR module for a source text.
 ///
 /// # Errors
@@ -147,6 +160,117 @@ pub enum IsaProgram {
     Straight(StProgram),
     /// Clockhands binary.
     Clockhands(ChProgram),
+}
+
+impl IsaProgram {
+    /// The `ch-verify` report on this program, under default options.
+    pub fn verify(&self) -> ch_verify::Report {
+        let opts = ch_verify::Options::default();
+        match self {
+            IsaProgram::Riscv(p) => ch_verify::verify_riscv(p, &opts),
+            IsaProgram::Straight(p) => ch_verify::verify_straight(p, &opts),
+            IsaProgram::Clockhands(p) => ch_verify::verify_clockhands(p, &opts),
+        }
+    }
+
+    /// Builds this program's interpreter and runs it to a halt within
+    /// `limit` steps, keeping the committed trace when `keep_trace` is
+    /// set (otherwise [`Execution::trace`] is empty). The ISA is matched
+    /// once per run; the loop itself is the interpreter's own
+    /// [`Machine`] instance.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError`]: the interpreter rejected the program, the budget
+    /// ran out, or execution faulted.
+    pub fn execute(self, limit: u64, keep_trace: bool) -> Result<Execution, ExecError> {
+        match self {
+            IsaProgram::Riscv(p) => drive(
+                ch_baselines::riscv::interp::Interpreter::new(p).map_err(invalid)?,
+                limit,
+                keep_trace,
+            ),
+            IsaProgram::Straight(p) => drive(
+                ch_baselines::straight::interp::Interpreter::new(p).map_err(invalid)?,
+                limit,
+                keep_trace,
+            ),
+            IsaProgram::Clockhands(p) => drive(
+                clockhands::interp::Interpreter::new(p).map_err(invalid)?,
+                limit,
+                keep_trace,
+            ),
+        }
+    }
+}
+
+/// One halted run of an [`IsaProgram`].
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// The committed trace (empty unless it was asked for).
+    pub trace: Vec<DynInst>,
+    /// The exit value and committed count.
+    pub result: RunResult,
+    /// The machine's memory at the halt.
+    pub mem: Memory,
+}
+
+/// Why [`IsaProgram::execute`] did not reach a halt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecError {
+    /// The interpreter rejected the program; the text is its error.
+    Invalid(String),
+    /// The step budget was spent before the program halted.
+    LimitReached,
+    /// The interpreter faulted; the text is its error.
+    Fault(String),
+}
+
+impl ExecError {
+    /// The harness stage the error belongs to: [`Stage::Validate`] for a
+    /// rejected program, [`Stage::Execute`] otherwise.
+    pub fn stage(&self) -> Stage {
+        match self {
+            ExecError::Invalid(_) => Stage::Validate,
+            ExecError::LimitReached | ExecError::Fault(_) => Stage::Execute,
+        }
+    }
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::Invalid(e) | ExecError::Fault(e) => f.write_str(e),
+            ExecError::LimitReached => f.write_str("instruction limit reached before halt"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+fn invalid(e: impl std::fmt::Display) -> ExecError {
+    ExecError::Invalid(e.to_string())
+}
+
+fn drive<M>(mut cpu: M, limit: u64, keep_trace: bool) -> Result<Execution, ExecError>
+where
+    M: Machine,
+    M::Error: std::fmt::Display + PartialEq,
+{
+    let ran = if keep_trace {
+        cpu.trace(limit)
+    } else {
+        cpu.run(limit).map(|r| (Vec::new(), r))
+    };
+    match ran {
+        Ok((trace, result)) => Ok(Execution {
+            trace,
+            result,
+            mem: cpu.into_mem(),
+        }),
+        Err(e) if e == M::LIMIT_REACHED => Err(ExecError::LimitReached),
+        Err(e) => Err(ExecError::Fault(e.to_string())),
+    }
 }
 
 /// Turns a verifier report into a result. Lint warnings are tolerated;
@@ -200,12 +324,7 @@ pub fn compile_isa(
 ///
 /// Returns [`CompileError::Verify`] naming the program's ISA.
 pub fn verify_program(prog: &IsaProgram) -> Result<(), CompileError> {
-    let opts = ch_verify::Options::default();
-    check(match prog {
-        IsaProgram::Riscv(p) => ch_verify::verify_riscv(p, &opts),
-        IsaProgram::Straight(p) => ch_verify::verify_straight(p, &opts),
-        IsaProgram::Clockhands(p) => ch_verify::verify_clockhands(p, &opts),
-    })
+    check(prog.verify())
 }
 
 /// Compiles a Kern source for all three ISAs.

@@ -1,29 +1,20 @@
 //! Kern language conformance: every language feature, executed on all
 //! three backends, must agree with the expected value.
 
-use ch_baselines::{riscv, straight};
+use ch_common::IsaKind;
 use ch_compiler::compile;
-use clockhands::interp::Interpreter as ChInterp;
 
 /// Compiles and runs `src` on all three ISAs, asserting they all return
 /// `expect`.
 fn check(src: &str, expect: u64) {
     let set = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-    let r = riscv::interp::Interpreter::new(set.riscv)
-        .expect("valid riscv")
-        .run(200_000_000)
-        .unwrap_or_else(|e| panic!("riscv run: {e}"));
-    assert_eq!(r.exit_value, expect, "riscv");
-    let s = straight::interp::Interpreter::new(set.straight)
-        .expect("valid straight")
-        .run(200_000_000)
-        .unwrap_or_else(|e| panic!("straight run: {e}"));
-    assert_eq!(s.exit_value, expect, "straight");
-    let c = ChInterp::new(set.clockhands)
-        .expect("valid clockhands")
-        .run(200_000_000)
-        .unwrap_or_else(|e| panic!("clockhands run: {e}"));
-    assert_eq!(c.exit_value, expect, "clockhands");
+    for isa in IsaKind::ALL {
+        let run = set
+            .program(isa)
+            .execute(200_000_000, false)
+            .unwrap_or_else(|e| panic!("{} run: {e}", isa.name()));
+        assert_eq!(run.result.exit_value, expect, "{}", isa.name());
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@ use crate::hand::Hand;
 use crate::inst::{Inst, Src};
 use crate::program::{Program, ProgramError};
 use crate::state::{DistanceError, HandFile};
+use ch_common::exec::Machine;
 use ch_common::inst::{CtrlKind, DstTag, DynInst, NO_PRODUCER};
 use ch_common::mem::Memory;
 
@@ -47,20 +48,12 @@ impl From<DistanceError> for InterpError {
     }
 }
 
-/// Outcome of a completed run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunResult {
-    /// Value of the `halt` source operand.
-    pub exit_value: u64,
-    /// Number of instructions committed (the halt itself is not counted).
-    pub committed: u64,
-}
-
 /// Functional Clockhands interpreter.
 ///
 /// # Examples
 ///
 /// ```
+/// use ch_common::exec::Machine;
 /// use clockhands::asm::assemble;
 /// use clockhands::interp::Interpreter;
 ///
@@ -83,7 +76,6 @@ pub struct Interpreter {
     pc: u32,
     seq: u64,
     halted: Option<u64>,
-    error: Option<InterpError>,
 }
 
 impl Interpreter {
@@ -110,44 +102,12 @@ impl Interpreter {
             pc,
             seq: 0,
             halted: None,
-            error: None,
         })
-    }
-
-    /// Seeds an architectural write (e.g. an argument) without emitting a
-    /// trace record. The producer is recorded as "pre-existing".
-    pub fn seed_write(&mut self, hand: Hand, value: u64) {
-        self.file.write(hand, value, NO_PRODUCER);
-    }
-
-    /// Shared memory view.
-    pub fn mem(&self) -> &Memory {
-        &self.mem
     }
 
     /// The architectural hand file (for inspection and debugging).
     pub fn hands(&self) -> &HandFile {
         &self.file
-    }
-
-    /// Mutable memory view (for preloading inputs).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Exit value, once the program has halted.
-    pub fn exit_value(&self) -> Option<u64> {
-        self.halted
-    }
-
-    /// The error that stopped the iterator stream, if any.
-    pub fn error(&self) -> Option<&InterpError> {
-        self.error.as_ref()
-    }
-
-    /// Instructions committed so far.
-    pub fn committed(&self) -> u64 {
-        self.seq
     }
 
     fn read(&self, src: Src) -> Result<u64, DistanceError> {
@@ -164,16 +124,33 @@ impl Interpreter {
         }
     }
 
+    fn index_of_pc(&self, pc_val: u64) -> Result<u32, InterpError> {
+        let base = self.prog.pc_of(0);
+        if pc_val < base || !(pc_val - base).is_multiple_of(4) {
+            return Err(InterpError::PcOffEnd { pc: u32::MAX });
+        }
+        let idx = ((pc_val - base) / 4) as u32;
+        if idx as usize >= self.prog.len() {
+            return Err(InterpError::PcOffEnd { pc: idx });
+        }
+        Ok(idx)
+    }
+}
+
+impl Machine for Interpreter {
+    type Error = InterpError;
+
+    const LIMIT_REACHED: InterpError = InterpError::LimitReached;
+
     /// Executes one instruction.
-    ///
-    /// Returns `Ok(Some(rec))` for a committed instruction, `Ok(None)`
-    /// once halted (the `halt` itself emits no record).
     ///
     /// # Errors
     ///
     /// Returns [`InterpError`] on a distance violation or if control runs
     /// off the end of the program.
-    pub fn step(&mut self) -> Result<Option<DynInst>, InterpError> {
+    // Inlined into the run loops, which are instantiated in the caller's crate.
+    #[inline]
+    fn step(&mut self) -> Result<Option<DynInst>, InterpError> {
         if self.halted.is_some() {
             return Ok(None);
         }
@@ -288,84 +265,20 @@ impl Interpreter {
         Ok(Some(rec))
     }
 
-    fn index_of_pc(&self, pc_val: u64) -> Result<u32, InterpError> {
-        let base = self.prog.pc_of(0);
-        if pc_val < base || !(pc_val - base).is_multiple_of(4) {
-            return Err(InterpError::PcOffEnd { pc: u32::MAX });
-        }
-        let idx = ((pc_val - base) / 4) as u32;
-        if idx as usize >= self.prog.len() {
-            return Err(InterpError::PcOffEnd { pc: idx });
-        }
-        Ok(idx)
+    fn exit_value(&self) -> Option<u64> {
+        self.halted
     }
 
-    /// Runs to completion (at most `limit` instructions), discarding the
-    /// trace records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError::LimitReached`] if the program does not halt
-    /// within `limit` instructions, or any error [`Interpreter::step`]
-    /// raises.
-    pub fn run(&mut self, limit: u64) -> Result<RunResult, InterpError> {
-        for _ in 0..limit {
-            if self.step()?.is_none() {
-                break;
-            }
-        }
-        // Uniform limit-boundary rule across all three ISA interpreters:
-        // once the step budget is spent, the outcome depends only on
-        // whether the machine has halted — not on which loop exit we took.
-        match self.halted {
-            Some(exit_value) => Ok(RunResult {
-                exit_value,
-                committed: self.seq,
-            }),
-            None => Err(InterpError::LimitReached),
-        }
+    fn committed(&self) -> u64 {
+        self.seq
     }
 
-    /// Runs to completion, collecting the full trace.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::run`].
-    pub fn trace(&mut self, limit: u64) -> Result<(Vec<DynInst>, RunResult), InterpError> {
-        let mut out = Vec::new();
-        for _ in 0..limit {
-            match self.step()? {
-                Some(rec) => out.push(rec),
-                None => break,
-            }
-        }
-        match self.halted {
-            Some(exit_value) => Ok((
-                out,
-                RunResult {
-                    exit_value,
-                    committed: self.seq,
-                },
-            )),
-            None => Err(InterpError::LimitReached),
-        }
+    fn mem(&self) -> &Memory {
+        &self.mem
     }
-}
 
-/// Streaming adapter: yields records until the program halts, errs, or the
-/// limit is hit; errors are stashed on the interpreter
-/// ([`Interpreter::error`]) for the caller to check afterwards.
-impl Iterator for Interpreter {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        match self.step() {
-            Ok(opt) => opt,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
+    fn into_mem(self) -> Memory {
+        self.mem
     }
 }
 
@@ -381,7 +294,7 @@ mod tests {
     use crate::asm::assemble;
     use ch_common::op::OpClass;
 
-    fn run_src(src: &str) -> RunResult {
+    fn run_src(src: &str) -> ch_common::exec::RunResult {
         let prog = assemble(src).expect("assembles");
         Interpreter::new(prog)
             .expect("valid")
@@ -524,9 +437,10 @@ mod tests {
         )
         .unwrap();
         let mut it = Interpreter::new(prog).unwrap();
-        let n = it.by_ref().count();
+        let mut records = it.records();
+        let n = records.by_ref().count();
         assert_eq!(n, 3);
-        assert!(it.error().is_none());
+        assert!(records.error().is_none());
         assert_eq!(it.exit_value(), Some(3));
     }
 }

@@ -29,6 +29,7 @@
 //! ## Quick start
 //!
 //! ```
+//! use ch_common::exec::Machine;
 //! use clockhands::asm::assemble;
 //! use clockhands::interp::Interpreter;
 //!

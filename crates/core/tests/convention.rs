@@ -2,6 +2,7 @@
 //! paper): argument layout, SP handling, return values, and the
 //! callee-saved v registers.
 
+use ch_common::exec::Machine;
 use clockhands::asm::assemble;
 use clockhands::hand::Hand;
 use clockhands::interp::{Interpreter, STACK_TOP};

@@ -19,7 +19,7 @@ use ch_common::config::{MachineConfig, WidthClass};
 use ch_common::error::{HarnessError, Stage};
 use ch_common::inst::DynInst;
 use ch_common::IsaKind;
-use ch_compiler::{build_ir, compile};
+use ch_compiler::{build_ir, compile, ExecError};
 use ch_sim::{CommitLog, Simulator};
 
 /// Result of one clean differential run.
@@ -41,14 +41,6 @@ pub enum Skip {
 
 /// Outcome of [`run_differential`]: a judgement or an explicit skip.
 pub type DiffResult = Result<Result<DiffOutcome, Skip>, HarnessError>;
-
-fn isa_tag(isa: IsaKind) -> &'static str {
-    match isa {
-        IsaKind::Riscv => "riscv",
-        IsaKind::Straight => "straight",
-        IsaKind::Clockhands => "clockhands",
-    }
-}
 
 struct IsaRun {
     trace: Vec<DynInst>,
@@ -83,60 +75,18 @@ pub fn run_differential(ctx: &str, src: &str, limit: u64) -> DiffResult {
 
     let mut runs: Vec<IsaRun> = Vec::with_capacity(3);
     for isa in IsaKind::ALL {
-        let fail =
-            |stage, detail: String| HarnessError::new(ctx, stage, detail).on_isa(isa_tag(isa));
-        let run = match isa {
-            IsaKind::Riscv => {
-                let mut cpu = ch_baselines::riscv::interp::Interpreter::new(set.riscv.clone())
-                    .map_err(|e| fail(Stage::Validate, e.to_string()))?;
-                match cpu.trace(limit) {
-                    Ok((trace, r)) => IsaRun {
-                        trace,
-                        exit_value: r.exit_value,
-                        committed: r.committed,
-                        globals: read_globals(cpu.mem(), &global_ranges),
-                    },
-                    Err(ch_baselines::riscv::interp::RvError::LimitReached) => {
-                        return Ok(Err(Skip::LimitReached(isa)))
-                    }
-                    Err(e) => return Err(fail(Stage::Execute, e.to_string())),
-                }
-            }
-            IsaKind::Straight => {
-                let mut cpu =
-                    ch_baselines::straight::interp::Interpreter::new(set.straight.clone())
-                        .map_err(|e| fail(Stage::Validate, e.to_string()))?;
-                match cpu.trace(limit) {
-                    Ok((trace, r)) => IsaRun {
-                        trace,
-                        exit_value: r.exit_value,
-                        committed: r.committed,
-                        globals: read_globals(cpu.mem(), &global_ranges),
-                    },
-                    Err(ch_baselines::straight::interp::StError::LimitReached) => {
-                        return Ok(Err(Skip::LimitReached(isa)))
-                    }
-                    Err(e) => return Err(fail(Stage::Execute, e.to_string())),
-                }
-            }
-            IsaKind::Clockhands => {
-                let mut cpu = clockhands::interp::Interpreter::new(set.clockhands.clone())
-                    .map_err(|e| fail(Stage::Validate, e.to_string()))?;
-                match cpu.trace(limit) {
-                    Ok((trace, r)) => IsaRun {
-                        trace,
-                        exit_value: r.exit_value,
-                        committed: r.committed,
-                        globals: read_globals(cpu.mem(), &global_ranges),
-                    },
-                    Err(clockhands::interp::InterpError::LimitReached) => {
-                        return Ok(Err(Skip::LimitReached(isa)))
-                    }
-                    Err(e) => return Err(fail(Stage::Execute, e.to_string())),
-                }
-            }
+        let fail = |stage, detail: String| HarnessError::new(ctx, stage, detail).on_isa(isa.name());
+        let run = match set.program(isa).execute(limit, true) {
+            Ok(run) => run,
+            Err(ExecError::LimitReached) => return Ok(Err(Skip::LimitReached(isa))),
+            Err(e) => return Err(fail(e.stage(), e.to_string())),
         };
-        runs.push(run);
+        runs.push(IsaRun {
+            globals: read_globals(&run.mem, &global_ranges),
+            trace: run.trace,
+            exit_value: run.result.exit_value,
+            committed: run.result.committed,
+        });
     }
 
     // Interpreter-vs-interpreter: exit checksums and global memory.
@@ -151,7 +101,7 @@ pub fn run_differential(ctx: &str, src: &str, limit: u64) -> DiffResult {
                     runs[i].exit_value, base.exit_value
                 ),
             )
-            .on_isa(isa_tag(*isa)));
+            .on_isa(isa.name()));
         }
         if runs[i].globals != base.globals {
             let at = runs[i]
@@ -165,7 +115,7 @@ pub fn run_differential(ctx: &str, src: &str, limit: u64) -> DiffResult {
                 Stage::Mismatch,
                 format!("global memory differs from riscv at byte offset {at}"),
             )
-            .on_isa(isa_tag(*isa)));
+            .on_isa(isa.name()));
         }
     }
 
@@ -177,7 +127,7 @@ pub fn run_differential(ctx: &str, src: &str, limit: u64) -> DiffResult {
         let counters = sim.run(runs[i].trace.iter().cloned());
         let log = sim.into_tracer();
         let fail =
-            |detail: String| HarnessError::new(ctx, Stage::Mismatch, detail).on_isa(isa_tag(*isa));
+            |detail: String| HarnessError::new(ctx, Stage::Mismatch, detail).on_isa(isa.name());
         if counters.committed != runs[i].trace.len() as u64 {
             return Err(fail(format!(
                 "simulator committed {} of {} trace instructions",

@@ -33,6 +33,7 @@
 //! catch rate drops below 95%.
 
 use ch_baselines::straight::{StInst, StSrc};
+use ch_compiler::IsaProgram;
 use ch_verify::Options;
 use clockhands::hand::Hand;
 use clockhands::inst::{Inst, Src};
@@ -366,6 +367,12 @@ pub fn corrupt_straight(
     Some(format!("straight inst {}: [{d}] -> [{}]", c.at, c.nd))
 }
 
+/// The exit value of a run that halts within `limit` steps; `None` if
+/// the interpreter rejects the program, faults, or runs out of budget.
+fn exit_value(prog: IsaProgram, limit: u64) -> Option<u64> {
+    prog.execute(limit, false).ok().map(|r| r.result.exit_value)
+}
+
 /// Plants one distance corruption in the Clockhands output and
 /// classifies who catches it.
 fn plant_clockhands(
@@ -374,14 +381,8 @@ fn plant_clockhands(
     limit: u64,
     model: Model,
 ) -> CaseOutcome {
-    use clockhands::interp::Interpreter;
-
-    let base = match Interpreter::new(set.clockhands.clone()) {
-        Ok(mut cpu) => match cpu.run(limit) {
-            Ok(r) => r.exit_value,
-            Err(_) => return CaseOutcome::Skipped,
-        },
-        Err(_) => return CaseOutcome::Skipped,
+    let Some(base) = exit_value(IsaProgram::Clockhands(set.clockhands.clone()), limit) else {
+        return CaseOutcome::Skipped;
     };
     let mut prog = set.clockhands.clone();
     let Some(what) = corrupt_clockhands(rng, &mut prog, model) else {
@@ -391,13 +392,9 @@ fn plant_clockhands(
     if !ch_verify::verify_clockhands(&prog, &Options::default()).is_clean() {
         return CaseOutcome::CaughtStatic;
     }
-    match Interpreter::new(prog) {
-        Err(_) => CaseOutcome::CaughtDynamic(what),
-        Ok(mut cpu) => match cpu.run(limit) {
-            Err(_) => CaseOutcome::CaughtDynamic(what),
-            Ok(r) if r.exit_value != base => CaseOutcome::CaughtDynamic(what),
-            Ok(_) => CaseOutcome::Missed(what),
-        },
+    match exit_value(IsaProgram::Clockhands(prog), limit) {
+        Some(v) if v == base => CaseOutcome::Missed(what),
+        _ => CaseOutcome::CaughtDynamic(what),
     }
 }
 
@@ -409,14 +406,8 @@ fn plant_straight(
     limit: u64,
     model: Model,
 ) -> CaseOutcome {
-    use ch_baselines::straight::interp::Interpreter;
-
-    let base = match Interpreter::new(set.straight.clone()) {
-        Ok(mut cpu) => match cpu.run(limit) {
-            Ok(r) => r.exit_value,
-            Err(_) => return CaseOutcome::Skipped,
-        },
-        Err(_) => return CaseOutcome::Skipped,
+    let Some(base) = exit_value(IsaProgram::Straight(set.straight.clone()), limit) else {
+        return CaseOutcome::Skipped;
     };
     let mut prog = set.straight.clone();
     let Some(what) = corrupt_straight(rng, &mut prog, model) else {
@@ -426,13 +417,9 @@ fn plant_straight(
     if !ch_verify::verify_straight(&prog, &Options::default()).is_clean() {
         return CaseOutcome::CaughtStatic;
     }
-    match Interpreter::new(prog) {
-        Err(_) => CaseOutcome::CaughtDynamic(what),
-        Ok(mut cpu) => match cpu.run(limit) {
-            Err(_) => CaseOutcome::CaughtDynamic(what),
-            Ok(r) if r.exit_value != base => CaseOutcome::CaughtDynamic(what),
-            Ok(_) => CaseOutcome::Missed(what),
-        },
+    match exit_value(IsaProgram::Straight(prog), limit) {
+        Some(v) if v == base => CaseOutcome::Missed(what),
+        _ => CaseOutcome::CaughtDynamic(what),
     }
 }
 

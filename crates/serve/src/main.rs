@@ -23,6 +23,7 @@
 
 use ch_bench::remote::{Client, SimRequest, SweepRequest};
 use ch_serve::{Server, Service, ServiceConfig};
+use ch_workloads::Scale;
 use std::time::{Duration, Instant};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -302,7 +303,11 @@ fn timed_sweep(addr: &str, scale: &str) -> (f64, u64) {
 
 fn cmd_bench(opts: &Opts) {
     opts.reject_unknown(&["scale", "workers"]);
-    let scale = opts.get("scale").unwrap_or("small").to_string();
+    let scale_arg = opts.get("scale").unwrap_or("small");
+    let Some(scale) = Scale::from_name(scale_arg) else {
+        eprintln!("unknown scale `{scale_arg}` (test, small or full)");
+        std::process::exit(2);
+    };
     let cfg = ServiceConfig {
         workers: opts.number("workers", ServiceConfig::default().workers as u64) as usize,
         ..ServiceConfig::default()
@@ -313,33 +318,41 @@ fn cmd_bench(opts: &Opts) {
         .spawn()
         .expect("spawn server")
         .to_string();
-    eprintln!("bench: embedded server at {addr}, {workers} worker(s), scale {scale}");
+    eprintln!(
+        "bench: embedded server at {addr}, {workers} worker(s), scale {}",
+        scale.name()
+    );
 
-    let (cold_ms, configs) = timed_sweep(&addr, &scale);
+    let (cold_ms, configs) = timed_sweep(&addr, scale.name());
     eprintln!("bench: cold sweep  {configs} configs in {cold_ms:.1} ms");
-    let (warm_ms, warm_configs) = timed_sweep(&addr, &scale);
+    let (warm_ms, warm_configs) = timed_sweep(&addr, scale.name());
     eprintln!("bench: warm repeat {warm_configs} configs in {warm_ms:.1} ms");
     assert_eq!(configs, warm_configs);
     let stats = connect(&addr).stats().expect("stats");
     let speedup = cold_ms / warm_ms.max(0.001);
 
     let json = format!(
-        "{{\n  \"pr\": {BENCH_PR},\n  \"scale\": \"{scale}\",\n  \"workers\": {workers},\n  \
+        "{{\n  \"pr\": {BENCH_PR},\n  \"scale\": \"{}\",\n  \"workers\": {workers},\n  \
          \"configs\": {configs},\n  \"sim_requests\": {},\n  \"computed\": {},\n  \
          \"dedup_ratio\": {:.4},\n  \"cold_wall_ms\": {cold_ms:.3},\n  \
          \"warm_wall_ms\": {warm_ms:.3},\n  \"warm_speedup\": {speedup:.3},\n  \
          \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3}\n}}\n",
-        stats.sim_requests, stats.computed, stats.dedup_ratio, stats.p50_ms, stats.p99_ms,
+        scale.name(),
+        stats.sim_requests,
+        stats.computed,
+        stats.dedup_ratio,
+        stats.p50_ms,
+        stats.p99_ms,
     );
     let path = format!("BENCH_{BENCH_PR}.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("Serving benchmark snapshot ({path})");
+    println!("{}", ch_bench::snapshot::write_ungated(&path, scale, &json));
     println!(
         "{configs} configs, {workers} workers: cold {:.1} ms, warm {:.1} ms ({speedup:.1}x), \
          dedup ratio {:.2}, p50 {:.1} ms, p99 {:.1} ms",
         cold_ms, warm_ms, stats.dedup_ratio, stats.p50_ms, stats.p99_ms
     );
-    if std::env::var_os("CH_BENCH_SKIP_CHECK").is_none() && speedup < WARM_SPEEDUP_FLOOR {
+    if !ch_bench::snapshot::rebaseline_requested() && speedup < WARM_SPEEDUP_FLOOR {
         eprintln!(
             "warm repeat only {speedup:.1}x faster than cold (floor {WARM_SPEEDUP_FLOOR}x); \
              the serving layer is the bottleneck — set CH_BENCH_SKIP_CHECK=1 to snapshot anyway"

@@ -137,6 +137,7 @@ pub(crate) fn bw_slot(ring: &mut [u64], start: u64, width: u32) -> u64 {
 ///
 /// ```
 /// use ch_common::config::{MachineConfig, WidthClass};
+/// use ch_common::exec::Machine;
 /// use ch_common::IsaKind;
 /// use ch_sim::Simulator;
 /// use clockhands::asm::assemble;
@@ -146,7 +147,7 @@ pub(crate) fn bw_slot(ring: &mut [u64], start: u64, width: u32) -> u64 {
 /// let cfg = MachineConfig::preset(WidthClass::W8, IsaKind::Clockhands);
 /// let mut sim = Simulator::new(cfg);
 /// let mut cpu = Interpreter::new(prog)?;
-/// let counters = sim.run(&mut cpu);
+/// let counters = sim.run(cpu.records());
 /// assert!(counters.committed > 0 && counters.cycles > 0);
 /// // Top-down stall accounting is always on and conserves slots:
 /// assert!(counters.slots_conserved(sim.config().commit_width));

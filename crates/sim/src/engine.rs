@@ -452,6 +452,7 @@ impl BranchProfile {
 ///
 /// ```
 /// use ch_common::config::{MachineConfig, WidthClass};
+/// use ch_common::exec::Machine;
 /// use ch_common::IsaKind;
 /// use ch_sim::{run_fast, SoaTrace};
 /// use clockhands::asm::assemble;
@@ -989,6 +990,7 @@ mod tests {
     use super::*;
     use crate::Simulator;
     use ch_common::config::WidthClass;
+    use ch_common::exec::Machine;
 
     fn workload() -> Vec<DynInst> {
         let prog = clockhands::asm::assemble(

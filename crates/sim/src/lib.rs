@@ -77,14 +77,18 @@ where
 mod tests {
     use super::*;
     use ch_common::config::WidthClass;
+    use ch_common::exec::Machine;
     use ch_common::IsaKind;
     use clockhands::asm::assemble;
     use clockhands::interp::Interpreter;
 
     fn run_ch(src: &str, width: WidthClass) -> Counters {
         let prog = assemble(src).expect("assembles");
-        let cpu = Interpreter::new(prog).expect("valid");
-        run_reference(MachineConfig::preset(width, IsaKind::Clockhands), cpu)
+        let mut cpu = Interpreter::new(prog).expect("valid");
+        run_reference(
+            MachineConfig::preset(width, IsaKind::Clockhands),
+            cpu.records(),
+        )
     }
 
     #[test]
@@ -173,7 +177,7 @@ mod tests {
         let prog = rv_assemble("li a0, 200\n.l:\naddi a0, a0, -1\nbne a0, zero, .l\nhalt a0")
             .expect("assembles");
         let mut cpu = RvInterp::new(prog).expect("valid");
-        let c = Simulator::new(rv_cfg).run(&mut cpu);
+        let c = Simulator::new(rv_cfg).run(cpu.records());
         assert_eq!(c.committed, 401);
         assert!(
             c.rmt_reads > 0 && c.dcl_comparisons > 0,

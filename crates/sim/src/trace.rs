@@ -123,6 +123,7 @@ pub struct TraceRecord {
 ///
 /// ```
 /// use ch_common::config::{MachineConfig, WidthClass};
+/// use ch_common::exec::Machine;
 /// use ch_common::IsaKind;
 /// use ch_sim::{Simulator, TraceBuffer};
 /// use clockhands::asm::assemble;
@@ -131,7 +132,7 @@ pub struct TraceRecord {
 /// let prog = assemble("li t, 10\n.l:\naddi t, t[0], -1\nbne t[0], zero, .l\nhalt t[0]")?;
 /// let cfg = MachineConfig::preset(WidthClass::W8, IsaKind::Clockhands);
 /// let mut sim = Simulator::with_tracer(cfg, TraceBuffer::new());
-/// let counters = sim.run(&mut Interpreter::new(prog)?);
+/// let counters = sim.run(Interpreter::new(prog)?.records());
 /// let trace = sim.into_tracer();
 /// assert_eq!(trace.records().len() as u64, counters.committed);
 /// assert!(trace.to_kanata().starts_with("Kanata\t0004"));
@@ -267,6 +268,7 @@ pub struct CommitEntry {
 ///
 /// ```
 /// use ch_common::config::{MachineConfig, WidthClass};
+/// use ch_common::exec::Machine;
 /// use ch_common::IsaKind;
 /// use ch_sim::{CommitLog, Simulator};
 /// use clockhands::asm::assemble;
@@ -275,7 +277,7 @@ pub struct CommitEntry {
 /// let prog = assemble("li t, 3\nhalt t[0]")?;
 /// let cfg = MachineConfig::preset(WidthClass::W8, IsaKind::Clockhands);
 /// let mut sim = Simulator::with_tracer(cfg, CommitLog::new());
-/// let counters = sim.run(&mut Interpreter::new(prog)?);
+/// let counters = sim.run(Interpreter::new(prog)?.records());
 /// let log = sim.into_tracer();
 /// assert_eq!(log.entries().len() as u64, counters.committed);
 /// assert!(log.is_in_commit_order());

@@ -3,6 +3,7 @@
 //! stalls.
 
 use ch_common::config::{MachineConfig, WidthClass};
+use ch_common::exec::Machine;
 use ch_common::IsaKind;
 use ch_sim::Simulator;
 use clockhands::asm::assemble;
@@ -129,6 +130,7 @@ fn straight_ring_counts_every_instruction() {
     )
     .expect("assembles");
     let mut cpu = StInterp::new(prog).expect("valid");
-    let c = Simulator::new(MachineConfig::preset(WidthClass::W4, IsaKind::Straight)).run(&mut cpu);
+    let c =
+        Simulator::new(MachineConfig::preset(WidthClass::W4, IsaKind::Straight)).run(cpu.records());
     assert_eq!(c.rp_updates, c.committed);
 }

@@ -5,6 +5,7 @@
 //! byte-identical with tracing on and off).
 
 use ch_common::config::{MachineConfig, WidthClass};
+use ch_common::exec::Machine;
 use ch_common::stats::StallReason;
 use ch_common::IsaKind;
 use ch_sim::{Simulator, TraceBuffer};

@@ -97,16 +97,11 @@ impl Scale {
     }
 }
 
-/// Architectural outcome of functionally executing a workload:
-/// the checksum it halted with and how many instructions committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// The checksum the kernel halted with (already validated against
-    /// [`Workload::reference`] by the APIs that return this).
-    pub exit_value: u64,
-    /// Dynamic instruction count.
-    pub committed: u64,
-}
+/// Architectural outcome of functionally executing a workload: the
+/// checksum it halted with (already validated against
+/// [`Workload::reference`] by the APIs that return this) and how many
+/// instructions committed.
+pub use ch_common::exec::RunResult as RunOutcome;
 
 impl Workload {
     /// All workloads in the paper's figure order.
@@ -247,26 +242,10 @@ impl Workload {
         let prog = self
             .compile_for(scale, isa)
             .map_err(|e| fail(Stage::Compile, e.to_string()))?;
-        // The three interpreters share an interface but not a type.
-        macro_rules! interpret {
-            ($interp:ty, $prog:expr) => {{
-                let mut cpu =
-                    <$interp>::new($prog).map_err(|e| fail(Stage::Validate, e.to_string()))?;
-                let ran = if keep_trace {
-                    cpu.trace(limit)
-                        .map(|(t, r)| (t, r.exit_value, r.committed))
-                } else {
-                    cpu.run(limit)
-                        .map(|r| (Vec::new(), r.exit_value, r.committed))
-                };
-                ran.map_err(|e| fail(Stage::Execute, e.to_string()))?
-            }};
-        }
-        let (trace, exit_value, committed) = match prog {
-            IsaProgram::Riscv(p) => interpret!(ch_baselines::riscv::interp::Interpreter, p),
-            IsaProgram::Straight(p) => interpret!(ch_baselines::straight::interp::Interpreter, p),
-            IsaProgram::Clockhands(p) => interpret!(clockhands::interp::Interpreter, p),
-        };
+        let run = prog
+            .execute(limit, keep_trace)
+            .map_err(|e| fail(e.stage(), e.to_string()))?;
+        let exit_value = run.result.exit_value;
         let expect = self.reference(scale);
         if exit_value != expect {
             return Err(fail(
@@ -274,13 +253,7 @@ impl Workload {
                 format!("checksum {exit_value:#x} != reference {expect:#x}"),
             ));
         }
-        Ok((
-            trace,
-            RunOutcome {
-                exit_value,
-                committed,
-            },
-        ))
+        Ok((run.trace, run.result))
     }
 
     /// Runs the kernel on all three ISAs, validating every checksum.

@@ -20,17 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let set = w.compile(Scale::Test)?;
         let expect = w.reference(Scale::Test);
 
-        let mut rv = clockhands_repro::baselines::riscv::interp::Interpreter::new(set.riscv)?;
-        let (rt, rres) = rv.trace(1_000_000_000)?;
-        assert_eq!(rres.exit_value, expect, "riscv checksum");
-
-        let mut st = clockhands_repro::baselines::straight::interp::Interpreter::new(set.straight)?;
-        let (stt, sres) = st.trace(1_000_000_000)?;
-        assert_eq!(sres.exit_value, expect, "straight checksum");
-
-        let mut ch = clockhands_repro::core::interp::Interpreter::new(set.clockhands)?;
-        let (ct, cres) = ch.trace(1_000_000_000)?;
-        assert_eq!(cres.exit_value, expect, "clockhands checksum");
+        let [rt, stt, ct] = IsaKind::ALL.map(|isa| {
+            let run = set
+                .program(isa)
+                .execute(1_000_000_000, true)
+                .unwrap_or_else(|e| panic!("{}: {e}", isa.name()));
+            assert_eq!(run.result.exit_value, expect, "{} checksum", isa.name());
+            run.trace
+        });
 
         let moves = |t: &[clockhands_repro::common::DynInst]| {
             t.iter().filter(|d| d.class == OpClass::Move).count()
@@ -44,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ct.len() as f64 / rt.len() as f64,
             moves(&ct),
         );
-        let _ = IsaKind::ALL;
     }
     println!("\nAll three ISAs computed identical checksums on every kernel.");
     Ok(())

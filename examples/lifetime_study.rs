@@ -8,6 +8,7 @@
 //! ```
 
 use clockhands_repro::analysis::{hands_sweep, lifetime_ccdf, lifetimes_of, straight_increase};
+use clockhands_repro::common::exec::Machine;
 use clockhands_repro::common::IsaKind;
 use clockhands_repro::workloads::{Scale, Workload};
 

@@ -27,26 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for width in WidthClass::ALL {
         for isa in IsaKind::ALL {
             let cfg = MachineConfig::preset(width, isa);
-            let mut sim = Simulator::new(cfg.clone());
-            let c = match isa {
-                IsaKind::Riscv => {
-                    let mut cpu = clockhands_repro::baselines::riscv::interp::Interpreter::new(
-                        set.riscv.clone(),
-                    )?;
-                    sim.run(&mut cpu)
-                }
-                IsaKind::Straight => {
-                    let mut cpu = clockhands_repro::baselines::straight::interp::Interpreter::new(
-                        set.straight.clone(),
-                    )?;
-                    sim.run(&mut cpu)
-                }
-                IsaKind::Clockhands => {
-                    let mut cpu =
-                        clockhands_repro::core::interp::Interpreter::new(set.clockhands.clone())?;
-                    sim.run(&mut cpu)
-                }
-            };
+            let run = set.program(isa).execute(1_000_000_000, true)?;
+            let c = Simulator::new(cfg.clone()).run(&run.trace);
             let e = energy(&cfg, &c);
             println!(
                 "{:<6} {:<12} {:>8.3} {:>8} {:>9.2}% {:>10} {:>12.2} {:>9.1}%",

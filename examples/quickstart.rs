@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use clockhands_repro::common::exec::Machine;
 use clockhands_repro::compiler;
 use clockhands_repro::core::asm::{assemble, disassemble};
 use clockhands_repro::core::hand::Hand;

@@ -22,6 +22,7 @@
 //! ## Quick start
 //!
 //! ```
+//! use clockhands_repro::common::exec::Machine;
 //! use clockhands_repro::core::asm::assemble;
 //! use clockhands_repro::core::interp::Interpreter;
 //!

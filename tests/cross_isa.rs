@@ -2,10 +2,22 @@
 //! identical results on all three ISAs (the compiler's three register
 //! assignment strategies may not change semantics).
 
-use ch_baselines::{riscv, straight};
+use ch_common::IsaKind;
 use ch_compiler::compile;
-use clockhands::interp::Interpreter as ChInterp;
 use proptest::prelude::*;
+
+/// The exit values of `src` on RISC-V, STRAIGHT and Clockhands, in
+/// that order.
+fn exit_values(src: &str, limit: u64) -> [u64; 3] {
+    let set = compile(src).expect("compiles");
+    IsaKind::ALL.map(|isa| {
+        set.program(isa)
+            .execute(limit, false)
+            .unwrap_or_else(|e| panic!("{} runs: {e}", isa.name()))
+            .result
+            .exit_value
+    })
+}
 
 /// A tiny generator of well-formed Kern programs over four int variables.
 fn arb_program() -> impl Strategy<Value = String> {
@@ -44,21 +56,9 @@ proptest! {
 
     #[test]
     fn three_backends_agree(src in arb_program()) {
-        let set = compile(&src).expect("generated programs compile");
-        let r = riscv::interp::Interpreter::new(set.riscv)
-            .unwrap()
-            .run(50_000_000)
-            .expect("riscv runs");
-        let s = straight::interp::Interpreter::new(set.straight)
-            .unwrap()
-            .run(50_000_000)
-            .expect("straight runs");
-        let c = ChInterp::new(set.clockhands)
-            .unwrap()
-            .run(50_000_000)
-            .expect("clockhands runs");
-        prop_assert_eq!(r.exit_value, s.exit_value, "RISC vs STRAIGHT");
-        prop_assert_eq!(r.exit_value, c.exit_value, "RISC vs Clockhands");
+        let [r, s, c] = exit_values(&src, 50_000_000);
+        prop_assert_eq!(r, s, "RISC vs STRAIGHT");
+        prop_assert_eq!(r, c, "RISC vs Clockhands");
     }
 }
 
@@ -82,19 +82,7 @@ fn nested_calls_and_loops_agree() {
             acc = helper(5, 4) + int(f) + buf[63];
             return acc & 0xffffff;
         }";
-    let set = compile(src).expect("compiles");
-    let r = riscv::interp::Interpreter::new(set.riscv)
-        .unwrap()
-        .run(80_000_000)
-        .unwrap();
-    let s = straight::interp::Interpreter::new(set.straight)
-        .unwrap()
-        .run(80_000_000)
-        .unwrap();
-    let c = ChInterp::new(set.clockhands)
-        .unwrap()
-        .run(80_000_000)
-        .unwrap();
-    assert_eq!(r.exit_value, s.exit_value);
-    assert_eq!(r.exit_value, c.exit_value);
+    let [r, s, c] = exit_values(src, 80_000_000);
+    assert_eq!(r, s);
+    assert_eq!(r, c);
 }

@@ -9,34 +9,15 @@ use ch_energy::energy;
 use ch_sim::Simulator;
 use ch_workloads::{Scale, Workload};
 
+/// Instruction budget generous enough for Test scale on every ISA.
+const LIMIT: u64 = 80_000_000;
+
 fn sim_one(w: Workload, isa: IsaKind, width: WidthClass) -> ch_common::Counters {
-    let set = w.compile(Scale::Test).expect("compiles");
-    let cfg = MachineConfig::preset(width, isa);
-    let mut sim = Simulator::new(cfg);
-    match isa {
-        IsaKind::Riscv => {
-            let mut cpu = ch_baselines::riscv::interp::Interpreter::new(set.riscv).expect("valid");
-            let c = sim.run(&mut cpu);
-            assert!(cpu.error().is_none());
-            assert_eq!(cpu.exit_value(), Some(w.reference(Scale::Test)));
-            c
-        }
-        IsaKind::Straight => {
-            let mut cpu =
-                ch_baselines::straight::interp::Interpreter::new(set.straight).expect("valid");
-            let c = sim.run(&mut cpu);
-            assert!(cpu.error().is_none());
-            assert_eq!(cpu.exit_value(), Some(w.reference(Scale::Test)));
-            c
-        }
-        IsaKind::Clockhands => {
-            let mut cpu = clockhands::interp::Interpreter::new(set.clockhands).expect("valid");
-            let c = sim.run(&mut cpu);
-            assert!(cpu.error().is_none());
-            assert_eq!(cpu.exit_value(), Some(w.reference(Scale::Test)));
-            c
-        }
-    }
+    // trace_on fails unless the run halts with the reference checksum.
+    let (trace, _) = w
+        .trace_on(Scale::Test, isa, LIMIT)
+        .unwrap_or_else(|e| panic!("{e}"));
+    Simulator::new(MachineConfig::preset(width, isa)).run(&trace)
 }
 
 #[test]

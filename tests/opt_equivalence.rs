@@ -15,6 +15,7 @@
 //! meaning fails here on a reproducible seed, before the differential
 //! fuzzer has to find it.
 
+use ch_common::exec::Machine;
 use ch_compiler::backend::opt::OptConfig;
 use ch_compiler::backend::{clockhands as ch_backend, straight as st_backend};
 use ch_fuzz::{gen_program, render};

@@ -6,11 +6,9 @@
 //! program for every ISA, a byte-identical committed trace, and
 //! compile errors that concern only the ISA whose program failed.
 
-use ch_common::inst::DynInst;
 use ch_common::IsaKind;
 use ch_compiler::{
-    build_ir, compile, compile_isa, compile_verified, verify_program, CompileError, CompiledSet,
-    IsaProgram,
+    build_ir, compile, compile_isa, compile_verified, verify_program, CompileError, IsaProgram,
 };
 use ch_fuzz::planted::{corrupt_clockhands, corrupt_straight};
 use ch_fuzz::Model;
@@ -24,42 +22,6 @@ const LIMIT: u64 = 80_000_000;
 const SEED: u64 = 0x15a_c0de;
 const CASES: u32 = 200;
 
-/// The field of `set` that `compile_isa` must reproduce for `isa`.
-fn field(set: &CompiledSet, isa: IsaKind) -> IsaProgram {
-    match isa {
-        IsaKind::Riscv => IsaProgram::Riscv(set.riscv.clone()),
-        IsaKind::Straight => IsaProgram::Straight(set.straight.clone()),
-        IsaKind::Clockhands => IsaProgram::Clockhands(set.clockhands.clone()),
-    }
-}
-
-/// Interprets one program to completion, keeping the committed trace.
-fn interpret(prog: IsaProgram) -> (Vec<DynInst>, u64, u64) {
-    match prog {
-        IsaProgram::Riscv(p) => {
-            let (t, r) = ch_baselines::riscv::interp::Interpreter::new(p)
-                .unwrap()
-                .trace(LIMIT)
-                .unwrap();
-            (t, r.exit_value, r.committed)
-        }
-        IsaProgram::Straight(p) => {
-            let (t, r) = ch_baselines::straight::interp::Interpreter::new(p)
-                .unwrap()
-                .trace(LIMIT)
-                .unwrap();
-            (t, r.exit_value, r.committed)
-        }
-        IsaProgram::Clockhands(p) => {
-            let (t, r) = clockhands::interp::Interpreter::new(p)
-                .unwrap()
-                .trace(LIMIT)
-                .unwrap();
-            (t, r.exit_value, r.committed)
-        }
-    }
-}
-
 #[test]
 fn workload_programs_and_traces_match_the_full_set() {
     for w in Workload::ALL {
@@ -68,7 +30,7 @@ fn workload_programs_and_traces_match_the_full_set() {
         let module = build_ir(&src).unwrap();
         for isa in IsaKind::ALL {
             let ctx = format!("{w} {}", isa.name());
-            let want = field(&set, isa);
+            let want = set.program(isa);
             let one = compile_isa(&module, isa, true).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(one, want, "{ctx}: compile_isa differs from compile");
             assert_eq!(
@@ -78,11 +40,11 @@ fn workload_programs_and_traces_match_the_full_set() {
             );
 
             let (trace, outcome) = w.trace_on(Scale::Test, isa, LIMIT).unwrap();
-            let (want_trace, exit_value, committed) = interpret(want);
-            assert_eq!(outcome.exit_value, exit_value, "{ctx}");
-            assert_eq!(outcome.committed, committed, "{ctx}");
+            let want = want.execute(LIMIT, true).unwrap();
+            assert_eq!(outcome.exit_value, want.result.exit_value, "{ctx}");
+            assert_eq!(outcome.committed, want.result.committed, "{ctx}");
             assert!(
-                trace == want_trace,
+                trace == want.trace,
                 "{ctx}: trace_on differs from interpreting compile_verified's program"
             );
         }
@@ -118,7 +80,7 @@ fn generated_programs_compile_identically_per_isa() {
                 for (isa, one) in IsaKind::ALL.into_iter().zip(&one) {
                     assert_eq!(
                         one.as_ref().ok(),
-                        Some(&field(set, isa)),
+                        Some(&set.program(isa)),
                         "case {i} {isa:?}"
                     );
                     compared += 1;
@@ -139,7 +101,7 @@ fn generated_programs_compile_identically_per_isa() {
                 let verified = compile_isa(&module, isa, true);
                 assert_eq!(
                     verified.is_ok(),
-                    verify_program(&field(set, isa)).is_ok(),
+                    verify_program(&set.program(isa)).is_ok(),
                     "case {i} {isa:?}"
                 );
             }
@@ -193,7 +155,7 @@ fn per_isa_verify_errors_name_the_failing_isa() {
         // The other ISAs' programs are untouched, and verify clean.
         for other in IsaKind::ALL.into_iter().filter(|&k| k != isa) {
             assert_eq!(
-                verify_program(&field(&set, other)),
+                verify_program(&set.program(other)),
                 Ok(()),
                 "case {i} {other:?}"
             );
@@ -223,7 +185,7 @@ fn a_backend_failure_is_reported_for_its_own_isa_only() {
     assert_eq!(compile_isa(&module, IsaKind::Riscv, true), Err(err));
     for isa in [IsaKind::Straight, IsaKind::Clockhands] {
         let prog = compile_isa(&module, isa, true).unwrap_or_else(|e| panic!("{isa:?}: {e}"));
-        let (_, exit_value, _) = interpret(prog);
-        assert_eq!(exit_value, 45, "{isa:?}");
+        let run = prog.execute(LIMIT, false).unwrap();
+        assert_eq!(run.result.exit_value, 45, "{isa:?}");
     }
 }
