@@ -1,213 +1,212 @@
 //! Textual assembler / disassembler for the RISC baseline.
 //!
-//! Accepts `x0..x31` / `f0..f31` and the usual ABI names (`zero`, `ra`,
-//! `sp`, `a0-a7`, `t0-t6`, `s0-s11`, `fa0..`, `ft0..`, `fs0..`).
+//! Accepts `x0..x31` / `f0..f31` and the standard ABI names (`zero`,
+//! `ra`, `sp`, `a0-a7`, `t0-t6`, `s0-s11`, `fa0-fa7`, `ft0-ft11`,
+//! `fs0-fs11`), plus `fld`/`fsd` for `ld`/`sd`. Comments, labels,
+//! `.data`, immediates, `off(base)` and branch targets follow the line
+//! syntax shared by all three ISAs ([`ch_common::asm`]).
 
 use super::{Reg, RvInst, RvProgram};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
-use std::collections::BTreeMap;
+use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
+use ch_common::exec::{LoadOp, StoreOp};
+use std::ops::RangeInclusive;
 
 pub use ch_common::error::AsmError;
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, AsmError> {
-    Err(AsmError::new(line, message))
-}
+/// Integer ABI names, indexed by register number (`fp` aliases `s0`).
+const X_ABI: [&str; 32] = [
+    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+    "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+    "t5", "t6",
+];
+
+/// FP ABI names: prefix, numbers, and the `f` register of the first.
+const F_ABI: [(&str, RangeInclusive<u8>, u8); 5] = [
+    ("ft", 0..=7, 0),
+    ("fs", 0..=1, 8),
+    ("fa", 0..=7, 10),
+    ("fs", 2..=11, 18),
+    ("ft", 8..=11, 28),
+];
 
 /// Parses a register name.
 pub fn parse_reg(tok: &str) -> Option<Reg> {
-    let abi = [
-        ("zero", 0),
-        ("ra", 1),
-        ("sp", 2),
-        ("gp", 3),
-        ("tp", 4),
-        ("t0", 5),
-        ("t1", 6),
-        ("t2", 7),
-        ("s0", 8),
-        ("fp", 8),
-        ("s1", 9),
-        ("a0", 10),
-        ("a1", 11),
-        ("a2", 12),
-        ("a3", 13),
-        ("a4", 14),
-        ("a5", 15),
-        ("a6", 16),
-        ("a7", 17),
-        ("s2", 18),
-        ("s3", 19),
-        ("s4", 20),
-        ("s5", 21),
-        ("s6", 22),
-        ("s7", 23),
-        ("s8", 24),
-        ("s9", 25),
-        ("s10", 26),
-        ("s11", 27),
-        ("t3", 28),
-        ("t4", 29),
-        ("t5", 30),
-        ("t6", 31),
-    ];
-    for (name, n) in abi {
-        if tok == name {
-            return Some(Reg(n));
+    let num = |s: &str| -> Option<u8> {
+        if s.bytes().all(|b| b.is_ascii_digit()) {
+            s.parse().ok()
+        } else {
+            None
         }
+    };
+    if tok == "fp" {
+        return Some(Reg(8));
     }
-    if let Some(n) = tok.strip_prefix('x').and_then(|s| s.parse::<u8>().ok()) {
-        if n < 32 {
-            return Some(Reg(n));
-        }
+    if let Some(n) = X_ABI.iter().position(|&name| name == tok) {
+        return Some(Reg(n as u8));
     }
-    for (prefix, base) in [("ft", 32u8), ("fa", 42), ("fs", 50)] {
-        if let Some(n) = tok.strip_prefix(prefix).and_then(|s| s.parse::<u8>().ok()) {
-            let idx = base + n;
-            if idx < 64 {
-                return Some(Reg(idx));
+    if let Some(n) = tok.strip_prefix('x').and_then(num).filter(|&n| n < 32) {
+        return Some(Reg(n));
+    }
+    for (prefix, numbers, first) in F_ABI {
+        if let Some(n) = tok.strip_prefix(prefix).and_then(num) {
+            if numbers.contains(&n) {
+                return Some(Reg(32 + first + n - numbers.start()));
             }
         }
     }
-    if let Some(n) = tok.strip_prefix('f').and_then(|s| s.parse::<u8>().ok()) {
-        if n < 32 {
-            return Some(Reg(32 + n));
+    let n = tok.strip_prefix('f').and_then(num).filter(|&n| n < 32)?;
+    Some(Reg(32 + n))
+}
+
+fn reg(line: &Line<'_>, tok: &str) -> Result<Reg, AsmError> {
+    parse_reg(tok).ok_or_else(|| line.error(format!("unknown register `{tok}`")))
+}
+
+/// RISC operands: register names everywhere.
+struct Riscv;
+
+impl Syntax for Riscv {
+    type Inst = RvInst;
+
+    fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<RvInst, AsmError> {
+        let reg = |tok: &str| reg(line, tok);
+        let m = match m {
+            Mnemonic::Other("fld") => Mnemonic::Load(LoadOp::Ld),
+            Mnemonic::Other("fsd") => Mnemonic::Store(StoreOp::Sd),
+            m => m,
+        };
+        Ok(match m {
+            Mnemonic::Alu(op) => {
+                let [rd, rs1, rs2] = line.operands()?;
+                RvInst::Alu {
+                    op,
+                    rd: reg(rd)?,
+                    rs1: reg(rs1)?,
+                    rs2: reg(rs2)?,
+                }
+            }
+            Mnemonic::AluImm(op) => {
+                let [rd, rs1, imm] = line.operands()?;
+                RvInst::AluImm {
+                    op,
+                    rd: reg(rd)?,
+                    rs1: reg(rs1)?,
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Load(op) => {
+                let [rd, mem] = line.operands()?;
+                let (offset, base) = line.mem(mem, reg)?;
+                RvInst::Load {
+                    op,
+                    rd: reg(rd)?,
+                    base,
+                    offset,
+                }
+            }
+            Mnemonic::Store(op) => {
+                let [rs, mem] = line.operands()?;
+                let (offset, base) = line.mem(mem, reg)?;
+                RvInst::Store {
+                    op,
+                    rs: reg(rs)?,
+                    base,
+                    offset,
+                }
+            }
+            Mnemonic::Branch(cond) => {
+                let [rs1, rs2, target] = line.operands()?;
+                RvInst::Branch {
+                    cond,
+                    rs1: reg(rs1)?,
+                    rs2: reg(rs2)?,
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("li") => {
+                let [rd, imm] = line.operands()?;
+                RvInst::Li {
+                    rd: reg(rd)?,
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Other("mv") => {
+                let [rd, rs] = line.operands()?;
+                RvInst::Mv {
+                    rd: reg(rd)?,
+                    rs: reg(rs)?,
+                }
+            }
+            Mnemonic::Other("j") => {
+                let [target] = line.operands()?;
+                RvInst::Jump {
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("call") => {
+                let [rd, target] = line.operands()?;
+                RvInst::Call {
+                    rd: reg(rd)?,
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("jalr") => {
+                let [rd, rs] = line.operands()?;
+                RvInst::CallReg {
+                    rd: reg(rd)?,
+                    rs: reg(rs)?,
+                }
+            }
+            Mnemonic::Other("jr" | "ret") => {
+                let [rs] = line.operands()?;
+                RvInst::JumpReg { rs: reg(rs)? }
+            }
+            Mnemonic::Other("nop") => {
+                let [] = line.operands()?;
+                RvInst::Nop
+            }
+            Mnemonic::Other("halt") => {
+                let [rs] = line.operands()?;
+                RvInst::Halt { rs: reg(rs)? }
+            }
+            _ => return line.unknown(),
+        })
+    }
+
+    fn format(inst: &RvInst, targets: &Targets<'_>) -> String {
+        match *inst {
+            RvInst::Alu { op, rd, rs1, rs2 } => format!("{} {rd}, {rs1}, {rs2}", op.mnemonic()),
+            RvInst::AluImm { op, rd, rs1, imm } => {
+                format!("{} {rd}, {rs1}, {imm}", Mnemonic::AluImm(op))
+            }
+            RvInst::Li { rd, imm } => format!("li {rd}, {imm}"),
+            RvInst::Load {
+                op,
+                rd,
+                base,
+                offset,
+            } => format!("{} {rd}, {offset}({base})", op.mnemonic()),
+            RvInst::Store {
+                op,
+                rs,
+                base,
+                offset,
+            } => format!("{} {rs}, {offset}({base})", op.mnemonic()),
+            RvInst::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => format!("{} {rs1}, {rs2}, {}", cond.mnemonic(), targets.name(target)),
+            RvInst::Jump { target } => format!("j {}", targets.name(target)),
+            RvInst::Call { rd, target } => format!("call {rd}, {}", targets.name(target)),
+            RvInst::CallReg { rd, rs } => format!("jalr {rd}, {rs}"),
+            RvInst::JumpReg { rs } => format!("jr {rs}"),
+            RvInst::Mv { rd, rs } => format!("mv {rd}, {rs}"),
+            RvInst::Nop => "nop".to_string(),
+            RvInst::Halt { rs } => format!("halt {rs}"),
         }
     }
-    None
-}
-
-fn reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
-    parse_reg(tok).ok_or_else(|| AsmError {
-        line,
-        message: format!("unknown register `{tok}`"),
-    })
-}
-
-fn parse_imm<T: TryFrom<i64>>(tok: &str, line: usize) -> Result<T, AsmError> {
-    let v = if let Some(hex) = tok.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16).map_err(|_| ())
-    } else if let Some(hex) = tok.strip_prefix("-0x") {
-        i64::from_str_radix(hex, 16).map(|v| -v).map_err(|_| ())
-    } else {
-        tok.parse::<i64>().map_err(|_| ())
-    };
-    match v.ok().and_then(|v| T::try_from(v).ok()) {
-        Some(v) => Ok(v),
-        None => err(line, format!("bad immediate `{tok}`")),
-    }
-}
-
-fn parse_mem(tok: &str, line: usize) -> Result<(i32, Reg), AsmError> {
-    let open = tok.find('(').ok_or_else(|| AsmError {
-        line,
-        message: format!("expected off(base), got `{tok}`"),
-    })?;
-    if !tok.ends_with(')') {
-        return err(line, format!("expected off(base), got `{tok}`"));
-    }
-    let off = if tok[..open].is_empty() {
-        0
-    } else {
-        parse_imm(&tok[..open], line)?
-    };
-    Ok((off, reg(&tok[open + 1..tok.len() - 1], line)?))
-}
-
-fn alu_op(m: &str) -> Option<AluOp> {
-    use AluOp::*;
-    Some(match m {
-        "add" => Add,
-        "sub" => Sub,
-        "sll" => Sll,
-        "slt" => Slt,
-        "sltu" => Sltu,
-        "xor" => Xor,
-        "srl" => Srl,
-        "sra" => Sra,
-        "or" => Or,
-        "and" => And,
-        "addw" => Addw,
-        "subw" => Subw,
-        "sllw" => Sllw,
-        "srlw" => Srlw,
-        "sraw" => Sraw,
-        "mul" => Mul,
-        "div" => Div,
-        "divu" => Divu,
-        "rem" => Rem,
-        "remu" => Remu,
-        "mulw" => Mulw,
-        "divw" => Divw,
-        "remw" => Remw,
-        "fadd" => Fadd,
-        "fsub" => Fsub,
-        "fmul" => Fmul,
-        "fdiv" => Fdiv,
-        "fmin" => Fmin,
-        "fmax" => Fmax,
-        "feq" => Feq,
-        "flt" => Flt,
-        "fle" => Fle,
-        "fcvt.d.l" => Fcvtdl,
-        "fcvt.l.d" => Fcvtld,
-        "fmv.d.x" => Fmvdx,
-        _ => return None,
-    })
-}
-
-fn alu_imm_op(m: &str) -> Option<AluOp> {
-    use AluOp::*;
-    Some(match m {
-        "addi" => Add,
-        "slti" => Slt,
-        "sltiu" => Sltu,
-        "xori" => Xor,
-        "ori" => Or,
-        "andi" => And,
-        "slli" => Sll,
-        "srli" => Srl,
-        "srai" => Sra,
-        "addiw" => Addw,
-        "slliw" => Sllw,
-        "srliw" => Srlw,
-        "sraiw" => Sraw,
-        _ => return None,
-    })
-}
-
-fn load_op(m: &str) -> Option<LoadOp> {
-    Some(match m {
-        "lb" => LoadOp::Lb,
-        "lh" => LoadOp::Lh,
-        "lw" => LoadOp::Lw,
-        "ld" | "fld" => LoadOp::Ld,
-        "lbu" => LoadOp::Lbu,
-        "lhu" => LoadOp::Lhu,
-        "lwu" => LoadOp::Lwu,
-        _ => return None,
-    })
-}
-
-fn store_op(m: &str) -> Option<StoreOp> {
-    Some(match m {
-        "sb" => StoreOp::Sb,
-        "sh" => StoreOp::Sh,
-        "sw" => StoreOp::Sw,
-        "sd" | "fsd" => StoreOp::Sd,
-        _ => return None,
-    })
-}
-
-fn br_cond(m: &str) -> Option<BrCond> {
-    Some(match m {
-        "beq" => BrCond::Eq,
-        "bne" => BrCond::Ne,
-        "blt" => BrCond::Lt,
-        "bge" => BrCond::Ge,
-        "bltu" => BrCond::Ltu,
-        "bgeu" => BrCond::Geu,
-        _ => return None,
-    })
 }
 
 /// Assembles RISC source text.
@@ -226,271 +225,19 @@ fn br_cond(m: &str) -> Option<BrCond> {
 /// # Ok::<(), ch_baselines::riscv::asm::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<RvProgram, AsmError> {
-    let mut prog = RvProgram::new();
-    let mut labels: BTreeMap<String, u32> = BTreeMap::new();
-    let mut pending: Vec<(usize, usize, String)> = Vec::new();
-
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
-        let mut text = raw;
-        if let Some(i) = text.find('#') {
-            text = &text[..i];
-        }
-        let mut text = text.trim();
-        while let Some(colon) = text.find(':') {
-            let (label, rest) = text.split_at(colon);
-            let label = label.trim();
-            if label.is_empty() || label.contains(char::is_whitespace) {
-                break;
-            }
-            if labels
-                .insert(label.to_string(), prog.insts.len() as u32)
-                .is_some()
-            {
-                return err(line, format!("duplicate label `{label}`"));
-            }
-            text = rest[1..].trim();
-        }
-        if text.is_empty() {
-            continue;
-        }
-        if let Some(rest) = text.strip_prefix(".data") {
-            let toks: Vec<&str> = rest.split_whitespace().collect();
-            if toks.is_empty() {
-                return err(line, ".data needs an address");
-            }
-            let addr: i64 = parse_imm(toks[0], line)?;
-            let mut bytes = Vec::new();
-            for t in &toks[1..] {
-                let v: i64 = parse_imm(t, line)?;
-                bytes.extend_from_slice(&(v as u64).to_le_bytes());
-            }
-            prog.data.push((addr as u64, bytes));
-            continue;
-        }
-        let (mnem, ops_text) = match text.find(char::is_whitespace) {
-            Some(i) => (&text[..i], text[i..].trim()),
-            None => (text, ""),
-        };
-        let ops: Vec<String> = if ops_text.is_empty() {
-            Vec::new()
-        } else {
-            ops_text.split(',').map(|s| s.trim().to_string()).collect()
-        };
-        let need = |n: usize| -> Result<(), AsmError> {
-            if ops.len() == n {
-                Ok(())
-            } else {
-                err(
-                    line,
-                    format!("`{mnem}` expects {n} operands, got {}", ops.len()),
-                )
-            }
-        };
-
-        let mut label_ref: Option<String> = None;
-        let inst = if let Some(op) = alu_op(mnem) {
-            need(3)?;
-            RvInst::Alu {
-                op,
-                rd: reg(&ops[0], line)?,
-                rs1: reg(&ops[1], line)?,
-                rs2: reg(&ops[2], line)?,
-            }
-        } else if let Some(op) = alu_imm_op(mnem) {
-            need(3)?;
-            RvInst::AluImm {
-                op,
-                rd: reg(&ops[0], line)?,
-                rs1: reg(&ops[1], line)?,
-                imm: parse_imm(&ops[2], line)?,
-            }
-        } else if let Some(op) = load_op(mnem) {
-            need(2)?;
-            let (offset, base) = parse_mem(&ops[1], line)?;
-            RvInst::Load {
-                op,
-                rd: reg(&ops[0], line)?,
-                base,
-                offset,
-            }
-        } else if let Some(op) = store_op(mnem) {
-            need(2)?;
-            let (offset, base) = parse_mem(&ops[1], line)?;
-            RvInst::Store {
-                op,
-                rs: reg(&ops[0], line)?,
-                base,
-                offset,
-            }
-        } else if let Some(cond) = br_cond(mnem) {
-            need(3)?;
-            label_ref = Some(ops[2].clone());
-            RvInst::Branch {
-                cond,
-                rs1: reg(&ops[0], line)?,
-                rs2: reg(&ops[1], line)?,
-                target: 0,
-            }
-        } else {
-            match mnem {
-                "li" => {
-                    need(2)?;
-                    RvInst::Li {
-                        rd: reg(&ops[0], line)?,
-                        imm: parse_imm(&ops[1], line)?,
-                    }
-                }
-                "mv" => {
-                    need(2)?;
-                    RvInst::Mv {
-                        rd: reg(&ops[0], line)?,
-                        rs: reg(&ops[1], line)?,
-                    }
-                }
-                "j" => {
-                    need(1)?;
-                    label_ref = Some(ops[0].clone());
-                    RvInst::Jump { target: 0 }
-                }
-                "call" => {
-                    need(2)?;
-                    label_ref = Some(ops[1].clone());
-                    RvInst::Call {
-                        rd: reg(&ops[0], line)?,
-                        target: 0,
-                    }
-                }
-                "jalr" => {
-                    need(2)?;
-                    RvInst::CallReg {
-                        rd: reg(&ops[0], line)?,
-                        rs: reg(&ops[1], line)?,
-                    }
-                }
-                "jr" | "ret" => {
-                    need(1)?;
-                    RvInst::JumpReg {
-                        rs: reg(&ops[0], line)?,
-                    }
-                }
-                "nop" => {
-                    need(0)?;
-                    RvInst::Nop
-                }
-                "halt" => {
-                    need(1)?;
-                    RvInst::Halt {
-                        rs: reg(&ops[0], line)?,
-                    }
-                }
-                _ => return err(line, format!("unknown mnemonic `{mnem}`")),
-            }
-        };
-        if let Some(l) = label_ref {
-            pending.push((prog.insts.len(), line, l));
-        }
-        prog.insts.push(inst);
-    }
-
-    for (idx, line, label) in pending {
-        let t = match labels.get(&label) {
-            Some(&t) => t,
-            None => return err(line, format!("undefined label `{label}`")),
-        };
-        match &mut prog.insts[idx] {
-            RvInst::Branch { target, .. }
-            | RvInst::Jump { target }
-            | RvInst::Call { target, .. } => *target = t,
-            _ => unreachable!("pending target on non-branch"),
-        }
-    }
-    prog.labels = labels;
-    Ok(prog)
+    let a = asm::assemble::<Riscv>(source)?;
+    Ok(RvProgram {
+        insts: a.insts,
+        entry: 0,
+        labels: a.labels,
+        data: a.data,
+    })
 }
 
-/// Disassembles a program back to source text.
+/// Disassembles a program back to source text that [`assemble`] turns
+/// into the same program.
 pub fn disassemble(prog: &RvProgram) -> String {
-    let mut by_index: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
-    for (name, &idx) in &prog.labels {
-        by_index.entry(idx).or_default().push(name);
-    }
-    let target_name = |t: u32| -> String {
-        for (name, &idx) in &prog.labels {
-            if idx == t {
-                return name.clone();
-            }
-        }
-        format!("@{t}")
-    };
-    let mut out = String::new();
-    for (i, inst) in prog.insts.iter().enumerate() {
-        if let Some(names) = by_index.get(&(i as u32)) {
-            for n in names {
-                out.push_str(&format!("{n}:\n"));
-            }
-        }
-        out.push_str("    ");
-        let s = match *inst {
-            RvInst::Alu { op, rd, rs1, rs2 } => {
-                format!("{} {rd}, {rs1}, {rs2}", op.mnemonic())
-            }
-            RvInst::AluImm { op, rd, rs1, imm } => {
-                let m = match op {
-                    AluOp::Add => "addi",
-                    AluOp::Slt => "slti",
-                    AluOp::Sltu => "sltiu",
-                    AluOp::Xor => "xori",
-                    AluOp::Or => "ori",
-                    AluOp::And => "andi",
-                    AluOp::Sll => "slli",
-                    AluOp::Srl => "srli",
-                    AluOp::Sra => "srai",
-                    AluOp::Addw => "addiw",
-                    AluOp::Sllw => "slliw",
-                    AluOp::Srlw => "srliw",
-                    AluOp::Sraw => "sraiw",
-                    other => other.mnemonic(),
-                };
-                format!("{m} {rd}, {rs1}, {imm}")
-            }
-            RvInst::Li { rd, imm } => format!("li {rd}, {imm}"),
-            RvInst::Load {
-                op,
-                rd,
-                base,
-                offset,
-            } => {
-                format!("{} {rd}, {offset}({base})", op.mnemonic())
-            }
-            RvInst::Store {
-                op,
-                rs,
-                base,
-                offset,
-            } => {
-                format!("{} {rs}, {offset}({base})", op.mnemonic())
-            }
-            RvInst::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                format!("{} {rs1}, {rs2}, {}", cond.mnemonic(), target_name(target))
-            }
-            RvInst::Jump { target } => format!("j {}", target_name(target)),
-            RvInst::Call { rd, target } => format!("call {rd}, {}", target_name(target)),
-            RvInst::CallReg { rd, rs } => format!("jalr {rd}, {rs}"),
-            RvInst::JumpReg { rs } => format!("jr {rs}"),
-            RvInst::Mv { rd, rs } => format!("mv {rd}, {rs}"),
-            RvInst::Nop => "nop".to_string(),
-            RvInst::Halt { rs } => format!("halt {rs}"),
-        };
-        out.push_str(&s);
-        out.push('\n');
-    }
-    out
+    asm::disassemble::<Riscv>(&prog.insts, &prog.labels, &prog.data)
 }
 
 #[cfg(test)]
@@ -508,11 +255,31 @@ mod tests {
         assert_eq!(parse_reg("f5"), Some(Reg(37)));
         assert_eq!(parse_reg("fa0"), Some(Reg(42)));
         assert_eq!(parse_reg("q9"), None);
+        // The standard FP ABI table, at every boundary: ft0-7 = f0-7,
+        // fs0-1 = f8-9, fa0-7 = f10-17, fs2-11 = f18-27, ft8-11 = f28-31.
+        for (name, f) in [
+            ("ft0", 0),
+            ("ft7", 7),
+            ("fs0", 8),
+            ("fs1", 9),
+            ("fa7", 17),
+            ("fs2", 18),
+            ("fs11", 27),
+            ("ft8", 28),
+            ("ft11", 31),
+            ("f31", 31),
+        ] {
+            assert_eq!(parse_reg(name), Some(Reg(32 + f)), "{name}");
+        }
+        for bad in ["ft12", "fs12", "fa8", "ft250", "f32", "x32", "x+1", "fp0"] {
+            assert_eq!(parse_reg(bad), None, "{bad}");
+        }
     }
 
     #[test]
     fn roundtrip() {
-        let src = "main:
+        let src = ".data 0x2000 5 6
+main:
     li a0, 5
 .loop:
     addi a0, a0, -1
@@ -524,7 +291,8 @@ mod tests {
     halt a0";
         let p1 = assemble(src).unwrap();
         let p2 = assemble(&disassemble(&p1)).unwrap();
-        assert_eq!(p1.insts, p2.insts);
+        assert_eq!(p1.data.len(), 1);
+        assert_eq!(p1, p2);
     }
 
     #[test]
@@ -542,6 +310,10 @@ mod tests {
             "li a0, zz\nhalt a0",       // bad immediate
             "lw a0, 8[sp]\nhalt a0",    // memory operand must be off(base)
             "frob a0, a1, a2\nhalt a0", // unknown mnemonic
+            "mv a0,\nhalt a0",          // empty operand
+            "ld a0, ()\nhalt a0",       // empty base
+            "mv a0, \u{e9}1\nhalt a0",  // non-ASCII register
+            "mv a0, ft250\nhalt a0",    // FP ABI number past the table
         ] {
             assert!(assemble(bad).is_err(), "assembler accepted: {bad}");
         }

@@ -2,18 +2,16 @@
 //!
 //! Destinations are implicit, so instructions simply omit them:
 //! `addi [2], 1`, `sd [4], 0(sp)`, `mv [6]`, `spaddi -8`, `ret [2]`.
+//! Sources are `[distance]`, `sp` or `zero`. Comments, labels, `.data`,
+//! immediates, `off(base)` and branch targets follow the line syntax
+//! shared by all three ISAs ([`ch_common::asm`]).
 
 use super::{StInst, StProgram, StSrc, MAX_DISTANCE};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
-use std::collections::BTreeMap;
+use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
 
 pub use ch_common::error::AsmError;
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, AsmError> {
-    Err(AsmError::new(line, message))
-}
-
-fn parse_src(tok: &str, line: usize) -> Result<StSrc, AsmError> {
+fn parse_src(line: &Line<'_>, tok: &str) -> Result<StSrc, AsmError> {
     match tok {
         "sp" => return Ok(StSrc::Sp),
         "zero" => return Ok(StSrc::Zero),
@@ -25,142 +23,142 @@ fn parse_src(tok: &str, line: usize) -> Result<StSrc, AsmError> {
         // 1..=127 reach here instead of deferring to validate().
         if let Ok(d) = tok[1..tok.len() - 1].parse::<u32>() {
             if d == 0 || d > MAX_DISTANCE as u32 {
-                return err(
-                    line,
-                    format!("distance {d} in `{tok}` out of range (1..={MAX_DISTANCE})"),
-                );
+                return Err(line.error(format!(
+                    "distance {d} in `{tok}` out of range (1..={MAX_DISTANCE})"
+                )));
             }
             return Ok(StSrc::Dist(d as u8));
         }
     }
-    err(line, format!("bad source operand `{tok}`"))
+    Err(line.error(format!("bad source operand `{tok}`")))
 }
 
-fn parse_imm<T: TryFrom<i64>>(tok: &str, line: usize) -> Result<T, AsmError> {
-    let v = if let Some(hex) = tok.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16).map_err(|_| ())
-    } else if let Some(hex) = tok.strip_prefix("-0x") {
-        i64::from_str_radix(hex, 16).map(|v| -v).map_err(|_| ())
-    } else {
-        tok.parse::<i64>().map_err(|_| ())
-    };
-    match v.ok().and_then(|v| T::try_from(v).ok()) {
-        Some(v) => Ok(v),
-        None => err(line, format!("bad immediate `{tok}`")),
+/// STRAIGHT operands: implicit destinations, `[k]` sources.
+struct Straight;
+
+impl Syntax for Straight {
+    type Inst = StInst;
+
+    fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<StInst, AsmError> {
+        let src = |tok: &str| parse_src(line, tok);
+        Ok(match m {
+            Mnemonic::Alu(op) => {
+                let [a, b] = line.operands()?;
+                StInst::Alu {
+                    op,
+                    src1: src(a)?,
+                    src2: src(b)?,
+                }
+            }
+            Mnemonic::AluImm(op) => {
+                let [a, imm] = line.operands()?;
+                StInst::AluImm {
+                    op,
+                    src1: src(a)?,
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Load(op) => {
+                let [mem] = line.operands()?;
+                let (offset, base) = line.mem(mem, src)?;
+                StInst::Load { op, base, offset }
+            }
+            Mnemonic::Store(op) => {
+                let [value, mem] = line.operands()?;
+                let (offset, base) = line.mem(mem, src)?;
+                StInst::Store {
+                    op,
+                    value: src(value)?,
+                    base,
+                    offset,
+                }
+            }
+            Mnemonic::Branch(cond) => {
+                let [a, b, target] = line.operands()?;
+                StInst::Branch {
+                    cond,
+                    src1: src(a)?,
+                    src2: src(b)?,
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("li") => {
+                let [imm] = line.operands()?;
+                StInst::Li {
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Other("mv") => {
+                let [s] = line.operands()?;
+                StInst::Mv { src: src(s)? }
+            }
+            Mnemonic::Other("j") => {
+                let [target] = line.operands()?;
+                StInst::Jump {
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("call") => {
+                let [target] = line.operands()?;
+                StInst::Call {
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("jr" | "ret") => {
+                let [s] = line.operands()?;
+                StInst::JumpReg { src: src(s)? }
+            }
+            Mnemonic::Other("spaddi") => {
+                let [imm] = line.operands()?;
+                StInst::SpAddi {
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Other("nop") => {
+                let [] = line.operands()?;
+                StInst::Nop
+            }
+            Mnemonic::Other("halt") => {
+                let [s] = line.operands()?;
+                StInst::Halt { src: src(s)? }
+            }
+            _ => return line.unknown(),
+        })
     }
-}
 
-fn parse_mem(tok: &str, line: usize) -> Result<(i32, StSrc), AsmError> {
-    let open = tok.find('(').ok_or_else(|| AsmError {
-        line,
-        message: format!("expected off(base), got `{tok}`"),
-    })?;
-    if !tok.ends_with(')') {
-        return err(line, format!("expected off(base), got `{tok}`"));
+    fn format(inst: &StInst, targets: &Targets<'_>) -> String {
+        match *inst {
+            StInst::Alu { op, src1, src2 } => format!("{} {src1}, {src2}", op.mnemonic()),
+            StInst::AluImm { op, src1, imm } => {
+                format!("{} {src1}, {imm}", Mnemonic::AluImm(op))
+            }
+            StInst::Li { imm } => format!("li {imm}"),
+            StInst::Load { op, base, offset } => format!("{} {offset}({base})", op.mnemonic()),
+            StInst::Store {
+                op,
+                value,
+                base,
+                offset,
+            } => format!("{} {value}, {offset}({base})", op.mnemonic()),
+            StInst::Branch {
+                cond,
+                src1,
+                src2,
+                target,
+            } => format!(
+                "{} {src1}, {src2}, {}",
+                cond.mnemonic(),
+                targets.name(target)
+            ),
+            StInst::Jump { target } => format!("j {}", targets.name(target)),
+            StInst::Call { target } => format!("call {}", targets.name(target)),
+            StInst::JumpReg { src } => format!("ret {src}"),
+            StInst::SpAddi { imm } => format!("spaddi {imm}"),
+            StInst::Mv { src } => format!("mv {src}"),
+            StInst::Nop => "nop".to_string(),
+            StInst::Halt { src } => format!("halt {src}"),
+        }
     }
-    let off = if tok[..open].is_empty() {
-        0
-    } else {
-        parse_imm(&tok[..open], line)?
-    };
-    Ok((off, parse_src(&tok[open + 1..tok.len() - 1], line)?))
-}
-
-fn alu_op(m: &str) -> Option<AluOp> {
-    use AluOp::*;
-    Some(match m {
-        "add" => Add,
-        "sub" => Sub,
-        "sll" => Sll,
-        "slt" => Slt,
-        "sltu" => Sltu,
-        "xor" => Xor,
-        "srl" => Srl,
-        "sra" => Sra,
-        "or" => Or,
-        "and" => And,
-        "addw" => Addw,
-        "subw" => Subw,
-        "sllw" => Sllw,
-        "srlw" => Srlw,
-        "sraw" => Sraw,
-        "mul" => Mul,
-        "div" => Div,
-        "divu" => Divu,
-        "rem" => Rem,
-        "remu" => Remu,
-        "mulw" => Mulw,
-        "divw" => Divw,
-        "remw" => Remw,
-        "fadd" => Fadd,
-        "fsub" => Fsub,
-        "fmul" => Fmul,
-        "fdiv" => Fdiv,
-        "fmin" => Fmin,
-        "fmax" => Fmax,
-        "feq" => Feq,
-        "flt" => Flt,
-        "fle" => Fle,
-        "fcvt.d.l" => Fcvtdl,
-        "fcvt.l.d" => Fcvtld,
-        "fmv.d.x" => Fmvdx,
-        _ => return None,
-    })
-}
-
-fn alu_imm_op(m: &str) -> Option<AluOp> {
-    use AluOp::*;
-    Some(match m {
-        "addi" => Add,
-        "slti" => Slt,
-        "sltiu" => Sltu,
-        "xori" => Xor,
-        "ori" => Or,
-        "andi" => And,
-        "slli" => Sll,
-        "srli" => Srl,
-        "srai" => Sra,
-        "addiw" => Addw,
-        "slliw" => Sllw,
-        "srliw" => Srlw,
-        "sraiw" => Sraw,
-        _ => return None,
-    })
-}
-
-fn load_op(m: &str) -> Option<LoadOp> {
-    Some(match m {
-        "lb" => LoadOp::Lb,
-        "lh" => LoadOp::Lh,
-        "lw" => LoadOp::Lw,
-        "ld" => LoadOp::Ld,
-        "lbu" => LoadOp::Lbu,
-        "lhu" => LoadOp::Lhu,
-        "lwu" => LoadOp::Lwu,
-        _ => return None,
-    })
-}
-
-fn store_op(m: &str) -> Option<StoreOp> {
-    Some(match m {
-        "sb" => StoreOp::Sb,
-        "sh" => StoreOp::Sh,
-        "sw" => StoreOp::Sw,
-        "sd" => StoreOp::Sd,
-        _ => return None,
-    })
-}
-
-fn br_cond(m: &str) -> Option<BrCond> {
-    Some(match m {
-        "beq" => BrCond::Eq,
-        "bne" => BrCond::Ne,
-        "blt" => BrCond::Lt,
-        "bge" => BrCond::Ge,
-        "bltu" => BrCond::Ltu,
-        "bgeu" => BrCond::Geu,
-        _ => return None,
-    })
 }
 
 /// Assembles STRAIGHT source text.
@@ -179,253 +177,19 @@ fn br_cond(m: &str) -> Option<BrCond> {
 /// # Ok::<(), ch_baselines::straight::asm::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<StProgram, AsmError> {
-    let mut prog = StProgram::new();
-    let mut labels: BTreeMap<String, u32> = BTreeMap::new();
-    let mut pending: Vec<(usize, usize, String)> = Vec::new();
-
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
-        let mut text = raw;
-        if let Some(i) = text.find('#') {
-            text = &text[..i];
-        }
-        let mut text = text.trim();
-        while let Some(colon) = text.find(':') {
-            let (label, rest) = text.split_at(colon);
-            let label = label.trim();
-            if label.is_empty() || label.contains(char::is_whitespace) || label.contains('[') {
-                break;
-            }
-            if labels
-                .insert(label.to_string(), prog.insts.len() as u32)
-                .is_some()
-            {
-                return err(line, format!("duplicate label `{label}`"));
-            }
-            text = rest[1..].trim();
-        }
-        if text.is_empty() {
-            continue;
-        }
-        if let Some(rest) = text.strip_prefix(".data") {
-            let toks: Vec<&str> = rest.split_whitespace().collect();
-            if toks.is_empty() {
-                return err(line, ".data needs an address");
-            }
-            let addr: i64 = parse_imm(toks[0], line)?;
-            let mut bytes = Vec::new();
-            for t in &toks[1..] {
-                let v: i64 = parse_imm(t, line)?;
-                bytes.extend_from_slice(&(v as u64).to_le_bytes());
-            }
-            prog.data.push((addr as u64, bytes));
-            continue;
-        }
-        let (mnem, ops_text) = match text.find(char::is_whitespace) {
-            Some(i) => (&text[..i], text[i..].trim()),
-            None => (text, ""),
-        };
-        let ops: Vec<String> = if ops_text.is_empty() {
-            Vec::new()
-        } else {
-            ops_text.split(',').map(|s| s.trim().to_string()).collect()
-        };
-        let need = |n: usize| -> Result<(), AsmError> {
-            if ops.len() == n {
-                Ok(())
-            } else {
-                err(
-                    line,
-                    format!("`{mnem}` expects {n} operands, got {}", ops.len()),
-                )
-            }
-        };
-
-        let mut label_ref: Option<String> = None;
-        let inst = if let Some(op) = alu_op(mnem) {
-            need(2)?;
-            StInst::Alu {
-                op,
-                src1: parse_src(&ops[0], line)?,
-                src2: parse_src(&ops[1], line)?,
-            }
-        } else if let Some(op) = alu_imm_op(mnem) {
-            need(2)?;
-            StInst::AluImm {
-                op,
-                src1: parse_src(&ops[0], line)?,
-                imm: parse_imm(&ops[1], line)?,
-            }
-        } else if let Some(op) = load_op(mnem) {
-            need(1)?;
-            let (offset, base) = parse_mem(&ops[0], line)?;
-            StInst::Load { op, base, offset }
-        } else if let Some(op) = store_op(mnem) {
-            need(2)?;
-            let (offset, base) = parse_mem(&ops[1], line)?;
-            StInst::Store {
-                op,
-                value: parse_src(&ops[0], line)?,
-                base,
-                offset,
-            }
-        } else if let Some(cond) = br_cond(mnem) {
-            need(3)?;
-            label_ref = Some(ops[2].clone());
-            StInst::Branch {
-                cond,
-                src1: parse_src(&ops[0], line)?,
-                src2: parse_src(&ops[1], line)?,
-                target: 0,
-            }
-        } else {
-            match mnem {
-                "li" => {
-                    need(1)?;
-                    StInst::Li {
-                        imm: parse_imm(&ops[0], line)?,
-                    }
-                }
-                "mv" => {
-                    need(1)?;
-                    StInst::Mv {
-                        src: parse_src(&ops[0], line)?,
-                    }
-                }
-                "j" => {
-                    need(1)?;
-                    label_ref = Some(ops[0].clone());
-                    StInst::Jump { target: 0 }
-                }
-                "call" => {
-                    need(1)?;
-                    label_ref = Some(ops[0].clone());
-                    StInst::Call { target: 0 }
-                }
-                "jr" | "ret" => {
-                    need(1)?;
-                    StInst::JumpReg {
-                        src: parse_src(&ops[0], line)?,
-                    }
-                }
-                "spaddi" => {
-                    need(1)?;
-                    StInst::SpAddi {
-                        imm: parse_imm(&ops[0], line)?,
-                    }
-                }
-                "nop" => {
-                    need(0)?;
-                    StInst::Nop
-                }
-                "halt" => {
-                    need(1)?;
-                    StInst::Halt {
-                        src: parse_src(&ops[0], line)?,
-                    }
-                }
-                _ => return err(line, format!("unknown mnemonic `{mnem}`")),
-            }
-        };
-        if let Some(l) = label_ref {
-            pending.push((prog.insts.len(), line, l));
-        }
-        prog.insts.push(inst);
-    }
-
-    for (idx, line, label) in pending {
-        let t = match labels.get(&label) {
-            Some(&t) => t,
-            None => return err(line, format!("undefined label `{label}`")),
-        };
-        match &mut prog.insts[idx] {
-            StInst::Branch { target, .. } | StInst::Jump { target } | StInst::Call { target } => {
-                *target = t
-            }
-            _ => unreachable!("pending target on non-branch"),
-        }
-    }
-    prog.labels = labels;
-    Ok(prog)
+    let a = asm::assemble::<Straight>(source)?;
+    Ok(StProgram {
+        insts: a.insts,
+        entry: 0,
+        labels: a.labels,
+        data: a.data,
+    })
 }
 
-/// Disassembles a program back to source text.
+/// Disassembles a program back to source text that [`assemble`] turns
+/// into the same program.
 pub fn disassemble(prog: &StProgram) -> String {
-    let mut by_index: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
-    for (name, &idx) in &prog.labels {
-        by_index.entry(idx).or_default().push(name);
-    }
-    let target_name = |t: u32| -> String {
-        for (name, &idx) in &prog.labels {
-            if idx == t {
-                return name.clone();
-            }
-        }
-        format!("@{t}")
-    };
-    let mut out = String::new();
-    for (i, inst) in prog.insts.iter().enumerate() {
-        if let Some(names) = by_index.get(&(i as u32)) {
-            for n in names {
-                out.push_str(&format!("{n}:\n"));
-            }
-        }
-        out.push_str("    ");
-        let s = match *inst {
-            StInst::Alu { op, src1, src2 } => format!("{} {src1}, {src2}", op.mnemonic()),
-            StInst::AluImm { op, src1, imm } => {
-                let m = match op {
-                    AluOp::Add => "addi",
-                    AluOp::Slt => "slti",
-                    AluOp::Sltu => "sltiu",
-                    AluOp::Xor => "xori",
-                    AluOp::Or => "ori",
-                    AluOp::And => "andi",
-                    AluOp::Sll => "slli",
-                    AluOp::Srl => "srli",
-                    AluOp::Sra => "srai",
-                    AluOp::Addw => "addiw",
-                    AluOp::Sllw => "slliw",
-                    AluOp::Srlw => "srliw",
-                    AluOp::Sraw => "sraiw",
-                    other => other.mnemonic(),
-                };
-                format!("{m} {src1}, {imm}")
-            }
-            StInst::Li { imm } => format!("li {imm}"),
-            StInst::Load { op, base, offset } => format!("{} {offset}({base})", op.mnemonic()),
-            StInst::Store {
-                op,
-                value,
-                base,
-                offset,
-            } => {
-                format!("{} {value}, {offset}({base})", op.mnemonic())
-            }
-            StInst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => {
-                format!(
-                    "{} {src1}, {src2}, {}",
-                    cond.mnemonic(),
-                    target_name(target)
-                )
-            }
-            StInst::Jump { target } => format!("j {}", target_name(target)),
-            StInst::Call { target } => format!("call {}", target_name(target)),
-            StInst::JumpReg { src } => format!("ret {src}"),
-            StInst::SpAddi { imm } => format!("spaddi {imm}"),
-            StInst::Mv { src } => format!("mv {src}"),
-            StInst::Nop => "nop".to_string(),
-            StInst::Halt { src } => format!("halt {src}"),
-        };
-        out.push_str(&s);
-        out.push('\n');
-    }
-    out
+    asm::disassemble::<Straight>(&prog.insts, &prog.labels, &prog.data)
 }
 
 #[cfg(test)]
@@ -467,6 +231,9 @@ mod tests {
             "li 1\nadd 1, [1]\nhalt [1]",   // bare number is not an operand
             "li 1\nadd [1]\nhalt [1]",      // wrong operand count
             "li 1\nfrob [1], [1]\nhalt [1]", // unknown mnemonic
+            "li 1\nmv [1],\nhalt [1]",      // empty operand
+            "li 1\nld ()\nhalt [1]",        // empty base
+            "li 1\nmv \u{e9}[1]\nhalt [1]", // non-ASCII operand
         ] {
             assert!(assemble(bad).is_err(), "assembler accepted: {bad}");
         }
@@ -474,7 +241,8 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let src = "start:
+        let src = ".data 0x2000 5 6
+start:
     li 5
 .loop:
     addi [1], -1
@@ -486,7 +254,8 @@ mod tests {
     halt [3]";
         let p1 = assemble(src).unwrap();
         let p2 = assemble(&disassemble(&p1)).unwrap();
-        assert_eq!(p1.insts, p2.insts);
+        assert_eq!(p1.data.len(), 1);
+        assert_eq!(p1, p2);
     }
 
     #[test]

@@ -1,0 +1,463 @@
+//! The assembler front end shared by the three ISAs.
+//!
+//! The paper writes RISC-V, STRAIGHT and Clockhands code in one listing
+//! syntax (Fig. 1(c)/(d), Fig. 6), and the three ISAs share every op
+//! (Fig. 5): only the operands differ. This module owns everything but
+//! the operands:
+//!
+//! ```text
+//! # `#` starts a comment that runs to the end of the line
+//! .data 0x2000 5 -6 0x10     # data segment: base address, then 64-bit words
+//! main: .loop:               # one or more labels, optionally followed by an instruction
+//!     addi  t, t[1], 4       # mnemonic, then comma-separated operands
+//!     ld    t, -8(s[0])      # a memory operand is `off(base)`; `(base)` means offset 0
+//!     bne   t[0], zero, .loop
+//!     j     @3               # a target is a label or `@N`, instruction index N
+//! ```
+//!
+//! * A label is the text before a `:` if it contains no whitespace and
+//!   no `[`; a line may carry several.
+//! * Immediates are decimal, `0x` hex or `-0x` hex, and must fit the
+//!   field they fill.
+//! * A branch target is a label (looked up first) or `@N` with `N`
+//!   below the instruction count. [`disassemble`] prints `@N` for a
+//!   target no label names, so a disassembly always reassembles.
+//! * The op mnemonics are the op enums' own ([`AluOp::mnemonic`],
+//!   [`AluOp::imm_mnemonic`], [`LoadOp::mnemonic`], ...).
+//!
+//! An ISA implements [`Syntax`]: its operand syntax, how a classified
+//! [`Mnemonic`] and its operands build one instruction, and how one
+//! instruction prints. [`assemble`] and [`disassemble`] do the rest.
+
+use crate::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use std::collections::BTreeMap;
+use std::fmt;
+
+use crate::error::AsmError;
+
+/// One ISA's operand syntax and instruction shapes.
+pub trait Syntax {
+    /// The ISA's instruction type.
+    type Inst;
+
+    /// Builds the instruction `line` spells; `mnemonic` is its
+    /// classified mnemonic.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AsmError`] for an unknown mnemonic
+    /// ([`Line::unknown`]) or a malformed operand.
+    fn parse(mnemonic: Mnemonic<'_>, line: &Line<'_>) -> Result<Self::Inst, AsmError>;
+
+    /// Prints one instruction (no indentation, no newline), naming
+    /// branch targets through `targets`.
+    fn format(inst: &Self::Inst, targets: &Targets<'_>) -> String;
+}
+
+/// Assembled text: instructions, labels and data segments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assembled<I> {
+    /// Instructions in source order.
+    pub insts: Vec<I>,
+    /// Label name → instruction index.
+    pub labels: BTreeMap<String, u32>,
+    /// `.data` segments: (base address, little-endian bytes).
+    pub data: Vec<(u64, Vec<u8>)>,
+}
+
+/// A mnemonic, classified by the shared op tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mnemonic<'a> {
+    /// A register-register ALU op (`add`, `fmul`, ...).
+    Alu(AluOp),
+    /// A register-immediate ALU op (`addi`, ...). Prints as the
+    /// register mnemonic for an op with no immediate form, which only
+    /// decoded bytes can hold and no assembler accepts.
+    AluImm(AluOp),
+    /// A load (`lb` ... `lwu`).
+    Load(LoadOp),
+    /// A store (`sb` ... `sd`).
+    Store(StoreOp),
+    /// A conditional branch (`beq` ... `bgeu`).
+    Branch(BrCond),
+    /// Any other mnemonic (`li`, `mv`, `j`, ...), left to the ISA.
+    Other(&'a str),
+}
+
+impl<'a> Mnemonic<'a> {
+    /// Classifies mnemonic text.
+    pub fn classify(m: &'a str) -> Self {
+        if let Some(op) = AluOp::from_mnemonic(m) {
+            Mnemonic::Alu(op)
+        } else if let Some(op) = AluOp::from_imm_mnemonic(m) {
+            Mnemonic::AluImm(op)
+        } else if let Some(op) = LoadOp::from_mnemonic(m) {
+            Mnemonic::Load(op)
+        } else if let Some(op) = StoreOp::from_mnemonic(m) {
+            Mnemonic::Store(op)
+        } else if let Some(c) = BrCond::from_mnemonic(m) {
+            Mnemonic::Branch(c)
+        } else {
+            Mnemonic::Other(m)
+        }
+    }
+}
+
+impl fmt::Display for Mnemonic<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match *self {
+            Mnemonic::Alu(op) => op.mnemonic(),
+            Mnemonic::AluImm(op) => op.imm_mnemonic().unwrap_or(op.mnemonic()),
+            Mnemonic::Load(op) => op.mnemonic(),
+            Mnemonic::Store(op) => op.mnemonic(),
+            Mnemonic::Branch(c) => c.mnemonic(),
+            Mnemonic::Other(m) => m,
+        })
+    }
+}
+
+/// One instruction line: its number, mnemonic and operands, plus the
+/// program's labels for resolving targets.
+pub struct Line<'a> {
+    number: usize,
+    mnemonic: &'a str,
+    operands: Vec<&'a str>,
+    labels: &'a BTreeMap<String, u32>,
+    len: usize,
+}
+
+impl<'a> Line<'a> {
+    /// An error on this line.
+    pub fn error(&self, message: impl Into<String>) -> AsmError {
+        AsmError::new(self.number, message)
+    }
+
+    /// Fails with ``unknown mnemonic `mnem` ``.
+    pub fn unknown<T>(&self) -> Result<T, AsmError> {
+        Err(self.error(format!("unknown mnemonic `{}`", self.mnemonic)))
+    }
+
+    /// The operands, which must number exactly `N` (else
+    /// `` `mnem` expects N operands, got M ``).
+    pub fn operands<const N: usize>(&self) -> Result<[&'a str; N], AsmError> {
+        self.operands.as_slice().try_into().map_err(|_| {
+            self.error(format!(
+                "`{}` expects {N} operands, got {}",
+                self.mnemonic,
+                self.operands.len()
+            ))
+        })
+    }
+
+    /// Parses an immediate that must fit `T` (else ``bad immediate `tok` ``).
+    pub fn imm<T: TryFrom<i64>>(&self, tok: &str) -> Result<T, AsmError> {
+        parse_imm(tok).ok_or_else(|| self.error(format!("bad immediate `{tok}`")))
+    }
+
+    /// Parses an `off(base)` memory operand, the base with `base`.
+    pub fn mem<B>(
+        &self,
+        tok: &str,
+        base: impl FnOnce(&str) -> Result<B, AsmError>,
+    ) -> Result<(i32, B), AsmError> {
+        let Some((off, inner)) = tok
+            .split_once('(')
+            .and_then(|(off, rest)| rest.strip_suffix(')').map(|inner| (off, inner)))
+        else {
+            return Err(self.error(format!("expected off(base), got `{tok}`")));
+        };
+        let off = if off.is_empty() { 0 } else { self.imm(off)? };
+        Ok((off, base(inner)?))
+    }
+
+    /// Resolves a branch target: a label, or `@N` naming instruction `N`
+    /// (else ``undefined label `tok` ``).
+    pub fn target(&self, tok: &str) -> Result<u32, AsmError> {
+        if let Some(&t) = self.labels.get(tok) {
+            return Ok(t);
+        }
+        match tok.strip_prefix('@').map(str::parse::<u32>) {
+            Some(Ok(t)) if (t as usize) < self.len => Ok(t),
+            Some(Ok(t)) => Err(self.error(format!(
+                "target `@{t}` is past the end ({} instructions)",
+                self.len
+            ))),
+            _ => Err(self.error(format!("undefined label `{tok}`"))),
+        }
+    }
+
+    /// The segment a `.data <addr> <u64>...` line seeds, from its
+    /// whitespace-separated operands.
+    fn data(&self, operands: &str) -> Result<(u64, Vec<u8>), AsmError> {
+        let mut toks = operands.split_whitespace();
+        let addr = toks
+            .next()
+            .ok_or_else(|| self.error(".data needs an address"))?;
+        let addr = self.imm::<i64>(addr)? as u64;
+        let mut bytes = Vec::new();
+        for t in toks {
+            bytes.extend_from_slice(&self.imm::<i64>(t)?.to_le_bytes());
+        }
+        Ok((addr, bytes))
+    }
+}
+
+/// Parses a decimal, `0x` or `-0x` immediate that fits `T`.
+fn parse_imm<T: TryFrom<i64>>(tok: &str) -> Option<T> {
+    let v = if let Some(hex) = tok.strip_prefix("0x") {
+        i64::from_str_radix(hex, 16).ok()
+    } else if let Some(hex) = tok.strip_prefix("-0x") {
+        i64::from_str_radix(hex, 16).ok().map(|v| -v)
+    } else {
+        tok.parse::<i64>().ok()
+    };
+    T::try_from(v?).ok()
+}
+
+/// Splits leading labels off a comment-stripped, trimmed line.
+fn peel_labels(mut text: &str) -> (Vec<&str>, &str) {
+    let mut labels = Vec::new();
+    while let Some((label, rest)) = text.split_once(':') {
+        let label = label.trim();
+        if label.is_empty() || label.contains(char::is_whitespace) || label.contains('[') {
+            break;
+        }
+        labels.push(label);
+        text = rest.trim();
+    }
+    (labels, text)
+}
+
+/// Assembles source text with `S`'s operand syntax.
+///
+/// Labels are collected first, so a target may name a later label.
+///
+/// # Errors
+///
+/// Returns an [`AsmError`] naming the offending line for syntax errors,
+/// unknown mnemonics or operands, and duplicate or undefined labels.
+pub fn assemble<S: Syntax>(source: &str) -> Result<Assembled<S::Inst>, AsmError> {
+    let mut labels = BTreeMap::new();
+    let mut statements = Vec::new();
+    let mut len = 0;
+    for (i, raw) in source.lines().enumerate() {
+        let number = i + 1;
+        let text = raw.split('#').next().unwrap_or_default().trim();
+        let (names, text) = peel_labels(text);
+        for name in names {
+            if labels.insert(name.to_string(), len as u32).is_some() {
+                return Err(AsmError::new(number, format!("duplicate label `{name}`")));
+            }
+        }
+        if !text.is_empty() {
+            let (mnemonic, operands) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+            len += usize::from(mnemonic != ".data");
+            statements.push((number, mnemonic, operands.trim()));
+        }
+    }
+
+    let mut insts = Vec::with_capacity(len);
+    let mut data = Vec::new();
+    for (number, mnemonic, operands) in statements {
+        let line = Line {
+            number,
+            mnemonic,
+            operands: if operands.is_empty() {
+                Vec::new()
+            } else {
+                operands.split(',').map(str::trim).collect()
+            },
+            labels: &labels,
+            len,
+        };
+        if mnemonic == ".data" {
+            data.push(line.data(operands)?);
+        } else {
+            insts.push(S::parse(Mnemonic::classify(mnemonic), &line)?);
+        }
+    }
+    Ok(Assembled {
+        insts,
+        labels,
+        data,
+    })
+}
+
+/// Names branch targets while disassembling: the first label (in name
+/// order) at an index, or `@N`.
+pub struct Targets<'a> {
+    by_index: BTreeMap<u32, Vec<&'a str>>,
+}
+
+impl Targets<'_> {
+    /// The name of instruction index `target`.
+    pub fn name(&self, target: u32) -> String {
+        match self.by_index.get(&target) {
+            Some(names) => names[0].to_string(),
+            None => format!("@{target}"),
+        }
+    }
+}
+
+/// Disassembles a program back to source text that [`assemble`] turns
+/// into the same instructions, labels and data.
+///
+/// Prints one `.data` line per segment (its bytes as 64-bit words), then
+/// every instruction indented by four spaces under the labels at its
+/// index. Labels at or past the end come last.
+pub fn disassemble<S: Syntax>(
+    insts: &[S::Inst],
+    labels: &BTreeMap<String, u32>,
+    data: &[(u64, Vec<u8>)],
+) -> String {
+    let mut targets = Targets {
+        by_index: BTreeMap::new(),
+    };
+    for (name, &idx) in labels {
+        targets.by_index.entry(idx).or_default().push(name);
+    }
+    let mut out = String::new();
+    for (base, bytes) in data {
+        out.push_str(&format!(".data 0x{base:x}"));
+        for chunk in bytes.chunks(8) {
+            let mut v = [0u8; 8];
+            v[..chunk.len()].copy_from_slice(chunk);
+            out.push_str(&format!(" {}", i64::from_le_bytes(v)));
+        }
+        out.push('\n');
+    }
+    let label_lines = |out: &mut String, names: &[&str]| {
+        for n in names {
+            out.push_str(&format!("{n}:\n"));
+        }
+    };
+    for (i, inst) in insts.iter().enumerate() {
+        if let Some(names) = targets.by_index.get(&(i as u32)) {
+            label_lines(&mut out, names);
+        }
+        out.push_str("    ");
+        out.push_str(&S::format(inst, &targets));
+        out.push('\n');
+    }
+    for names in targets.by_index.range(insts.len() as u32..).map(|(_, n)| n) {
+        label_lines(&mut out, names);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A toy ISA: `op` takes one immediate, `b` one target, `ld` one
+    /// `off(n)` operand.
+    struct Toy;
+
+    #[derive(Debug, PartialEq)]
+    enum T {
+        Op(i64),
+        B(u32),
+        Ld(i32, u8),
+    }
+
+    impl Syntax for Toy {
+        type Inst = T;
+        fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<T, AsmError> {
+            match m {
+                Mnemonic::Other("op") => {
+                    let [a] = line.operands()?;
+                    Ok(T::Op(line.imm(a)?))
+                }
+                Mnemonic::Other("b") => {
+                    let [a] = line.operands()?;
+                    Ok(T::B(line.target(a)?))
+                }
+                Mnemonic::Load(LoadOp::Ld) => {
+                    let [a] = line.operands()?;
+                    let (off, base) = line.mem(a, |b| {
+                        b.parse().map_err(|_| line.error(format!("bad base `{b}`")))
+                    })?;
+                    Ok(T::Ld(off, base))
+                }
+                _ => line.unknown(),
+            }
+        }
+        fn format(inst: &T, targets: &Targets<'_>) -> String {
+            match *inst {
+                T::Op(v) => format!("op {v}"),
+                T::B(t) => format!("b {}", targets.name(t)),
+                T::Ld(off, base) => format!("ld {off}({base})"),
+            }
+        }
+    }
+
+    fn asm(src: &str) -> Result<Assembled<T>, AsmError> {
+        assemble::<Toy>(src)
+    }
+
+    #[test]
+    fn line_syntax() {
+        let p = asm("# header\n.data 0x10 1 -0x2\na: b: op 0x10 # tail\n  b a\nc:\n b @2\n ld (7)")
+            .unwrap();
+        assert_eq!(p.insts, [T::Op(16), T::B(0), T::B(2), T::Ld(0, 7)]);
+        assert_eq!(p.labels.len(), 3);
+        assert_eq!((p.labels["a"], p.labels["b"], p.labels["c"]), (0, 0, 2));
+        assert_eq!(
+            p.data,
+            [(
+                0x10,
+                [1, 0, 0, 0, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff].to_vec()
+            )]
+        );
+    }
+
+    #[test]
+    fn errors_name_the_line_and_keep_their_text() {
+        for (src, line, text) in [
+            ("op 1\nop 1, 2", 2, "`op` expects 1 operands, got 2"),
+            ("op zz", 1, "bad immediate `zz`"),
+            ("frob 1", 1, "unknown mnemonic `frob`"),
+            ("a:\na: op 1", 2, "duplicate label `a`"),
+            ("op 1\nb nowhere", 2, "undefined label `nowhere`"),
+            ("b @1", 1, "target `@1` is past the end (1 instructions)"),
+            ("b @x", 1, "undefined label `@x`"),
+            ("ld 8[3]", 1, "expected off(base), got `8[3]`"),
+            ("ld 8(3", 1, "expected off(base), got `8(3`"),
+            (".data", 1, ".data needs an address"),
+            (".data 0x10 q", 1, "bad immediate `q`"),
+        ] {
+            let e = asm(src).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (line, text), "{src}");
+        }
+    }
+
+    #[test]
+    fn labels_with_brackets_are_not_labels() {
+        let e = asm("x[1]: op 1").unwrap_err();
+        assert_eq!(e.message, "unknown mnemonic `x[1]:`");
+    }
+
+    #[test]
+    fn disassembly_reassembles() {
+        let src = ".data 0x2000 5 6\nz: a:\n    op -3\n    b @0\n    b a\nend:\n";
+        let p = asm(src).unwrap();
+        let text = disassemble::<Toy>(&p.insts, &p.labels, &p.data);
+        assert_eq!(
+            text,
+            ".data 0x2000 5 6\na:\nz:\n    op -3\n    b a\n    b a\nend:\n"
+        );
+        assert_eq!(asm(&text).unwrap(), p);
+        let unlabelled = disassemble::<Toy>(&p.insts, &BTreeMap::new(), &[]);
+        assert_eq!(unlabelled, "    op -3\n    b @0\n    b @0\n");
+    }
+
+    #[test]
+    fn alu_imm_without_an_immediate_form_prints_its_register_mnemonic() {
+        assert_eq!(Mnemonic::AluImm(AluOp::Add).to_string(), "addi");
+        assert_eq!(Mnemonic::AluImm(AluOp::Mul).to_string(), "mul");
+        assert_eq!(Mnemonic::classify("sraiw"), Mnemonic::AluImm(AluOp::Sraw));
+        assert_eq!(Mnemonic::classify("fcvt.d.l"), Mnemonic::Alu(AluOp::Fcvtdl));
+        assert_eq!(Mnemonic::classify("bgeu"), Mnemonic::Branch(BrCond::Geu));
+        assert_eq!(Mnemonic::classify("li"), Mnemonic::Other("li"));
+    }
+}

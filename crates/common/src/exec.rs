@@ -97,6 +97,16 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation, in declaration order (`ALL[op as usize] == op`).
+    pub const ALL: [AluOp; 35] = {
+        use AluOp::*;
+        [
+            Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Addw, Subw, Sllw, Srlw, Sraw, Mul,
+            Div, Divu, Rem, Remu, Mulw, Divw, Remw, Fadd, Fsub, Fmul, Fdiv, Fmin, Fmax, Feq, Flt,
+            Fle, Fcvtdl, Fcvtld, Fmvdx,
+        ]
+    };
+
     /// The [`OpClass`] this operation belongs to (FU routing + Fig. 15).
     pub fn class(self) -> OpClass {
         use AluOp::*;
@@ -235,6 +245,46 @@ impl AluOp {
             Fmvdx => "fmv.d.x",
         }
     }
+
+    /// The operation whose [`mnemonic`](Self::mnemonic) is `m`.
+    pub fn from_mnemonic(m: &str) -> Option<AluOp> {
+        by_mnemonic(&Self::ALL, m, Self::mnemonic)
+    }
+
+    /// Register-immediate mnemonic (`addi`, ...), for the operations
+    /// that have an immediate form; the compiler emits an immediate
+    /// operand only for these.
+    pub fn imm_mnemonic(self) -> Option<&'static str> {
+        use AluOp::*;
+        Some(match self {
+            Add => "addi",
+            Slt => "slti",
+            Sltu => "sltiu",
+            Xor => "xori",
+            Or => "ori",
+            And => "andi",
+            Sll => "slli",
+            Srl => "srli",
+            Sra => "srai",
+            Addw => "addiw",
+            Sllw => "slliw",
+            Srlw => "srliw",
+            Sraw => "sraiw",
+            _ => return None,
+        })
+    }
+
+    /// The operation whose [`imm_mnemonic`](Self::imm_mnemonic) is `m`.
+    pub fn from_imm_mnemonic(m: &str) -> Option<AluOp> {
+        Self::ALL
+            .into_iter()
+            .find(|op| op.imm_mnemonic() == Some(m))
+    }
+}
+
+/// The member of `all` whose mnemonic is `m`.
+fn by_mnemonic<T: Copy>(all: &[T], m: &str, mnemonic: fn(T) -> &'static str) -> Option<T> {
+    all.iter().copied().find(|&op| mnemonic(op) == m)
 }
 
 /// Memory access width and extension for loads.
@@ -257,6 +307,17 @@ pub enum LoadOp {
 }
 
 impl LoadOp {
+    /// Every load, in declaration order (`ALL[op as usize] == op`).
+    pub const ALL: [LoadOp; 7] = [
+        LoadOp::Lb,
+        LoadOp::Lh,
+        LoadOp::Lw,
+        LoadOp::Ld,
+        LoadOp::Lbu,
+        LoadOp::Lhu,
+        LoadOp::Lwu,
+    ];
+
     /// Access size in bytes.
     pub fn size(self) -> u8 {
         match self {
@@ -289,6 +350,11 @@ impl LoadOp {
             LoadOp::Lwu => "lwu",
         }
     }
+
+    /// The load whose [`mnemonic`](Self::mnemonic) is `m`.
+    pub fn from_mnemonic(m: &str) -> Option<LoadOp> {
+        by_mnemonic(&Self::ALL, m, Self::mnemonic)
+    }
 }
 
 /// Memory access width for stores.
@@ -305,6 +371,9 @@ pub enum StoreOp {
 }
 
 impl StoreOp {
+    /// Every store, in declaration order (`ALL[op as usize] == op`).
+    pub const ALL: [StoreOp; 4] = [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw, StoreOp::Sd];
+
     /// Access size in bytes.
     pub fn size(self) -> u8 {
         match self {
@@ -323,6 +392,11 @@ impl StoreOp {
             StoreOp::Sw => "sw",
             StoreOp::Sd => "sd",
         }
+    }
+
+    /// The store whose [`mnemonic`](Self::mnemonic) is `m`.
+    pub fn from_mnemonic(m: &str) -> Option<StoreOp> {
+        by_mnemonic(&Self::ALL, m, Self::mnemonic)
     }
 }
 
@@ -344,6 +418,16 @@ pub enum BrCond {
 }
 
 impl BrCond {
+    /// Every condition, in declaration order (`ALL[c as usize] == c`).
+    pub const ALL: [BrCond; 6] = [
+        BrCond::Eq,
+        BrCond::Ne,
+        BrCond::Lt,
+        BrCond::Ge,
+        BrCond::Ltu,
+        BrCond::Geu,
+    ];
+
     /// Evaluates the condition on two operands.
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
@@ -378,6 +462,11 @@ impl BrCond {
             BrCond::Ltu => "bltu",
             BrCond::Geu => "bgeu",
         }
+    }
+
+    /// The condition whose [`mnemonic`](Self::mnemonic) is `m`.
+    pub fn from_mnemonic(m: &str) -> Option<BrCond> {
+        by_mnemonic(&Self::ALL, m, Self::mnemonic)
     }
 }
 
@@ -887,17 +976,38 @@ mod tests {
         assert!(BrCond::Lt.eval((-1i64) as u64, 0));
         assert!(!BrCond::Ltu.eval((-1i64) as u64, 0));
         assert!(BrCond::Geu.eval((-1i64) as u64, 0));
-        for c in [
-            BrCond::Eq,
-            BrCond::Ne,
-            BrCond::Lt,
-            BrCond::Ge,
-            BrCond::Ltu,
-            BrCond::Geu,
-        ] {
+        for c in BrCond::ALL {
             // negation is an involution and flips the outcome
             assert_eq!(c.negate().negate(), c);
             assert_ne!(c.eval(1, 2), c.negate().eval(1, 2));
         }
+    }
+
+    #[test]
+    fn op_tables_are_in_declaration_order_and_invert_mnemonic() {
+        for (i, op) in AluOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i);
+            assert_eq!(AluOp::from_mnemonic(op.mnemonic()), Some(op));
+            if let Some(m) = op.imm_mnemonic() {
+                assert_eq!(AluOp::from_imm_mnemonic(m), Some(op));
+                assert_eq!(AluOp::from_mnemonic(m), None, "{m}");
+            }
+        }
+        let imm = AluOp::ALL.iter().filter(|op| op.imm_mnemonic().is_some());
+        assert_eq!(imm.count(), 13);
+        assert_eq!(AluOp::from_imm_mnemonic("add"), None);
+        for (i, op) in LoadOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i);
+            assert_eq!(LoadOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for (i, op) in StoreOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i);
+            assert_eq!(StoreOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for (i, c) in BrCond::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+            assert_eq!(BrCond::from_mnemonic(c.mnemonic()), Some(c));
+        }
+        assert_eq!(LoadOp::from_mnemonic("fld"), None);
     }
 }

@@ -13,7 +13,9 @@
 //!   consume,
 //! * [`config`] — the machine configurations of Table 2 (4- to 16-fetch),
 //! * [`mem`] — a sparse 64-bit byte-addressed memory used by the emulators,
-//! * [`stats`] — event counters shared by the simulator and the energy model.
+//! * [`stats`] — event counters shared by the simulator and the energy model,
+//! * [`asm`] — the assembler front end (line syntax, labels, `.data`,
+//!   immediates, disassembly framing) the three ISAs' assemblers share.
 //!
 //! # Examples
 //!
@@ -27,6 +29,7 @@
 //! assert_eq!(cfg.front_latency, 5);
 //! ```
 
+pub mod asm;
 pub mod config;
 pub mod error;
 pub mod exec;

@@ -145,26 +145,6 @@ fn br_cond_of(op: BinOp) -> Option<BrCond> {
     })
 }
 
-/// Whether an immediate form exists for the op.
-fn imm_form(op: AluOp) -> bool {
-    matches!(
-        op,
-        AluOp::Add
-            | AluOp::And
-            | AluOp::Or
-            | AluOp::Xor
-            | AluOp::Slt
-            | AluOp::Sltu
-            | AluOp::Sll
-            | AluOp::Srl
-            | AluOp::Sra
-            | AluOp::Addw
-            | AluOp::Sllw
-            | AluOp::Srlw
-            | AluOp::Sraw
-    )
-}
-
 const IMM_MIN: i64 = -2048;
 const IMM_MAX: i64 = 2047;
 
@@ -438,7 +418,7 @@ impl<'a> Ctx<'a> {
             if let ExprKind::Int(v) = b.kind {
                 if (IMM_MIN..=IMM_MAX).contains(&v) && !op.is_comparison() {
                     if let Ok(alu) = int_binop(op, line) {
-                        if imm_form(alu) {
+                        if alu.imm_mnemonic().is_some() {
                             let dst = hint.unwrap_or_else(|| self.vreg(Ty::Int));
                             self.emit(Ins::BinImm {
                                 op: alu,

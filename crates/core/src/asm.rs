@@ -11,40 +11,30 @@
 //! ```
 //!
 //! Destinations are hand names (`t`, `u`, `v`, `s`); sources are
-//! `hand[distance]` or `zero`; `#` starts a comment; labels end with `:`.
-//! A `.data <addr> <u64>...` directive seeds the initial memory image.
+//! `hand[distance]` or `zero`. Comments, labels, `.data`, immediates,
+//! `off(base)` and branch targets follow the line syntax shared by all
+//! three ISAs ([`ch_common::asm`]).
 
 use crate::hand::{Hand, MAX_DISTANCE};
 use crate::inst::{Inst, Src};
 use crate::program::Program;
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
-use std::collections::BTreeMap;
+use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
 
 pub use ch_common::error::AsmError;
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, AsmError> {
-    Err(AsmError::new(line, message))
-}
-
-fn parse_src(tok: &str, line: usize) -> Result<Src, AsmError> {
+fn parse_src(line: &Line<'_>, tok: &str) -> Result<Src, AsmError> {
     if tok == "zero" {
         return Ok(Src::Zero);
     }
-    let (hand, rest) = tok.split_at(1);
-    let hand = match Hand::parse(hand) {
-        Some(h) => h,
-        None => return err(line, format!("unknown source operand `{tok}`")),
+    let Some(hand) = tok.get(..1).and_then(Hand::parse) else {
+        return Err(line.error(format!("unknown source operand `{tok}`")));
     };
-    let rest = rest.trim();
+    let rest = tok[1..].trim();
     if !rest.starts_with('[') || !rest.ends_with(']') {
-        return err(
-            line,
-            format!("source `{tok}` must look like {hand}[k] or zero"),
-        );
+        return Err(line.error(format!("source `{tok}` must look like {hand}[k] or zero")));
     }
-    let d: u8 = match rest[1..rest.len() - 1].parse() {
-        Ok(d) => d,
-        Err(_) => return err(line, format!("bad distance in `{tok}`")),
+    let Ok(d) = rest[1..rest.len() - 1].parse::<u8>() else {
+        return Err(line.error(format!("bad distance in `{tok}`")));
     };
     // Reject unencodable distances here instead of at encode/run time:
     // a hand reaches back at most `Hand::max_src_distance` values, and
@@ -52,161 +42,172 @@ fn parse_src(tok: &str, line: usize) -> Result<Src, AsmError> {
     // instead).
     if d > hand.max_src_distance() {
         if hand == Hand::S && d == MAX_DISTANCE - 1 {
-            return err(
-                line,
-                format!("`{tok}` is the reserved zero-register encoding; write `zero`"),
-            );
+            return Err(line.error(format!(
+                "`{tok}` is the reserved zero-register encoding; write `zero`"
+            )));
         }
-        return err(
-            line,
-            format!(
-                "distance {d} in `{tok}` out of range (max {})",
-                hand.max_src_distance()
-            ),
-        );
+        return Err(line.error(format!(
+            "distance {d} in `{tok}` out of range (max {})",
+            hand.max_src_distance()
+        )));
     }
     Ok(Src::Hand(hand, d))
 }
 
-fn parse_dst(tok: &str, line: usize) -> Result<Hand, AsmError> {
-    match Hand::parse(tok) {
-        Some(h) => Ok(h),
-        None => err(line, format!("unknown destination hand `{tok}`")),
+fn parse_dst(line: &Line<'_>, tok: &str) -> Result<Hand, AsmError> {
+    Hand::parse(tok).ok_or_else(|| line.error(format!("unknown destination hand `{tok}`")))
+}
+
+/// Clockhands operands: hands as destinations, `hand[k]` as sources.
+struct Clockhands;
+
+impl Syntax for Clockhands {
+    type Inst = Inst;
+
+    fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<Inst, AsmError> {
+        let src = |tok: &str| parse_src(line, tok);
+        let dst = |tok: &str| parse_dst(line, tok);
+        Ok(match m {
+            Mnemonic::Alu(op) => {
+                let [d, a, b] = line.operands()?;
+                Inst::Alu {
+                    op,
+                    dst: dst(d)?,
+                    src1: src(a)?,
+                    src2: src(b)?,
+                }
+            }
+            Mnemonic::AluImm(op) => {
+                let [d, a, imm] = line.operands()?;
+                Inst::AluImm {
+                    op,
+                    dst: dst(d)?,
+                    src1: src(a)?,
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Load(op) => {
+                let [d, mem] = line.operands()?;
+                let (offset, base) = line.mem(mem, src)?;
+                Inst::Load {
+                    op,
+                    dst: dst(d)?,
+                    base,
+                    offset,
+                }
+            }
+            Mnemonic::Store(op) => {
+                let [value, mem] = line.operands()?;
+                let (offset, base) = line.mem(mem, src)?;
+                Inst::Store {
+                    op,
+                    value: src(value)?,
+                    base,
+                    offset,
+                }
+            }
+            Mnemonic::Branch(cond) => {
+                let [a, b, target] = line.operands()?;
+                Inst::Branch {
+                    cond,
+                    src1: src(a)?,
+                    src2: src(b)?,
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("li") => {
+                let [d, imm] = line.operands()?;
+                Inst::Li {
+                    dst: dst(d)?,
+                    imm: line.imm(imm)?,
+                }
+            }
+            Mnemonic::Other("mv") => {
+                let [d, s] = line.operands()?;
+                Inst::Mv {
+                    dst: dst(d)?,
+                    src: src(s)?,
+                }
+            }
+            Mnemonic::Other("j") => {
+                let [target] = line.operands()?;
+                Inst::Jump {
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("call") => {
+                let [d, target] = line.operands()?;
+                Inst::Call {
+                    dst: dst(d)?,
+                    target: line.target(target)?,
+                }
+            }
+            Mnemonic::Other("jalr") => {
+                let [d, s] = line.operands()?;
+                Inst::CallReg {
+                    dst: dst(d)?,
+                    src: src(s)?,
+                }
+            }
+            Mnemonic::Other("jr" | "ret") => {
+                let [s] = line.operands()?;
+                Inst::JumpReg { src: src(s)? }
+            }
+            Mnemonic::Other("nop") => {
+                let [] = line.operands()?;
+                Inst::Nop
+            }
+            Mnemonic::Other("halt") => {
+                let [s] = line.operands()?;
+                Inst::Halt { src: src(s)? }
+            }
+            _ => return line.unknown(),
+        })
     }
-}
 
-fn parse_imm<T: TryFrom<i64>>(tok: &str, line: usize) -> Result<T, AsmError> {
-    let v = if let Some(hex) = tok.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16).map_err(|_| ())
-    } else if let Some(hex) = tok.strip_prefix("-0x") {
-        i64::from_str_radix(hex, 16).map(|v| -v).map_err(|_| ())
-    } else {
-        tok.parse::<i64>().map_err(|_| ())
-    };
-    match v.ok().and_then(|v| T::try_from(v).ok()) {
-        Some(v) => Ok(v),
-        None => err(line, format!("bad immediate `{tok}`")),
+    fn format(inst: &Inst, targets: &Targets<'_>) -> String {
+        match *inst {
+            Inst::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => format!("{} {dst}, {src1}, {src2}", op.mnemonic()),
+            Inst::AluImm { op, dst, src1, imm } => {
+                format!("{} {dst}, {src1}, {imm}", Mnemonic::AluImm(op))
+            }
+            Inst::Li { dst, imm } => format!("li {dst}, {imm}"),
+            Inst::Load {
+                op,
+                dst,
+                base,
+                offset,
+            } => format!("{} {dst}, {offset}({base})", op.mnemonic()),
+            Inst::Store {
+                op,
+                value,
+                base,
+                offset,
+            } => format!("{} {value}, {offset}({base})", op.mnemonic()),
+            Inst::Branch {
+                cond,
+                src1,
+                src2,
+                target,
+            } => format!(
+                "{} {src1}, {src2}, {}",
+                cond.mnemonic(),
+                targets.name(target)
+            ),
+            Inst::Jump { target } => format!("j {}", targets.name(target)),
+            Inst::Call { dst, target } => format!("call {dst}, {}", targets.name(target)),
+            Inst::CallReg { dst, src } => format!("jalr {dst}, {src}"),
+            Inst::JumpReg { src } => format!("jr {src}"),
+            Inst::Mv { dst, src } => format!("mv {dst}, {src}"),
+            Inst::Nop => "nop".to_string(),
+            Inst::Halt { src } => format!("halt {src}"),
+        }
     }
-}
-
-/// Splits `off(base)` into (offset, base src).
-fn parse_mem_operand(tok: &str, line: usize) -> Result<(i32, Src), AsmError> {
-    let open = match tok.find('(') {
-        Some(i) => i,
-        None => return err(line, format!("expected off(base), got `{tok}`")),
-    };
-    if !tok.ends_with(')') {
-        return err(line, format!("expected off(base), got `{tok}`"));
-    }
-    let off: i32 = if tok[..open].is_empty() {
-        0
-    } else {
-        parse_imm(&tok[..open], line)?
-    };
-    let base = parse_src(&tok[open + 1..tok.len() - 1], line)?;
-    Ok((off, base))
-}
-
-fn alu_op(m: &str) -> Option<AluOp> {
-    use AluOp::*;
-    Some(match m {
-        "add" => Add,
-        "sub" => Sub,
-        "sll" => Sll,
-        "slt" => Slt,
-        "sltu" => Sltu,
-        "xor" => Xor,
-        "srl" => Srl,
-        "sra" => Sra,
-        "or" => Or,
-        "and" => And,
-        "addw" => Addw,
-        "subw" => Subw,
-        "sllw" => Sllw,
-        "srlw" => Srlw,
-        "sraw" => Sraw,
-        "mul" => Mul,
-        "div" => Div,
-        "divu" => Divu,
-        "rem" => Rem,
-        "remu" => Remu,
-        "mulw" => Mulw,
-        "divw" => Divw,
-        "remw" => Remw,
-        "fadd" => Fadd,
-        "fsub" => Fsub,
-        "fmul" => Fmul,
-        "fdiv" => Fdiv,
-        "fmin" => Fmin,
-        "fmax" => Fmax,
-        "feq" => Feq,
-        "flt" => Flt,
-        "fle" => Fle,
-        "fcvt.d.l" => Fcvtdl,
-        "fcvt.l.d" => Fcvtld,
-        "fmv.d.x" => Fmvdx,
-        _ => return None,
-    })
-}
-
-fn alu_imm_op(m: &str) -> Option<AluOp> {
-    use AluOp::*;
-    Some(match m {
-        "addi" => Add,
-        "slti" => Slt,
-        "sltiu" => Sltu,
-        "xori" => Xor,
-        "ori" => Or,
-        "andi" => And,
-        "slli" => Sll,
-        "srli" => Srl,
-        "srai" => Sra,
-        "addiw" => Addw,
-        "slliw" => Sllw,
-        "srliw" => Srlw,
-        "sraiw" => Sraw,
-        _ => return None,
-    })
-}
-
-fn load_op(m: &str) -> Option<LoadOp> {
-    Some(match m {
-        "lb" => LoadOp::Lb,
-        "lh" => LoadOp::Lh,
-        "lw" => LoadOp::Lw,
-        "ld" => LoadOp::Ld,
-        "lbu" => LoadOp::Lbu,
-        "lhu" => LoadOp::Lhu,
-        "lwu" => LoadOp::Lwu,
-        _ => return None,
-    })
-}
-
-fn store_op(m: &str) -> Option<StoreOp> {
-    Some(match m {
-        "sb" => StoreOp::Sb,
-        "sh" => StoreOp::Sh,
-        "sw" => StoreOp::Sw,
-        "sd" => StoreOp::Sd,
-        _ => return None,
-    })
-}
-
-fn br_cond(m: &str) -> Option<BrCond> {
-    Some(match m {
-        "beq" => BrCond::Eq,
-        "bne" => BrCond::Ne,
-        "blt" => BrCond::Lt,
-        "bge" => BrCond::Ge,
-        "bltu" => BrCond::Ltu,
-        "bgeu" => BrCond::Geu,
-        _ => return None,
-    })
-}
-
-enum PendingTarget {
-    None,
-    Label(String),
 }
 
 /// Assembles Clockhands source text into a [`Program`].
@@ -226,297 +227,20 @@ enum PendingTarget {
 /// # Ok::<(), clockhands::asm::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
-    let mut prog = Program::new();
-    let mut labels: BTreeMap<String, u32> = BTreeMap::new();
-    let mut pending: Vec<(usize, usize, String)> = Vec::new(); // (inst idx, line, label)
-
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
-        let mut text = raw;
-        if let Some(i) = text.find('#') {
-            text = &text[..i];
-        }
-        let mut text = text.trim();
-        // Leading labels, possibly several, possibly followed by an inst.
-        while let Some(colon) = text.find(':') {
-            let (label, rest) = text.split_at(colon);
-            let label = label.trim();
-            if label.is_empty() || label.contains(char::is_whitespace) {
-                break;
-            }
-            if labels
-                .insert(label.to_string(), prog.insts.len() as u32)
-                .is_some()
-            {
-                return err(line, format!("duplicate label `{label}`"));
-            }
-            text = rest[1..].trim();
-        }
-        if text.is_empty() {
-            continue;
-        }
-        // Directives.
-        if let Some(rest) = text.strip_prefix(".data") {
-            let toks: Vec<&str> = rest.split_whitespace().collect();
-            if toks.is_empty() {
-                return err(line, ".data needs an address");
-            }
-            let addr: i64 = parse_imm(toks[0], line)?;
-            let mut bytes = Vec::new();
-            for t in &toks[1..] {
-                let v: i64 = parse_imm(t, line)?;
-                bytes.extend_from_slice(&(v as u64).to_le_bytes());
-            }
-            prog.data.push((addr as u64, bytes));
-            continue;
-        }
-        // Mnemonic + comma-separated operands.
-        let (mnem, ops_text) = match text.find(char::is_whitespace) {
-            Some(i) => (&text[..i], text[i..].trim()),
-            None => (text, ""),
-        };
-        let ops: Vec<String> = if ops_text.is_empty() {
-            Vec::new()
-        } else {
-            ops_text.split(',').map(|s| s.trim().to_string()).collect()
-        };
-        let need = |n: usize| -> Result<(), AsmError> {
-            if ops.len() == n {
-                Ok(())
-            } else {
-                err(
-                    line,
-                    format!("`{mnem}` expects {n} operands, got {}", ops.len()),
-                )
-            }
-        };
-
-        let mut target = PendingTarget::None;
-        let inst = if let Some(op) = alu_op(mnem) {
-            need(3)?;
-            Inst::Alu {
-                op,
-                dst: parse_dst(&ops[0], line)?,
-                src1: parse_src(&ops[1], line)?,
-                src2: parse_src(&ops[2], line)?,
-            }
-        } else if let Some(op) = alu_imm_op(mnem) {
-            need(3)?;
-            Inst::AluImm {
-                op,
-                dst: parse_dst(&ops[0], line)?,
-                src1: parse_src(&ops[1], line)?,
-                imm: parse_imm(&ops[2], line)?,
-            }
-        } else if let Some(op) = load_op(mnem) {
-            need(2)?;
-            let (offset, base) = parse_mem_operand(&ops[1], line)?;
-            Inst::Load {
-                op,
-                dst: parse_dst(&ops[0], line)?,
-                base,
-                offset,
-            }
-        } else if let Some(op) = store_op(mnem) {
-            need(2)?;
-            let (offset, base) = parse_mem_operand(&ops[1], line)?;
-            Inst::Store {
-                op,
-                value: parse_src(&ops[0], line)?,
-                base,
-                offset,
-            }
-        } else if let Some(cond) = br_cond(mnem) {
-            need(3)?;
-            target = PendingTarget::Label(ops[2].clone());
-            Inst::Branch {
-                cond,
-                src1: parse_src(&ops[0], line)?,
-                src2: parse_src(&ops[1], line)?,
-                target: 0,
-            }
-        } else {
-            match mnem {
-                "li" => {
-                    need(2)?;
-                    Inst::Li {
-                        dst: parse_dst(&ops[0], line)?,
-                        imm: parse_imm(&ops[1], line)?,
-                    }
-                }
-                "mv" => {
-                    need(2)?;
-                    Inst::Mv {
-                        dst: parse_dst(&ops[0], line)?,
-                        src: parse_src(&ops[1], line)?,
-                    }
-                }
-                "j" => {
-                    need(1)?;
-                    target = PendingTarget::Label(ops[0].clone());
-                    Inst::Jump { target: 0 }
-                }
-                "call" => {
-                    need(2)?;
-                    target = PendingTarget::Label(ops[1].clone());
-                    Inst::Call {
-                        dst: parse_dst(&ops[0], line)?,
-                        target: 0,
-                    }
-                }
-                "jalr" => {
-                    need(2)?;
-                    Inst::CallReg {
-                        dst: parse_dst(&ops[0], line)?,
-                        src: parse_src(&ops[1], line)?,
-                    }
-                }
-                "jr" | "ret" => {
-                    need(1)?;
-                    Inst::JumpReg {
-                        src: parse_src(&ops[0], line)?,
-                    }
-                }
-                "nop" => {
-                    need(0)?;
-                    Inst::Nop
-                }
-                "halt" => {
-                    need(1)?;
-                    Inst::Halt {
-                        src: parse_src(&ops[0], line)?,
-                    }
-                }
-                _ => return err(line, format!("unknown mnemonic `{mnem}`")),
-            }
-        };
-        if let PendingTarget::Label(l) = target {
-            pending.push((prog.insts.len(), line, l));
-        }
-        prog.insts.push(inst);
-    }
-
-    for (idx, line, label) in pending {
-        let t = match labels.get(&label) {
-            Some(&t) => t,
-            None => return err(line, format!("undefined label `{label}`")),
-        };
-        match &mut prog.insts[idx] {
-            Inst::Branch { target, .. } | Inst::Jump { target } | Inst::Call { target, .. } => {
-                *target = t;
-            }
-            _ => unreachable!("pending target on non-branch"),
-        }
-    }
-    prog.labels = labels;
-    Ok(prog)
+    let a = asm::assemble::<Clockhands>(source)?;
+    Ok(Program {
+        insts: a.insts,
+        entry: 0,
+        labels: a.labels,
+        data: a.data,
+    })
 }
 
-fn fmt_target(prog: &Program, target: u32) -> String {
-    for (name, &idx) in &prog.labels {
-        if idx == target {
-            return name.clone();
-        }
-    }
-    format!("@{target}")
-}
-
-/// Disassembles a program back to source text (labels preserved when the
-/// program carries them; synthetic `@index` targets otherwise).
+/// Disassembles a program back to source text that [`assemble`] turns
+/// into the same program (labels preserved when the program carries
+/// them; `@index` targets otherwise).
 pub fn disassemble(prog: &Program) -> String {
-    let mut by_index: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
-    for (name, &idx) in &prog.labels {
-        by_index.entry(idx).or_default().push(name);
-    }
-    let mut out = String::new();
-    for (base, words) in &prog.data {
-        out.push_str(&format!(".data 0x{base:x}"));
-        for chunk in words.chunks(8) {
-            let mut v = [0u8; 8];
-            v[..chunk.len()].copy_from_slice(chunk);
-            out.push_str(&format!(" {}", u64::from_le_bytes(v) as i64));
-        }
-        out.push('\n');
-    }
-    for (i, inst) in prog.insts.iter().enumerate() {
-        if let Some(names) = by_index.get(&(i as u32)) {
-            for n in names {
-                out.push_str(&format!("{n}:\n"));
-            }
-        }
-        out.push_str("    ");
-        out.push_str(&fmt_inst(prog, inst));
-        out.push('\n');
-    }
-    out
-}
-
-fn fmt_inst(prog: &Program, inst: &Inst) -> String {
-    match *inst {
-        Inst::Alu {
-            op,
-            dst,
-            src1,
-            src2,
-        } => {
-            format!("{} {dst}, {src1}, {src2}", op.mnemonic())
-        }
-        Inst::AluImm { op, dst, src1, imm } => {
-            let m = match op {
-                AluOp::Add => "addi",
-                AluOp::Slt => "slti",
-                AluOp::Sltu => "sltiu",
-                AluOp::Xor => "xori",
-                AluOp::Or => "ori",
-                AluOp::And => "andi",
-                AluOp::Sll => "slli",
-                AluOp::Srl => "srli",
-                AluOp::Sra => "srai",
-                AluOp::Addw => "addiw",
-                AluOp::Sllw => "slliw",
-                AluOp::Srlw => "srliw",
-                AluOp::Sraw => "sraiw",
-                other => return format!("{} {dst}, {src1}, {imm} ; imm", other.mnemonic()),
-            };
-            format!("{m} {dst}, {src1}, {imm}")
-        }
-        Inst::Li { dst, imm } => format!("li {dst}, {imm}"),
-        Inst::Load {
-            op,
-            dst,
-            base,
-            offset,
-        } => {
-            format!("{} {dst}, {offset}({base})", op.mnemonic())
-        }
-        Inst::Store {
-            op,
-            value,
-            base,
-            offset,
-        } => {
-            format!("{} {value}, {offset}({base})", op.mnemonic())
-        }
-        Inst::Branch {
-            cond,
-            src1,
-            src2,
-            target,
-        } => {
-            format!(
-                "{} {src1}, {src2}, {}",
-                cond.mnemonic(),
-                fmt_target(prog, target)
-            )
-        }
-        Inst::Jump { target } => format!("j {}", fmt_target(prog, target)),
-        Inst::Call { dst, target } => format!("call {dst}, {}", fmt_target(prog, target)),
-        Inst::CallReg { dst, src } => format!("jalr {dst}, {src}"),
-        Inst::JumpReg { src } => format!("jr {src}"),
-        Inst::Mv { dst, src } => format!("mv {dst}, {src}"),
-        Inst::Nop => "nop".to_string(),
-        Inst::Halt { src } => format!("halt {src}"),
-    }
+    asm::disassemble::<Clockhands>(&prog.insts, &prog.labels, &prog.data)
 }
 
 #[cfg(test)]
@@ -637,6 +361,9 @@ mod tests {
             "add t, t0, t[1]\nhalt t[0]",    // missing brackets
             "add t, t[0]\nhalt t[0]",        // wrong operand count
             "frob t, t[0], t[1]\nhalt t[0]", // unknown mnemonic
+            "li t, 1\nmv t,\nhalt t[0]",     // empty operand
+            "ld t, ()\nhalt t[0]",           // empty base
+            "mv t, \u{e9}[1]\nhalt t[0]",    // non-ASCII hand
         ] {
             assert!(assemble(bad).is_err(), "assembler accepted: {bad}");
         }
@@ -644,7 +371,8 @@ mod tests {
 
     #[test]
     fn disassemble_roundtrip() {
-        let src = "start:
+        let src = ".data 0x2000 5 6
+start:
     li t, 100
 .loop:
     addi t, t[0], -1
@@ -659,7 +387,8 @@ mod tests {
         let p1 = assemble(src).unwrap();
         let text = disassemble(&p1);
         let p2 = assemble(&text).unwrap();
-        assert_eq!(p1.insts, p2.insts);
+        assert_eq!(p1.data.len(), 1);
+        assert_eq!(p1, p2);
     }
 
     #[test]

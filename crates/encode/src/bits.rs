@@ -77,11 +77,11 @@ pub fn req_zero(word: u32, lo: u32, width: u32, at: usize) -> Result<(), DecodeE
 pub const OP_ALU: u32 = 0;
 pub const OP_ALUIMM: u32 = 1;
 pub const OP_LI: u32 = 2;
-/// Loads occupy `OP_LB..=OP_LB+6` in [`LOAD_OPS`] order.
+/// Loads occupy `OP_LB..=OP_LB+6` in [`LoadOp::ALL`] order.
 pub const OP_LB: u32 = 3;
-/// Stores occupy `OP_SB..=OP_SB+3` in [`STORE_OPS`] order.
+/// Stores occupy `OP_SB..=OP_SB+3` in [`StoreOp::ALL`] order.
 pub const OP_SB: u32 = 10;
-/// Branches occupy `OP_BEQ..=OP_BEQ+5` in [`BR_CONDS`] order.
+/// Branches occupy `OP_BEQ..=OP_BEQ+5` in [`BrCond::ALL`] order.
 pub const OP_BEQ: u32 = 14;
 pub const OP_JUMP: u32 = 20;
 pub const OP_CALL: u32 = 21;
@@ -116,53 +116,15 @@ pub fn word32(op: u32) -> u32 {
 // ---------------------------------------------------------------------------
 // Funct tables.
 
-/// Dense `funct6` table over every [`AluOp`], in declaration order.
-pub const ALU_FUNCT: [AluOp; 35] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Sll,
-    AluOp::Slt,
-    AluOp::Sltu,
-    AluOp::Xor,
-    AluOp::Srl,
-    AluOp::Sra,
-    AluOp::Or,
-    AluOp::And,
-    AluOp::Addw,
-    AluOp::Subw,
-    AluOp::Sllw,
-    AluOp::Srlw,
-    AluOp::Sraw,
-    AluOp::Mul,
-    AluOp::Div,
-    AluOp::Divu,
-    AluOp::Rem,
-    AluOp::Remu,
-    AluOp::Mulw,
-    AluOp::Divw,
-    AluOp::Remw,
-    AluOp::Fadd,
-    AluOp::Fsub,
-    AluOp::Fmul,
-    AluOp::Fdiv,
-    AluOp::Fmin,
-    AluOp::Fmax,
-    AluOp::Feq,
-    AluOp::Flt,
-    AluOp::Fle,
-    AluOp::Fcvtdl,
-    AluOp::Fcvtld,
-    AluOp::Fmvdx,
-];
-
-/// The `funct6` code of an ALU operation.
+/// The `funct6` code of an ALU operation: its index in [`AluOp::ALL`]
+/// (declaration order).
 pub fn alu_funct(op: AluOp) -> u32 {
-    ALU_FUNCT.iter().position(|&o| o == op).unwrap() as u32
+    AluOp::ALL.iter().position(|&o| o == op).unwrap() as u32
 }
 
 /// The ALU operation behind a `funct6` code.
 pub fn alu_from_funct(f: u32, at: usize, word: u32) -> Result<AluOp, DecodeError> {
-    ALU_FUNCT
+    AluOp::ALL
         .get(f as usize)
         .copied()
         .ok_or(DecodeError::BadOpcode { at, word })
@@ -186,43 +148,19 @@ pub fn calu_funct(op: AluOp) -> Option<u32> {
     CALU_FUNCT.iter().position(|&o| o == op).map(|p| p as u32)
 }
 
-/// Load operations in per-width opcode order (`OP_LB + index`).
-pub const LOAD_OPS: [LoadOp; 7] = [
-    LoadOp::Lb,
-    LoadOp::Lh,
-    LoadOp::Lw,
-    LoadOp::Ld,
-    LoadOp::Lbu,
-    LoadOp::Lhu,
-    LoadOp::Lwu,
-];
-
-/// Store operations in per-width opcode order (`OP_SB + index`).
-pub const STORE_OPS: [StoreOp; 4] = [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw, StoreOp::Sd];
-
-/// Branch conditions in per-condition opcode order (`OP_BEQ + index`).
-pub const BR_CONDS: [BrCond; 6] = [
-    BrCond::Eq,
-    BrCond::Ne,
-    BrCond::Lt,
-    BrCond::Ge,
-    BrCond::Ltu,
-    BrCond::Geu,
-];
-
-/// `OP_LB + index` for a load operation.
+/// `OP_LB + index` for a load operation (index in [`LoadOp::ALL`]).
 pub fn load_opcode(op: LoadOp) -> u32 {
-    OP_LB + LOAD_OPS.iter().position(|&o| o == op).unwrap() as u32
+    OP_LB + LoadOp::ALL.iter().position(|&o| o == op).unwrap() as u32
 }
 
-/// `OP_SB + index` for a store operation.
+/// `OP_SB + index` for a store operation (index in [`StoreOp::ALL`]).
 pub fn store_opcode(op: StoreOp) -> u32 {
-    OP_SB + STORE_OPS.iter().position(|&o| o == op).unwrap() as u32
+    OP_SB + StoreOp::ALL.iter().position(|&o| o == op).unwrap() as u32
 }
 
-/// `OP_BEQ + index` for a branch condition.
+/// `OP_BEQ + index` for a branch condition (index in [`BrCond::ALL`]).
 pub fn branch_opcode(cond: BrCond) -> u32 {
-    OP_BEQ + BR_CONDS.iter().position(|&c| c == cond).unwrap() as u32
+    OP_BEQ + BrCond::ALL.iter().position(|&c| c == cond).unwrap() as u32
 }
 
 /// The dedicated wide-immediate opcode for an ALU-immediate operation,
@@ -364,10 +302,10 @@ mod tests {
 
     #[test]
     fn funct_tables_are_dense_and_injective() {
-        for (i, &op) in ALU_FUNCT.iter().enumerate() {
+        for (i, &op) in AluOp::ALL.iter().enumerate() {
             assert_eq!(alu_funct(op), i as u32);
         }
-        assert!(ALU_FUNCT.len() <= 64, "funct6 budget");
+        assert!(AluOp::ALL.len() <= 64, "funct6 budget");
         for &op in &CALU_FUNCT {
             assert_eq!(CALU_FUNCT[calu_funct(op).unwrap() as usize], op);
         }

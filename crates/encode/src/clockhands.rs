@@ -8,6 +8,7 @@
 use crate::bits::*;
 use crate::stream::Codec;
 use crate::{DecodeError, EncodeError};
+use ch_common::exec::{BrCond, LoadOp, StoreOp};
 use clockhands::hand::Hand;
 use clockhands::inst::{Inst, Src};
 
@@ -277,19 +278,19 @@ impl Codec for Ch {
                 imm: get_imm(word, 9, 22, pool, at)?,
             },
             OP_LB..=9 => Inst::Load {
-                op: LOAD_OPS[(op - OP_LB) as usize],
+                op: LoadOp::ALL[(op - OP_LB) as usize],
                 dst: dst_from2(get(word, 7, 2)),
                 base: src_from6(get(word, 9, 6)),
                 offset: get_imm32(word, 15, 16, pool, at)?,
             },
             OP_SB..=13 => Inst::Store {
-                op: STORE_OPS[(op - OP_SB) as usize],
+                op: StoreOp::ALL[(op - OP_SB) as usize],
                 value: src_from6(get(word, 7, 6)),
                 base: src_from6(get(word, 13, 6)),
                 offset: get_imm32(word, 19, 12, pool, at)?,
             },
             OP_BEQ..=19 => Inst::Branch {
-                cond: BR_CONDS[(op - OP_BEQ) as usize],
+                cond: BrCond::ALL[(op - OP_BEQ) as usize],
                 src1: src_from6(get(word, 7, 6)),
                 src2: src_from6(get(word, 13, 6)),
                 target: target(get_imm(word, 19, 12, pool, at)?)?,

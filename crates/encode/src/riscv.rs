@@ -234,19 +234,19 @@ impl Codec for Rv {
                 imm: get_imm(word, 13, 18, pool, at)?,
             },
             OP_LB..=9 => RvInst::Load {
-                op: LOAD_OPS[(op - OP_LB) as usize],
+                op: LoadOp::ALL[(op - OP_LB) as usize],
                 rd: Reg(get(word, 7, 6) as u8),
                 base: Reg(get(word, 13, 6) as u8),
                 offset: get_imm32(word, 19, 12, pool, at)?,
             },
             OP_SB..=13 => RvInst::Store {
-                op: STORE_OPS[(op - OP_SB) as usize],
+                op: StoreOp::ALL[(op - OP_SB) as usize],
                 rs: Reg(get(word, 7, 6) as u8),
                 base: Reg(get(word, 13, 6) as u8),
                 offset: get_imm32(word, 19, 12, pool, at)?,
             },
             OP_BEQ..=19 => RvInst::Branch {
-                cond: BR_CONDS[(op - OP_BEQ) as usize],
+                cond: BrCond::ALL[(op - OP_BEQ) as usize],
                 rs1: Reg(get(word, 7, 6) as u8),
                 rs2: Reg(get(word, 13, 6) as u8),
                 target: target(get_imm(word, 19, 12, pool, at)?)?,

@@ -252,7 +252,7 @@ impl Codec for St {
                 imm: get_imm(word, 7, 24, pool, at)?,
             },
             OP_LB..=9 => StInst::Load {
-                op: LOAD_OPS[(op - OP_LB) as usize],
+                op: LoadOp::ALL[(op - OP_LB) as usize],
                 base: src_from8(get(word, 7, 8), at, word)?,
                 offset: get_imm32(word, 15, 16, pool, at)?,
             },
@@ -260,10 +260,10 @@ impl Codec for St {
                 value: src_from8(get(word, 7, 8), at, word)?,
                 base: src_from8(get(word, 15, 8), at, word)?,
                 offset: get_imm32(word, 23, 8, pool, at)?,
-                op: STORE_OPS[(op - OP_SB) as usize],
+                op: StoreOp::ALL[(op - OP_SB) as usize],
             },
             OP_BEQ..=19 => StInst::Branch {
-                cond: BR_CONDS[(op - OP_BEQ) as usize],
+                cond: BrCond::ALL[(op - OP_BEQ) as usize],
                 src1: src_from8(get(word, 7, 8), at, word)?,
                 src2: src_from8(get(word, 15, 8), at, word)?,
                 target: target(get_imm(word, 23, 8, pool, at)?)?,

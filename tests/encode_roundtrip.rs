@@ -4,7 +4,8 @@
 //! `decode(encode(p)) == p` holds for every program the compiler can
 //! emit — not just the five golden workloads. This suite drives the
 //! `ch-fuzz` Kern generator through the compiler and both encoding
-//! variants of all three ISAs, and additionally checks that the
+//! variants of all three ISAs, checks that every compiled program's
+//! disassembly reassembles to the same program, and checks that the
 //! decoders fail *structurally* (never panic) on truncated and garbage
 //! byte streams.
 
@@ -45,6 +46,25 @@ fn roundtrip_set(set: &ch_compiler::CompiledSet, variant: EncodingVariant, ctx: 
     );
 }
 
+/// `assemble(disassemble(p)) == p` for every program of a compiled set:
+/// the disassembly names unlabelled targets `@N`, and the assemblers
+/// must read that back to the same instructions, labels and data.
+fn asm_roundtrip_set(set: &ch_compiler::CompiledSet, ctx: &str) {
+    use ch_baselines::{riscv, straight};
+    let r = riscv::asm::assemble(&riscv::asm::disassemble(&set.riscv))
+        .unwrap_or_else(|e| panic!("{ctx}: riscv disassembly rejected: {e}"));
+    assert_eq!(r, set.riscv, "{ctx}: riscv assemble(disassemble(p))");
+    let s = straight::asm::assemble(&straight::asm::disassemble(&set.straight))
+        .unwrap_or_else(|e| panic!("{ctx}: straight disassembly rejected: {e}"));
+    assert_eq!(s, set.straight, "{ctx}: straight assemble(disassemble(p))");
+    let c = clockhands::asm::assemble(&clockhands::asm::disassemble(&set.clockhands))
+        .unwrap_or_else(|e| panic!("{ctx}: clockhands disassembly rejected: {e}"));
+    assert_eq!(
+        c, set.clockhands,
+        "{ctx}: clockhands assemble(disassemble(p))"
+    );
+}
+
 #[test]
 fn fuzz_corpus_round_trips_all_isa_variant_pairs() {
     // Static verification re-checks every compiled program; the corpus
@@ -60,6 +80,7 @@ fn fuzz_corpus_round_trips_all_isa_variant_pairs() {
         for variant in EncodingVariant::ALL {
             roundtrip_set(&set, variant, &ctx);
         }
+        asm_roundtrip_set(&set, &ctx);
     }
 }
 
@@ -70,6 +91,7 @@ fn golden_workloads_round_trip() {
         for variant in EncodingVariant::ALL {
             roundtrip_set(&set, variant, w.name());
         }
+        asm_roundtrip_set(&set, w.name());
     }
 }
 
