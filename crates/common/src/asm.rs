@@ -171,13 +171,16 @@ impl<'a> Line<'a> {
     }
 
     /// Resolves a branch target: a label, or `@N` naming instruction `N`
-    /// (else ``undefined label `tok` ``).
+    /// (else ``undefined label `tok` ``). Like a label after the last
+    /// instruction, `@N` may name the end of the program (`N` equal to
+    /// the instruction count), the one-past-the-end target the binary
+    /// encodings also carry.
     pub fn target(&self, tok: &str) -> Result<u32, AsmError> {
         if let Some(&t) = self.labels.get(tok) {
             return Ok(t);
         }
         match tok.strip_prefix('@').map(str::parse::<u32>) {
-            Some(Ok(t)) if (t as usize) < self.len => Ok(t),
+            Some(Ok(t)) if (t as usize) <= self.len => Ok(t),
             Some(Ok(t)) => Err(self.error(format!(
                 "target `@{t}` is past the end ({} instructions)",
                 self.len
@@ -412,6 +415,14 @@ mod tests {
     }
 
     #[test]
+    fn end_target_matches_an_end_label() {
+        let by_index = asm("b @1").unwrap();
+        let by_label = asm("b end\nend:").unwrap();
+        assert_eq!(by_index.insts, [T::B(1)]);
+        assert_eq!(by_label.insts, by_index.insts);
+    }
+
+    #[test]
     fn errors_name_the_line_and_keep_their_text() {
         for (src, line, text) in [
             ("op 1\nop 1, 2", 2, "`op` expects 1 operands, got 2"),
@@ -419,7 +430,7 @@ mod tests {
             ("frob 1", 1, "unknown mnemonic `frob`"),
             ("a:\na: op 1", 2, "duplicate label `a`"),
             ("op 1\nb nowhere", 2, "undefined label `nowhere`"),
-            ("b @1", 1, "target `@1` is past the end (1 instructions)"),
+            ("b @2", 1, "target `@2` is past the end (1 instructions)"),
             ("b @x", 1, "undefined label `@x`"),
             ("ld 8[3]", 1, "expected off(base), got `8[3]`"),
             ("ld 8(3", 1, "expected off(base), got `8(3`"),

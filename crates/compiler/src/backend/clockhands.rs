@@ -103,11 +103,7 @@ pub fn compile_with(module: &Module, opt: &OptConfig) -> Result<Program, String>
             };
             let mut best: Option<usize> = None;
             for &(func, ca) in &cands {
-                let n = emitted(func, ca);
-                if std::env::var("CH_VARIANT_DEBUG").is_ok() {
-                    eprintln!("VARIANT {} anchor={} emitted={:?}", func.name, ca, n);
-                }
-                if let Some(n) = n {
+                if let Some(n) = emitted(func, ca) {
                     if best.map(|b| n < b).unwrap_or(true) {
                         best = Some(n);
                         f = func;

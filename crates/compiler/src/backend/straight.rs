@@ -335,12 +335,6 @@ impl<'a> FnCg<'a> {
                 let next = order.get(oi + 1).copied();
                 self.gen_block(b, oi == 0, next)?;
             }
-            if std::env::var("CH_DEBUG_LAYOUT").is_ok() {
-                eprintln!(
-                    "[{} pass {pass}] fix_writes={} layouts={:?} deliveries={:?}",
-                    self.f.name, self.fix_writes, self.layouts, self.deliveries
-                );
-            }
             if pass == 3 || self.fix_writes == 0 {
                 break;
             }

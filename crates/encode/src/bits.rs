@@ -1,6 +1,6 @@
 //! Bit-field plumbing shared by the three codecs: field insertion and
-//! extraction, signed-range checks, the opcode map, funct tables, and
-//! the wide-immediate literal pool.
+//! extraction, signed-range checks, the 32-bit and 16-bit opcode maps,
+//! funct tables, and the wide-immediate literal pool.
 //!
 //! All three ISAs share one 5-bit major-opcode space (Fig. 5 of the
 //! paper: the ISAs share `opcode`/`funct` semantics and differ only in
@@ -61,28 +61,24 @@ pub fn get_signed(word: u32, lo: u32, width: u32) -> i64 {
     ((raw << (32 - width)) as i32 >> (32 - width)) as i64
 }
 
-/// Requires bits `[lo, lo + width)` to be zero (reserved-field check,
-/// so corrupted streams fail loudly instead of decoding silently).
-pub fn req_zero(word: u32, lo: u32, width: u32, at: usize) -> Result<(), DecodeError> {
-    if get(word, lo, width) == 0 {
-        Ok(())
-    } else {
-        Err(DecodeError::Reserved { at, word })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Major opcodes (5 bits, at [6:2] of every 32-bit word).
+
+/// Low bits of a 32-bit word: the RVC length tag.
+pub const W32: u32 = 0b11;
 
 pub const OP_ALU: u32 = 0;
 pub const OP_ALUIMM: u32 = 1;
 pub const OP_LI: u32 = 2;
-/// Loads occupy `OP_LB..=OP_LB+6` in [`LoadOp::ALL`] order.
+/// Loads occupy `OP_LB..=OP_LWU` in [`LoadOp::ALL`] order.
 pub const OP_LB: u32 = 3;
-/// Stores occupy `OP_SB..=OP_SB+3` in [`StoreOp::ALL`] order.
+pub const OP_LWU: u32 = 9;
+/// Stores occupy `OP_SB..=OP_SD` in [`StoreOp::ALL`] order.
 pub const OP_SB: u32 = 10;
-/// Branches occupy `OP_BEQ..=OP_BEQ+5` in [`BrCond::ALL`] order.
+pub const OP_SD: u32 = 13;
+/// Branches occupy `OP_BEQ..=OP_BGEU` in [`BrCond::ALL`] order.
 pub const OP_BEQ: u32 = 14;
+pub const OP_BGEU: u32 = 19;
 pub const OP_JUMP: u32 = 20;
 pub const OP_CALL: u32 = 21;
 pub const OP_JUMPREG: u32 = 22;
@@ -92,34 +88,49 @@ pub const OP_NOP: u32 = 25;
 pub const OP_HALT: u32 = 26;
 /// STRAIGHT only: add-immediate to the special SP register.
 pub const OP_SPADDI: u32 = 27;
-/// Dedicated wide-immediate ALU opcodes for the four dominant
-/// register-immediate operations (RISC-V gives `addi` its own major
-/// opcode for the same reason: the generic funct-carrying form cannot
-/// afford a useful immediate field).
+/// Dedicated wide-immediate ALU opcodes `OP_ADDI..=OP_XORI` for the four
+/// dominant register-immediate operations, [`IMM_OPS`] (RISC-V gives
+/// `addi` its own major opcode for the same reason: the generic
+/// funct-carrying form cannot afford a useful immediate field).
 pub const OP_ADDI: u32 = 28;
-pub const OP_ANDI: u32 = 29;
-pub const OP_ORI: u32 = 30;
 pub const OP_XORI: u32 = 31;
 
-/// Reads the major opcode of a 32-bit word.
-pub fn opcode(word: u32) -> u32 {
-    get(word, 2, 5)
-}
+// 16-bit compact opcodes: a quadrant (bits [1:0]) and a `funct3`
+// (bits [4:2]), shared by the three ISAs.
 
-/// Starts a 32-bit word: length tag `0b11` plus the major opcode.
-pub fn word32(op: u32) -> u32 {
-    let mut w = 0b11;
-    put(&mut w, 2, 5, op);
-    w
-}
+/// Quadrant 00: the register-register ALU form, `funct3` indexing
+/// [`CALU_FUNCT`].
+pub const Q0: u32 = 0b00;
+/// Quadrant 01, `funct3` `C_MV..=C_J`.
+pub const Q1: u32 = 0b01;
+pub const C_MV: u32 = 0;
+pub const C_LI: u32 = 1;
+pub const C_ADDI: u32 = 2;
+pub const C_LD: u32 = 3;
+pub const C_SD: u32 = 4;
+pub const C_BEQZ: u32 = 5;
+pub const C_BNEZ: u32 = 6;
+pub const C_J: u32 = 7;
+/// Quadrant 10, `funct3` `C_NOP..=C_SPADDI`.
+pub const Q2: u32 = 0b10;
+pub const C_NOP: u32 = 0;
+pub const C_HALT: u32 = 1;
+pub const C_JR: u32 = 2;
+/// STRAIGHT only.
+pub const C_SPADDI: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Funct tables.
 
+/// The position of `x` in `table`: opcodes and functs are table indices.
+fn index<T: PartialEq>(table: &[T], x: T) -> Option<u32> {
+    table.iter().position(|t| *t == x).map(|p| p as u32)
+}
+
 /// The `funct6` code of an ALU operation: its index in [`AluOp::ALL`]
 /// (declaration order).
 pub fn alu_funct(op: AluOp) -> u32 {
-    AluOp::ALL.iter().position(|&o| o == op).unwrap() as u32
+    index(&AluOp::ALL, op).expect("ALL lists every op")
 }
 
 /// The ALU operation behind a `funct6` code.
@@ -145,45 +156,39 @@ pub const CALU_FUNCT: [AluOp; 8] = [
 
 /// The compact `funct3` of an ALU operation, if it has one.
 pub fn calu_funct(op: AluOp) -> Option<u32> {
-    CALU_FUNCT.iter().position(|&o| o == op).map(|p| p as u32)
+    index(&CALU_FUNCT, op)
+}
+
+/// The conditions of the compact branches on zero, `C_BEQZ..=C_BNEZ`.
+pub const CBRANCH: [BrCond; 2] = [BrCond::Eq, BrCond::Ne];
+
+/// The compact `funct3` of a branch on zero, if its condition has one.
+pub fn cbranch_funct(cond: BrCond) -> Option<u32> {
+    index(&CBRANCH, cond).map(|p| C_BEQZ + p)
 }
 
 /// `OP_LB + index` for a load operation (index in [`LoadOp::ALL`]).
 pub fn load_opcode(op: LoadOp) -> u32 {
-    OP_LB + LoadOp::ALL.iter().position(|&o| o == op).unwrap() as u32
+    OP_LB + index(&LoadOp::ALL, op).expect("ALL lists every op")
 }
 
 /// `OP_SB + index` for a store operation (index in [`StoreOp::ALL`]).
 pub fn store_opcode(op: StoreOp) -> u32 {
-    OP_SB + StoreOp::ALL.iter().position(|&o| o == op).unwrap() as u32
+    OP_SB + index(&StoreOp::ALL, op).expect("ALL lists every op")
 }
 
 /// `OP_BEQ + index` for a branch condition (index in [`BrCond::ALL`]).
 pub fn branch_opcode(cond: BrCond) -> u32 {
-    OP_BEQ + BrCond::ALL.iter().position(|&c| c == cond).unwrap() as u32
+    OP_BEQ + index(&BrCond::ALL, cond).expect("ALL lists every condition")
 }
 
-/// The dedicated wide-immediate opcode for an ALU-immediate operation,
-/// if it has one (`addi`/`andi`/`ori`/`xori`).
+/// The register-immediate operations with a dedicated wide-immediate
+/// opcode, `OP_ADDI..=OP_XORI` in order.
+pub const IMM_OPS: [AluOp; 4] = [AluOp::Add, AluOp::And, AluOp::Or, AluOp::Xor];
+
+/// The dedicated wide-immediate opcode of an operation, if it has one.
 pub fn imm_opcode(op: AluOp) -> Option<u32> {
-    match op {
-        AluOp::Add => Some(OP_ADDI),
-        AluOp::And => Some(OP_ANDI),
-        AluOp::Or => Some(OP_ORI),
-        AluOp::Xor => Some(OP_XORI),
-        _ => None,
-    }
-}
-
-/// The ALU-immediate operation behind a dedicated opcode.
-pub fn imm_op(opcode: u32) -> Option<AluOp> {
-    match opcode {
-        OP_ADDI => Some(AluOp::Add),
-        OP_ANDI => Some(AluOp::And),
-        OP_ORI => Some(AluOp::Or),
-        OP_XORI => Some(AluOp::Xor),
-        _ => None,
-    }
+    index(&IMM_OPS, op).map(|p| OP_ADDI + p)
 }
 
 // ---------------------------------------------------------------------------
@@ -262,16 +267,9 @@ pub fn get_imm(
     }
 }
 
-/// [`get_imm`] narrowed to the `i32` immediate fields, rejecting pool
+/// A decoded immediate narrowed to an `i32` operand, rejecting pool
 /// entries that cannot have been produced by an `i32` site.
-pub fn get_imm32(
-    word: u32,
-    lo: u32,
-    width: u32,
-    pool: &[u64],
-    at: usize,
-) -> Result<i32, DecodeError> {
-    let v = get_imm(word, lo, width, pool, at)?;
+pub fn imm32(v: i64, at: usize, word: u32) -> Result<i32, DecodeError> {
     i32::try_from(v).map_err(|_| DecodeError::BadImm { at, word })
 }
 
@@ -309,9 +307,18 @@ mod tests {
         for &op in &CALU_FUNCT {
             assert_eq!(CALU_FUNCT[calu_funct(op).unwrap() as usize], op);
         }
+        assert_eq!(
+            BrCond::ALL.map(cbranch_funct)[..3],
+            [Some(C_BEQZ), Some(C_BNEZ), None]
+        );
         assert_eq!(load_opcode(LoadOp::Lwu), OP_LB + 6);
         assert_eq!(store_opcode(StoreOp::Sd), OP_SB + 3);
         assert_eq!(branch_opcode(BrCond::Geu), OP_BEQ + 5);
+        assert_eq!(
+            [load_opcode(LoadOp::Lwu), store_opcode(StoreOp::Sd)],
+            [OP_LWU, OP_SD]
+        );
+        assert_eq!(branch_opcode(BrCond::Geu), OP_BGEU);
         assert!(branch_opcode(BrCond::Geu) < OP_JUMP);
     }
 
@@ -351,7 +358,7 @@ mod tests {
             Err(DecodeError::BadPool { at: 3, index: 0 })
         ));
         assert!(matches!(
-            get_imm32(w2, 9, 22, &pool.values, 3),
+            imm32(get_imm(w2, 9, 22, &pool.values, 3).unwrap(), 3, w2),
             Err(DecodeError::BadImm { .. })
         ));
     }

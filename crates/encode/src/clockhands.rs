@@ -6,11 +6,12 @@
 //! exactly as in Section 4.5.
 
 use crate::bits::*;
-use crate::stream::Codec;
+use crate::form::*;
 use crate::{DecodeError, EncodeError};
-use ch_common::exec::{BrCond, LoadOp, StoreOp};
+use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
 use clockhands::hand::Hand;
 use clockhands::inst::{Inst, Src};
+use Field::*;
 
 /// The `s[15]` encoding: the hardwired zero register.
 const SRC_ZERO: u32 = 0b11_1111;
@@ -59,24 +60,41 @@ fn dst_from2(v: u32) -> Hand {
     Hand::from_index(v as usize)
 }
 
-// 16-bit quadrant-01 compact opcodes.
-const C_MV: u32 = 0;
-const C_LI: u32 = 1;
-const C_ADDI: u32 = 2;
-const C_LD: u32 = 3;
-const C_SD: u32 = 4;
-const C_BEQZ: u32 = 5;
-const C_BNEZ: u32 = 6;
-const C_J: u32 = 7;
-// Quadrant-10 compact opcodes.
-const C_NOP: u32 = 0;
-const C_HALT: u32 = 1;
-const C_JR: u32 = 2;
+/// Every Clockhands form: a 2-bit destination hand, 6-bit sources, and
+/// the 4-bit compact sources of the 16-bit forms.
+const FORMS: &[Form] = &[
+    form(W32, OP_ALU, &[Funct6, Dst(2), Src(6), Src(6)]),
+    form(W32, OP_ALUIMM, &[Funct6, Dst(2), Src(6), Imm(9)]),
+    forms(W32, OP_ADDI..=OP_XORI, &[Dst(2), Src(6), Imm(16)]),
+    form(W32, OP_LI, &[Dst(2), Imm(22)]),
+    forms(W32, OP_LB..=OP_LWU, &[Dst(2), Src(6), Imm(16)]),
+    forms(W32, OP_SB..=OP_SD, &[Src(6), Src(6), Imm(12)]),
+    forms(W32, OP_BEQ..=OP_BGEU, &[Src(6), Src(6), Disp(12)]),
+    form(W32, OP_JUMP, &[Disp(24)]),
+    form(W32, OP_CALL, &[Dst(2), Disp(22)]),
+    form(W32, OP_JUMPREG, &[Src(6)]),
+    form(W32, OP_CALLREG, &[Dst(2), Src(6)]),
+    form(W32, OP_MV, &[Dst(2), Src(6)]),
+    form(W32, OP_NOP, &[]),
+    form(W32, OP_HALT, &[Src(6)]),
+    forms(Q0, 0..=7, &[Dst(2), Src(4), Src(4)]),
+    form(Q1, C_MV, &[Dst(2), Src(6)]),
+    form(Q1, C_LI, &[Dst(2), CImm(9)]),
+    form(Q1, C_ADDI, &[Dst(2), Src(4), CImm(5)]),
+    form(Q1, C_LD, &[Dst(2), Src(4), COff(5)]),
+    form(Q1, C_SD, &[Src(4), Src(4), COff(3)]),
+    forms(Q1, C_BEQZ..=C_BNEZ, &[Src(4), CDisp(7)]),
+    form(Q1, C_J, &[CDisp(11)]),
+    form(Q2, C_NOP, &[]),
+    form(Q2, C_HALT, &[Src(6)]),
+    form(Q2, C_JR, &[Src(6)]),
+];
 
 pub(crate) struct Ch;
 
 impl Codec for Ch {
     type Inst = Inst;
+    const FORMS: &'static [Form] = FORMS;
 
     fn target(i: &Inst) -> Option<u32> {
         match *i {
@@ -87,433 +105,187 @@ impl Codec for Ch {
         }
     }
 
-    fn has_compact(i: &Inst) -> bool {
-        match *i {
-            Inst::Alu { op, src1, src2, .. } => {
-                calu_funct(op).is_some() && src4(src1).is_some() && src4(src2).is_some()
-            }
-            Inst::AluImm {
-                op: ch_common::exec::AluOp::Add,
-                src1,
-                imm,
-                ..
-            } => src4(src1).is_some() && fits_signed(imm as i64, 5),
-            Inst::Li { imm, .. } => fits_signed(imm, 9),
-            Inst::Load {
-                op: ch_common::exec::LoadOp::Ld,
-                base,
-                offset,
-                ..
-            } => src4(base).is_some() && (0..=248).contains(&offset) && offset % 8 == 0,
-            Inst::Store {
-                op: ch_common::exec::StoreOp::Sd,
-                value,
-                base,
-                offset,
-            } => {
-                src4(value).is_some()
-                    && src4(base).is_some()
-                    && (0..=56).contains(&offset)
-                    && offset % 8 == 0
-            }
-            Inst::Branch {
-                cond: ch_common::exec::BrCond::Eq | ch_common::exec::BrCond::Ne,
-                src1,
-                src2: Src::Zero,
-                ..
-            } => src4(src1).is_some(),
-            Inst::Jump { .. }
-            | Inst::JumpReg { .. }
-            | Inst::Mv { .. }
-            | Inst::Nop
-            | Inst::Halt { .. } => true,
-            _ => false,
-        }
-    }
-
-    fn compact_disp_bits(i: &Inst) -> u32 {
-        match *i {
-            Inst::Branch { .. } => 7,
-            _ => 11, // C.J
-        }
-    }
-
-    fn encode(i: &Inst, size: u8, disp: i64, pool: &mut Pool, at: u32) -> Result<u32, EncodeError> {
-        if size == 2 {
-            return encode16(i, disp, at);
-        }
-        let mut w;
-        match *i {
+    fn full(i: &Inst, at: u32) -> Result<Ops, EncodeError> {
+        let src = |s| src6(s, at);
+        Ok(match *i {
             Inst::Alu {
                 op,
                 dst,
                 src1,
                 src2,
-            } => {
-                w = word32(OP_ALU);
-                put(&mut w, 7, 6, alu_funct(op));
-                put(&mut w, 13, 2, dst2(dst));
-                put(&mut w, 15, 6, src6(src1, at)?);
-                put(&mut w, 21, 6, src6(src2, at)?);
+            } => alu32(op, &[dst2(dst), src(src1)?, src(src2)?]),
+            Inst::AluImm { op, dst, src1, imm } => {
+                alu_imm32(op, &[dst2(dst), src(src1)?], imm.into(), at)?
             }
-            Inst::AluImm { op, dst, src1, imm } => match imm_opcode(op) {
-                Some(opc) => {
-                    w = word32(opc);
-                    put(&mut w, 7, 2, dst2(dst));
-                    put(&mut w, 9, 6, src6(src1, at)?);
-                    put_imm(&mut w, 15, 16, imm as i64, pool, at)?;
-                }
-                None => {
-                    w = word32(OP_ALUIMM);
-                    put(&mut w, 7, 6, alu_funct(op));
-                    put(&mut w, 13, 2, dst2(dst));
-                    put(&mut w, 15, 6, src6(src1, at)?);
-                    put_imm(&mut w, 21, 9, imm as i64, pool, at)?;
-                }
-            },
-            Inst::Li { dst, imm } => {
-                w = word32(OP_LI);
-                put(&mut w, 7, 2, dst2(dst));
-                put_imm(&mut w, 9, 22, imm, pool, at)?;
-            }
+            Inst::Li { dst, imm } => op32(OP_LI, &[dst2(dst)], imm),
             Inst::Load {
                 op,
                 dst,
                 base,
                 offset,
-            } => {
-                w = word32(load_opcode(op));
-                put(&mut w, 7, 2, dst2(dst));
-                put(&mut w, 9, 6, src6(base, at)?);
-                put_imm(&mut w, 15, 16, offset as i64, pool, at)?;
-            }
+            } => op32(load_opcode(op), &[dst2(dst), src(base)?], offset.into()),
             Inst::Store {
                 op,
                 value,
                 base,
                 offset,
-            } => {
-                w = word32(store_opcode(op));
-                put(&mut w, 7, 6, src6(value, at)?);
-                put(&mut w, 13, 6, src6(base, at)?);
-                put_imm(&mut w, 19, 12, offset as i64, pool, at)?;
-            }
+            } => op32(store_opcode(op), &[src(value)?, src(base)?], offset.into()),
             Inst::Branch {
-                cond, src1, src2, ..
-            } => {
-                w = word32(branch_opcode(cond));
-                put(&mut w, 7, 6, src6(src1, at)?);
-                put(&mut w, 13, 6, src6(src2, at)?);
-                put_imm(&mut w, 19, 12, disp, pool, at)?;
-            }
-            Inst::Jump { .. } => {
-                w = word32(OP_JUMP);
-                put_imm(&mut w, 7, 24, disp, pool, at)?;
-            }
-            Inst::Call { dst, .. } => {
-                w = word32(OP_CALL);
-                put(&mut w, 7, 2, dst2(dst));
-                put_imm(&mut w, 9, 22, disp, pool, at)?;
-            }
-            Inst::JumpReg { src } => {
-                w = word32(OP_JUMPREG);
-                put(&mut w, 7, 6, src6(src, at)?);
-            }
-            Inst::CallReg { dst, src } => {
-                w = word32(OP_CALLREG);
-                put(&mut w, 7, 2, dst2(dst));
-                put(&mut w, 9, 6, src6(src, at)?);
-            }
-            Inst::Mv { dst, src } => {
-                w = word32(OP_MV);
-                put(&mut w, 7, 2, dst2(dst));
-                put(&mut w, 9, 6, src6(src, at)?);
-            }
-            Inst::Nop => {
-                w = word32(OP_NOP);
-            }
-            Inst::Halt { src } => {
-                w = word32(OP_HALT);
-                put(&mut w, 7, 6, src6(src, at)?);
-            }
-        }
-        Ok(w)
-    }
-
-    fn decode(
-        word: u32,
-        size: u8,
-        at: usize,
-        target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-        pool: &[u64],
-    ) -> Result<Inst, DecodeError> {
-        if size == 2 {
-            return decode16(word, at, target);
-        }
-        let op = opcode(word);
-        Ok(match op {
-            OP_ALU => {
-                req_zero(word, 27, 5, at)?;
-                Inst::Alu {
-                    op: alu_from_funct(get(word, 7, 6), at, word)?,
-                    dst: dst_from2(get(word, 13, 2)),
-                    src1: src_from6(get(word, 15, 6)),
-                    src2: src_from6(get(word, 21, 6)),
-                }
-            }
-            OP_ALUIMM => Inst::AluImm {
-                op: alu_from_funct(get(word, 7, 6), at, word)?,
-                dst: dst_from2(get(word, 13, 2)),
-                src1: src_from6(get(word, 15, 6)),
-                imm: get_imm32(word, 21, 9, pool, at)?,
-            },
-            OP_ADDI | OP_ANDI | OP_ORI | OP_XORI => Inst::AluImm {
-                op: imm_op(op).unwrap(),
-                dst: dst_from2(get(word, 7, 2)),
-                src1: src_from6(get(word, 9, 6)),
-                imm: get_imm32(word, 15, 16, pool, at)?,
-            },
-            OP_LI => Inst::Li {
-                dst: dst_from2(get(word, 7, 2)),
-                imm: get_imm(word, 9, 22, pool, at)?,
-            },
-            OP_LB..=9 => Inst::Load {
-                op: LoadOp::ALL[(op - OP_LB) as usize],
-                dst: dst_from2(get(word, 7, 2)),
-                base: src_from6(get(word, 9, 6)),
-                offset: get_imm32(word, 15, 16, pool, at)?,
-            },
-            OP_SB..=13 => Inst::Store {
-                op: StoreOp::ALL[(op - OP_SB) as usize],
-                value: src_from6(get(word, 7, 6)),
-                base: src_from6(get(word, 13, 6)),
-                offset: get_imm32(word, 19, 12, pool, at)?,
-            },
-            OP_BEQ..=19 => Inst::Branch {
-                cond: BrCond::ALL[(op - OP_BEQ) as usize],
-                src1: src_from6(get(word, 7, 6)),
-                src2: src_from6(get(word, 13, 6)),
-                target: target(get_imm(word, 19, 12, pool, at)?)?,
-            },
-            OP_JUMP => Inst::Jump {
-                target: target(get_imm(word, 7, 24, pool, at)?)?,
-            },
-            OP_CALL => Inst::Call {
-                dst: dst_from2(get(word, 7, 2)),
-                target: target(get_imm(word, 9, 22, pool, at)?)?,
-            },
-            OP_JUMPREG => {
-                req_zero(word, 13, 19, at)?;
-                Inst::JumpReg {
-                    src: src_from6(get(word, 7, 6)),
-                }
-            }
-            OP_CALLREG => {
-                req_zero(word, 15, 17, at)?;
-                Inst::CallReg {
-                    dst: dst_from2(get(word, 7, 2)),
-                    src: src_from6(get(word, 9, 6)),
-                }
-            }
-            OP_MV => {
-                req_zero(word, 15, 17, at)?;
-                Inst::Mv {
-                    dst: dst_from2(get(word, 7, 2)),
-                    src: src_from6(get(word, 9, 6)),
-                }
-            }
-            OP_NOP => {
-                req_zero(word, 7, 25, at)?;
-                Inst::Nop
-            }
-            OP_HALT => {
-                req_zero(word, 13, 19, at)?;
-                Inst::Halt {
-                    src: src_from6(get(word, 7, 6)),
-                }
-            }
-            _ => return Err(DecodeError::BadOpcode { at, word }),
+                cond,
+                src1,
+                src2,
+                target,
+            } => op32(
+                branch_opcode(cond),
+                &[src(src1)?, src(src2)?],
+                target.into(),
+            ),
+            Inst::Jump { target } => op32(OP_JUMP, &[], target.into()),
+            Inst::Call { dst, target } => op32(OP_CALL, &[dst2(dst)], target.into()),
+            Inst::JumpReg { src: s } => op32(OP_JUMPREG, &[src(s)?], 0),
+            Inst::CallReg { dst, src: s } => op32(OP_CALLREG, &[dst2(dst), src(s)?], 0),
+            Inst::Mv { dst, src: s } => op32(OP_MV, &[dst2(dst), src(s)?], 0),
+            Inst::Nop => op32(OP_NOP, &[], 0),
+            Inst::Halt { src: s } => op32(OP_HALT, &[src(s)?], 0),
         })
     }
-}
 
-fn encode16(i: &Inst, disp: i64, at: u32) -> Result<u32, EncodeError> {
-    let mut w = 0u32;
-    match *i {
-        Inst::Alu {
-            op,
-            dst,
-            src1,
-            src2,
-        } => {
-            // Quadrant 00.
-            put(&mut w, 2, 3, calu_funct(op).unwrap());
-            put(&mut w, 5, 2, dst2(dst));
-            put(&mut w, 7, 4, src4(src1).unwrap());
-            put(&mut w, 11, 4, src4(src2).unwrap());
-        }
-        Inst::Mv { dst, src } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_MV);
-            put(&mut w, 5, 2, dst2(dst));
-            put(&mut w, 7, 6, src6(src, at)?);
-        }
-        Inst::Li { dst, imm } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_LI);
-            put(&mut w, 5, 2, dst2(dst));
-            put_signed(&mut w, 7, 9, imm);
-        }
-        Inst::AluImm { dst, src1, imm, .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_ADDI);
-            put(&mut w, 5, 2, dst2(dst));
-            put(&mut w, 7, 4, src4(src1).unwrap());
-            put_signed(&mut w, 11, 5, imm as i64);
-        }
-        Inst::Load {
-            dst, base, offset, ..
-        } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_LD);
-            put(&mut w, 5, 2, dst2(dst));
-            put(&mut w, 7, 4, src4(base).unwrap());
-            put(&mut w, 11, 5, offset as u32 / 8);
-        }
-        Inst::Store {
-            value,
-            base,
-            offset,
-            ..
-        } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_SD);
-            put(&mut w, 5, 4, src4(value).unwrap());
-            put(&mut w, 9, 4, src4(base).unwrap());
-            put(&mut w, 13, 3, offset as u32 / 8);
-        }
-        Inst::Branch { cond, src1, .. } => {
-            w = 0b01;
-            let c = if cond == ch_common::exec::BrCond::Eq {
-                C_BEQZ
-            } else {
-                C_BNEZ
-            };
-            put(&mut w, 2, 3, c);
-            put(&mut w, 5, 4, src4(src1).unwrap());
-            put_signed(&mut w, 9, 7, disp);
-        }
-        Inst::Jump { .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_J);
-            put_signed(&mut w, 5, 11, disp);
-        }
-        Inst::Nop => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_NOP);
-        }
-        Inst::Halt { src } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_HALT);
-            put(&mut w, 5, 6, src6(src, at)?);
-        }
-        Inst::JumpReg { src } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_JR);
-            put(&mut w, 5, 6, src6(src, at)?);
-        }
-        _ => unreachable!("has_compact admitted a 32-bit-only instruction"),
-    }
-    Ok(w)
-}
-
-fn decode16(
-    word: u32,
-    at: usize,
-    target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-) -> Result<Inst, DecodeError> {
-    match word & 0b11 {
-        0b00 => {
-            req_zero(word, 15, 1, at)?;
-            Ok(Inst::Alu {
-                op: CALU_FUNCT[get(word, 2, 3) as usize],
-                dst: dst_from2(get(word, 5, 2)),
-                src1: src_from4(get(word, 7, 4)),
-                src2: src_from4(get(word, 11, 4)),
-            })
-        }
-        0b01 => Ok(match get(word, 2, 3) {
-            C_MV => {
-                req_zero(word, 13, 3, at)?;
-                Inst::Mv {
-                    dst: dst_from2(get(word, 5, 2)),
-                    src: src_from6(get(word, 7, 6)),
-                }
-            }
-            C_LI => Inst::Li {
-                dst: dst_from2(get(word, 5, 2)),
-                imm: get_signed(word, 7, 9),
-            },
-            C_ADDI => Inst::AluImm {
-                op: ch_common::exec::AluOp::Add,
-                dst: dst_from2(get(word, 5, 2)),
-                src1: src_from4(get(word, 7, 4)),
-                imm: get_signed(word, 11, 5) as i32,
-            },
-            C_LD => Inst::Load {
-                op: ch_common::exec::LoadOp::Ld,
-                dst: dst_from2(get(word, 5, 2)),
-                base: src_from4(get(word, 7, 4)),
-                offset: (get(word, 11, 5) * 8) as i32,
-            },
-            C_SD => Inst::Store {
-                op: ch_common::exec::StoreOp::Sd,
-                value: src_from4(get(word, 5, 4)),
-                base: src_from4(get(word, 9, 4)),
-                offset: (get(word, 13, 3) * 8) as i32,
-            },
-            C_BEQZ | C_BNEZ => Inst::Branch {
-                cond: if get(word, 2, 3) == C_BEQZ {
-                    ch_common::exec::BrCond::Eq
-                } else {
-                    ch_common::exec::BrCond::Ne
-                },
-                src1: src_from4(get(word, 5, 4)),
+    fn compact(i: &Inst) -> Option<Ops> {
+        let src = |s| src6(s, 0).ok();
+        Some(match *i {
+            Inst::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => calu16(op, &[dst2(dst), src4(src1)?, src4(src2)?])?,
+            Inst::Mv { dst, src: s } => op16(Q1, C_MV, &[dst2(dst), src(s)?], 0),
+            Inst::Li { dst, imm } => op16(Q1, C_LI, &[dst2(dst)], imm),
+            Inst::AluImm {
+                op: AluOp::Add,
+                dst,
+                src1,
+                imm,
+            } => op16(Q1, C_ADDI, &[dst2(dst), src4(src1)?], imm.into()),
+            Inst::Load {
+                op: LoadOp::Ld,
+                dst,
+                base,
+                offset,
+            } => op16(Q1, C_LD, &[dst2(dst), src4(base)?], offset.into()),
+            Inst::Store {
+                op: StoreOp::Sd,
+                value,
+                base,
+                offset,
+            } => op16(Q1, C_SD, &[src4(value)?, src4(base)?], offset.into()),
+            Inst::Branch {
+                cond,
+                src1,
                 src2: Src::Zero,
-                target: target(get_signed(word, 9, 7))?,
+                target,
+            } => op16(Q1, cbranch_funct(cond)?, &[src4(src1)?], target.into()),
+            Inst::Jump { target } => op16(Q1, C_J, &[], target.into()),
+            Inst::Nop => op16(Q2, C_NOP, &[], 0),
+            Inst::Halt { src: s } => op16(Q2, C_HALT, &[src(s)?], 0),
+            Inst::JumpReg { src: s } => op16(Q2, C_JR, &[src(s)?], 0),
+            _ => return None,
+        })
+    }
+
+    fn inst(o: &Ops, at: usize, word: u32) -> Result<Inst, DecodeError> {
+        let [a, b, c] = o.spec;
+        let imm = || imm32(o.imm, at, word);
+        let target = o.imm as u32;
+        Ok(match o.tag {
+            (W32, OP_ALU) => Inst::Alu {
+                op: alu_from_funct(o.funct, at, word)?,
+                dst: dst_from2(a),
+                src1: src_from6(b),
+                src2: src_from6(c),
             },
-            C_J => Inst::Jump {
-                target: target(get_signed(word, 5, 11))?,
+            (W32, OP_ALUIMM | OP_ADDI..=OP_XORI) => Inst::AluImm {
+                op: alu_imm_op(o, at, word)?,
+                dst: dst_from2(a),
+                src1: src_from6(b),
+                imm: imm()?,
             },
-            _ => unreachable!("3-bit compact opcode"),
-        }),
-        0b10 => match get(word, 2, 3) {
-            C_NOP => {
-                req_zero(word, 5, 11, at)?;
-                Ok(Inst::Nop)
-            }
-            C_HALT => {
-                req_zero(word, 11, 5, at)?;
-                Ok(Inst::Halt {
-                    src: src_from6(get(word, 5, 6)),
-                })
-            }
-            C_JR => {
-                req_zero(word, 11, 5, at)?;
-                Ok(Inst::JumpReg {
-                    src: src_from6(get(word, 5, 6)),
-                })
-            }
-            _ => Err(DecodeError::BadOpcode { at, word }),
-        },
-        _ => unreachable!("0b11 is a 32-bit unit"),
+            (W32, OP_LI) | (Q1, C_LI) => Inst::Li {
+                dst: dst_from2(a),
+                imm: o.imm,
+            },
+            (W32, op @ OP_LB..=OP_LWU) => Inst::Load {
+                op: LoadOp::ALL[(op - OP_LB) as usize],
+                dst: dst_from2(a),
+                base: src_from6(b),
+                offset: imm()?,
+            },
+            (W32, op @ OP_SB..=OP_SD) => Inst::Store {
+                op: StoreOp::ALL[(op - OP_SB) as usize],
+                value: src_from6(a),
+                base: src_from6(b),
+                offset: imm()?,
+            },
+            (W32, op @ OP_BEQ..=OP_BGEU) => Inst::Branch {
+                cond: BrCond::ALL[(op - OP_BEQ) as usize],
+                src1: src_from6(a),
+                src2: src_from6(b),
+                target,
+            },
+            (W32, OP_JUMP) | (Q1, C_J) => Inst::Jump { target },
+            (W32, OP_CALL) => Inst::Call {
+                dst: dst_from2(a),
+                target,
+            },
+            (W32, OP_JUMPREG) | (Q2, C_JR) => Inst::JumpReg { src: src_from6(a) },
+            (W32, OP_CALLREG) => Inst::CallReg {
+                dst: dst_from2(a),
+                src: src_from6(b),
+            },
+            (W32, OP_MV) | (Q1, C_MV) => Inst::Mv {
+                dst: dst_from2(a),
+                src: src_from6(b),
+            },
+            (W32, OP_NOP) | (Q2, C_NOP) => Inst::Nop,
+            (W32, OP_HALT) | (Q2, C_HALT) => Inst::Halt { src: src_from6(a) },
+            (Q0, f) => Inst::Alu {
+                op: CALU_FUNCT[f as usize],
+                dst: dst_from2(a),
+                src1: src_from4(b),
+                src2: src_from4(c),
+            },
+            (Q1, C_ADDI) => Inst::AluImm {
+                op: AluOp::Add,
+                dst: dst_from2(a),
+                src1: src_from4(b),
+                imm: imm()?,
+            },
+            (Q1, C_LD) => Inst::Load {
+                op: LoadOp::Ld,
+                dst: dst_from2(a),
+                base: src_from4(b),
+                offset: imm()?,
+            },
+            (Q1, C_SD) => Inst::Store {
+                op: StoreOp::Sd,
+                value: src_from4(a),
+                base: src_from4(b),
+                offset: imm()?,
+            },
+            (Q1, c @ (C_BEQZ | C_BNEZ)) => Inst::Branch {
+                cond: CBRANCH[(c - C_BEQZ) as usize],
+                src1: src_from4(a),
+                src2: Src::Zero,
+                target,
+            },
+            _ => unreachable!("tag without a form row"),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
     use ch_common::EncodingVariant;
 
     fn sample() -> Vec<Inst> {
@@ -678,6 +450,25 @@ mod tests {
                 assert_eq!(back, insts, "{variant}");
             }
         }
+    }
+
+    #[test]
+    fn alu_imm_bit_31_is_reserved() {
+        // The OP_ALUIMM immediate site (flag + 9 bits) ends at bit 30.
+        let srli = Inst::AluImm {
+            op: AluOp::Srl,
+            dst: Hand::T,
+            src1: Src::Hand(Hand::T, 0),
+            imm: -1,
+        };
+        let enc = crate::encode_clockhands(&[srli], EncodingVariant::Fixed).unwrap();
+        let w = u32::from_le_bytes(enc.bytes[..].try_into().unwrap());
+        assert_eq!(w >> 30, 0b01, "{w:#010x}");
+        let err = crate::decode_clockhands(&(w | 1 << 31).to_le_bytes(), &[]).unwrap_err();
+        assert!(
+            matches!(err, DecodeError::Reserved { at: 0, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,0 +1,317 @@
+//! Instruction forms: each ISA declares every binary format once, as a
+//! tag plus an ordered field list, and this module derives the encoder,
+//! the decoder, the reserved-bit check and the compact-fit test from
+//! that one row.
+//!
+//! The tag sits in the low bits of every unit: the length tag `0b11`
+//! and the 5-bit major opcode (bits `[6:0]`) of a 32-bit word, or the
+//! quadrant and `funct3` (bits `[4:0]`) of a 16-bit unit. Fields pack
+//! upward from the tag in row order, so no bit position is ever written
+//! down; every bit above the last field is reserved and must be zero.
+//! Decoding is therefore canonical: a unit that decodes re-encodes to
+//! the same bits.
+
+use crate::bits::*;
+use crate::{DecodeError, EncodeError};
+use ch_common::exec::AluOp;
+use std::ops::RangeInclusive;
+
+/// One field of an instruction form, in packing order (low bits first).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Field {
+    /// The 6-bit ALU function code ([`alu_funct`]).
+    Funct6,
+    /// An `n`-bit destination specifier.
+    Dst(u32),
+    /// An `n`-bit source specifier (a compact source in a 16-bit form).
+    Src(u32),
+    /// A pool-flagged immediate: one flag bit, then `n` bits holding the
+    /// signed value (flag 0) or a literal-pool index (flag 1).
+    Imm(u32),
+    /// A pool-flagged halfword displacement, laid out like [`Field::Imm`].
+    Disp(u32),
+    /// A compact `n`-bit signed immediate (no pool flag).
+    CImm(u32),
+    /// A compact `n`-bit unsigned doubleword offset (the offset / 8).
+    COff(u32),
+    /// A compact `n`-bit signed halfword displacement (no pool flag; the
+    /// driver relaxes an out-of-reach unit to its 32-bit form).
+    CDisp(u32),
+}
+
+impl Field {
+    /// Bits the field occupies.
+    fn width(self) -> u32 {
+        match self {
+            Field::Funct6 => 6,
+            Field::Imm(n) | Field::Disp(n) => n + 1,
+            Field::Dst(n) | Field::Src(n) | Field::CImm(n) | Field::COff(n) | Field::CDisp(n) => n,
+        }
+    }
+}
+
+/// One binary format: the tags that share it and its fields.
+pub(crate) struct Form {
+    /// [`W32`] for a 32-bit form, else the 16-bit quadrant.
+    quadrant: u32,
+    /// The major opcodes (32-bit) or `funct3` values (16-bit) of the form.
+    codes: RangeInclusive<u32>,
+    fields: &'static [Field],
+}
+
+impl Form {
+    /// The first field's low bit: fields pack upward from the tag.
+    fn base(&self) -> u32 {
+        if self.quadrant == W32 {
+            7
+        } else {
+            5
+        }
+    }
+
+    /// Bits the tag and fields occupy; every bit above is reserved.
+    fn end(&self) -> u32 {
+        self.base() + self.fields.iter().map(|&f| f.width()).sum::<u32>()
+    }
+
+    /// Whether the row covers `(quadrant, code)`.
+    fn has(&self, (quadrant, code): (u32, u32)) -> bool {
+        self.quadrant == quadrant && self.codes.contains(&code)
+    }
+
+    /// Whether `imm` fits the row's compact immediate or offset field.
+    /// Sources are checked by the ISA's codecs, displacement reach by
+    /// the driver.
+    fn fits(&self, imm: i64) -> bool {
+        self.fields.iter().all(|&field| match field {
+            Field::CImm(n) => fits_signed(imm, n),
+            Field::COff(n) => imm >= 0 && imm % 8 == 0 && imm / 8 <= mask(n) as i64,
+            _ => true,
+        })
+    }
+
+    /// Each field with its low bit and, for a specifier, its slot in
+    /// [`Ops::spec`].
+    fn placed(&self) -> impl Iterator<Item = (Field, u32, usize)> + '_ {
+        self.fields
+            .iter()
+            .scan((self.base(), 0), |(lo, slot), &field| {
+                let placed = (field, *lo, *slot);
+                *lo += field.width();
+                *slot += usize::from(matches!(field, Field::Dst(_) | Field::Src(_)));
+                Some(placed)
+            })
+    }
+}
+
+/// The form of one tag: the major opcode (under [`W32`]) or `funct3`
+/// (under a quadrant) `code`.
+pub(crate) const fn form(quadrant: u32, code: u32, fields: &'static [Field]) -> Form {
+    forms(quadrant, code..=code, fields)
+}
+
+/// A form shared by a run of consecutive tags.
+pub(crate) const fn forms(
+    quadrant: u32,
+    codes: RangeInclusive<u32>,
+    fields: &'static [Field],
+) -> Form {
+    Form {
+        quadrant,
+        codes,
+        fields,
+    }
+}
+
+/// An instruction's tag and field values: the `funct6`, the specifier
+/// codes in row order, and the one immediate, compact offset or — in a
+/// displacement row — target instruction index, if the row has one.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Ops {
+    /// `(quadrant, code)`: the row's low bits and its opcode or `funct3`.
+    pub tag: (u32, u32),
+    /// The [`Field::Funct6`] code.
+    pub funct: u32,
+    /// Destination and source codes in row order.
+    pub spec: [u32; 3],
+    /// The immediate, offset or target index.
+    pub imm: i64,
+}
+
+/// [`Ops`] of a 32-bit form with major opcode `opcode`.
+pub(crate) fn op32(opcode: u32, spec: &[u32], imm: i64) -> Ops {
+    op16(W32, opcode, spec, imm)
+}
+
+/// [`Ops`] of a 16-bit form in `quadrant` with `funct3`.
+pub(crate) fn op16(quadrant: u32, funct3: u32, spec: &[u32], imm: i64) -> Ops {
+    let mut o = Ops {
+        tag: (quadrant, funct3),
+        imm,
+        ..Ops::default()
+    };
+    o.spec[..spec.len()].copy_from_slice(spec);
+    o
+}
+
+/// [`Ops`] of a register-register ALU operation.
+pub(crate) fn alu32(op: AluOp, spec: &[u32]) -> Ops {
+    Ops {
+        funct: alu_funct(op),
+        ..op32(OP_ALU, spec, 0)
+    }
+}
+
+/// [`Ops`] of a compact register-register ALU operation, if its
+/// operation has a compact `funct3`.
+pub(crate) fn calu16(op: AluOp, spec: &[u32]) -> Option<Ops> {
+    Some(op16(Q0, calu_funct(op)?, spec, 0))
+}
+
+/// [`Ops`] of a register-immediate ALU operation: its dedicated opcode
+/// if it has one, else `OP_ALUIMM` and its `funct6`. Only operations
+/// with an immediate mnemonic take `OP_ALUIMM`, so no word duplicates a
+/// dedicated-opcode encoding or disassembles to text no assembler
+/// accepts.
+pub(crate) fn alu_imm32(op: AluOp, spec: &[u32], imm: i64, at: u32) -> Result<Ops, EncodeError> {
+    let opcode = match imm_opcode(op) {
+        Some(opcode) => opcode,
+        None if op.imm_mnemonic().is_some() => OP_ALUIMM,
+        None => return Err(EncodeError::NoImmForm { at }),
+    };
+    Ok(Ops {
+        funct: alu_funct(op),
+        ..op32(opcode, spec, imm)
+    })
+}
+
+/// The operation of a decoded [`alu_imm32`] unit.
+pub(crate) fn alu_imm_op(o: &Ops, at: usize, word: u32) -> Result<AluOp, DecodeError> {
+    if o.tag != (W32, OP_ALUIMM) {
+        return Ok(IMM_OPS[(o.tag.1 - OP_ADDI) as usize]);
+    }
+    alu_from_funct(o.funct, at, word)
+        .ok()
+        .filter(|&op| op.imm_mnemonic().is_some() && imm_opcode(op).is_none())
+        .ok_or(DecodeError::BadOpcode { at, word })
+}
+
+/// The row of `tag`, if any.
+fn find(forms: &'static [Form], tag: (u32, u32)) -> Option<&'static Form> {
+    forms.iter().find(|f| f.has(tag))
+}
+
+/// An ISA's binary format: its form table and the mapping between its
+/// instructions and (tag, field values). Sizing, encoding and decoding
+/// derive from the table.
+pub(crate) trait Codec {
+    /// The ISA's static instruction type.
+    type Inst: Copy + PartialEq + std::fmt::Debug;
+
+    /// Every 32-bit and 16-bit form of the ISA, one row each.
+    const FORMS: &'static [Form];
+
+    /// Branch/jump/call target as an instruction index, if the
+    /// instruction transfers control via an immediate displacement.
+    fn target(i: &Self::Inst) -> Option<u32>;
+
+    /// The instruction in its 32-bit form.
+    fn full(i: &Self::Inst, at: u32) -> Result<Ops, EncodeError>;
+
+    /// The instruction in its 16-bit form, if it has one and its
+    /// sources fit the compact specifiers.
+    fn compact(i: &Self::Inst) -> Option<Ops>;
+
+    /// The instruction behind a decoded unit.
+    fn inst(o: &Ops, at: usize, word: u32) -> Result<Self::Inst, DecodeError>;
+
+    /// The row of a mapped instruction.
+    fn row(o: &Ops) -> &'static Form {
+        find(Self::FORMS, o.tag).expect("every mapped tag has a row")
+    }
+
+    /// Whether the instruction has a 16-bit form whose compact immediate
+    /// or offset fits its row (the driver checks displacement reach by
+    /// relaxation).
+    fn has_compact(i: &Self::Inst) -> bool {
+        Self::compact(i).is_some_and(|o| Self::row(&o).fits(o.imm))
+    }
+
+    /// Signed width in bits of the halfword-displacement field of the
+    /// 16-bit form. Only consulted for compact control transfers.
+    fn compact_disp_bits(i: &Self::Inst) -> u32 {
+        Self::row(&Self::compact(i).expect("compact form"))
+            .fields
+            .iter()
+            .find_map(|&field| match field {
+                Field::CDisp(n) => Some(n),
+                _ => None,
+            })
+            .expect("compact control transfer without a displacement field")
+    }
+
+    /// Encodes at `size` (2 or 4) with halfword displacement `disp`
+    /// (0 when there is no target). A 16-bit unit occupies the low half
+    /// of the returned word.
+    fn encode(
+        i: &Self::Inst,
+        size: u8,
+        disp: i64,
+        pool: &mut Pool,
+        at: u32,
+    ) -> Result<u32, EncodeError> {
+        let o = if size == 2 {
+            Self::compact(i).expect("sized to a compact form")
+        } else {
+            Self::full(i, at)?
+        };
+        let f = Self::row(&o);
+        let mut w = f.quadrant | o.tag.1 << 2;
+        for (field, lo, slot) in f.placed() {
+            match field {
+                Field::Funct6 => put(&mut w, lo, 6, o.funct),
+                Field::Dst(n) | Field::Src(n) => put(&mut w, lo, n, o.spec[slot]),
+                Field::Imm(n) => put_imm(&mut w, lo, n, o.imm, pool, at)?,
+                Field::Disp(n) => put_imm(&mut w, lo, n, disp, pool, at)?,
+                Field::CImm(n) => put_signed(&mut w, lo, n, o.imm),
+                Field::COff(n) => put(&mut w, lo, n, (o.imm / 8) as u32),
+                Field::CDisp(n) => put_signed(&mut w, lo, n, disp),
+            }
+        }
+        Ok(w)
+    }
+
+    /// Decodes one unit. `target` maps a halfword displacement (relative
+    /// to this unit) to an instruction index.
+    fn decode(
+        word: u32,
+        size: u8,
+        at: usize,
+        target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
+        pool: &[u64],
+    ) -> Result<Self::Inst, DecodeError> {
+        // The low two bits are the quadrant, or `W32` for a 32-bit word.
+        let tag = (word & 0b11, get(word, 2, if size == 4 { 5 } else { 3 }));
+        let f = find(Self::FORMS, tag).ok_or(DecodeError::BadOpcode { at, word })?;
+        // A 16-bit unit arrives zero-extended, so one test covers both sizes.
+        if word.checked_shr(f.end()).unwrap_or(0) != 0 {
+            return Err(DecodeError::Reserved { at, word });
+        }
+        let mut o = Ops {
+            tag,
+            ..Ops::default()
+        };
+        for (field, lo, slot) in f.placed() {
+            match field {
+                Field::Funct6 => o.funct = get(word, lo, 6),
+                Field::Dst(n) | Field::Src(n) => o.spec[slot] = get(word, lo, n),
+                Field::Imm(n) => o.imm = get_imm(word, lo, n, pool, at)?,
+                Field::Disp(n) => o.imm = target(get_imm(word, lo, n, pool, at)?)?.into(),
+                Field::CImm(n) => o.imm = get_signed(word, lo, n),
+                Field::COff(n) => o.imm = i64::from(get(word, lo, n)) * 8,
+                Field::CDisp(n) => o.imm = target(get_signed(word, lo, n))?.into(),
+            }
+        }
+        Self::inst(&o, at, word)
+    }
+}

@@ -28,11 +28,16 @@
 //! `encode_*`/`decode_*` round-trip bit-for-bit: `decode(encode(p)) ==
 //! p` for every encodable program, and decoding arbitrary bytes either
 //! yields instructions or a structured [`DecodeError`] — never a panic.
+//! Decoding is canonical: a unit that decodes re-encodes to the same
+//! bits, because each ISA declares every format once in a form table
+//! (a tag plus an ordered field list) from which encoding, decoding and
+//! the reserved-bit check all derive.
 
 use ch_common::inst::DynInst;
 use ch_common::EncodingVariant;
 
 mod bits;
+mod form;
 // The Clockhands codec module cannot be *named* `clockhands` — that
 // would shadow the `clockhands` crate whose instructions it encodes.
 #[path = "clockhands.rs"]
@@ -159,6 +164,12 @@ pub enum EncodeError {
         /// Index of the instruction that overflowed the pool.
         at: u32,
     },
+    /// A register-immediate ALU instruction whose operation has no
+    /// immediate form (no immediate mnemonic, e.g. `sub` or `mul`).
+    NoImmForm {
+        /// Index of the offending instruction.
+        at: u32,
+    },
 }
 
 impl std::fmt::Display for EncodeError {
@@ -178,6 +189,9 @@ impl std::fmt::Display for EncodeError {
             }
             EncodeError::PoolFull { at } => {
                 write!(f, "instruction {at}: literal pool index field overflowed")
+            }
+            EncodeError::NoImmForm { at } => {
+                write!(f, "instruction {at}: ALU operation has no immediate form")
             }
         }
     }
@@ -396,6 +410,59 @@ mod tests {
             let _ = decode_clockhands(&bytes, &[]);
             let _ = decode_straight(&bytes, &[1, 2]);
             let _ = decode_riscv(&bytes, &[]);
+        }
+    }
+
+    #[test]
+    fn alu_imm_needs_an_immediate_form() {
+        use ::clockhands::{hand::Hand, inst::Inst, inst::Src};
+        use ch_baselines::{riscv::Reg, riscv::RvInst, straight::StInst, straight::StSrc};
+        use ch_common::exec::AluOp;
+        // `sub` has no immediate mnemonic, so no ISA encodes `subi`.
+        let sub = AluOp::Sub;
+        let ch = Inst::AluImm {
+            op: sub,
+            dst: Hand::T,
+            src1: Src::Zero,
+            imm: 1,
+        };
+        let st = StInst::AluImm {
+            op: sub,
+            src1: StSrc::Zero,
+            imm: 1,
+        };
+        let rv = RvInst::AluImm {
+            op: sub,
+            rd: Reg(1),
+            rs1: Reg(1),
+            imm: 1,
+        };
+        let refused = Err(EncodeError::NoImmForm { at: 0 });
+        for variant in EncodingVariant::ALL {
+            assert_eq!(encode_clockhands(&[ch], variant), refused);
+            assert_eq!(encode_straight(&[st], variant), refused);
+            assert_eq!(encode_riscv(&[rv], variant), refused);
+        }
+        // OP_ALUIMM carries only operations with an immediate mnemonic
+        // and no dedicated opcode: `srli` decodes, `mul` (no immediate
+        // form) and `add` (encoded as OP_ADDI) are undefined. The funct6
+        // is the first field above the tag; every other field is zero.
+        let word = |op| (bits::alu_funct(op) << 7 | bits::OP_ALUIMM << 2 | 0b11).to_le_bytes();
+        assert!(decode_clockhands(&word(AluOp::Srl), &[]).is_ok());
+        assert!(decode_straight(&word(AluOp::Srl), &[]).is_ok());
+        assert!(decode_riscv(&word(AluOp::Srl), &[]).is_ok());
+        for op in [AluOp::Mul, AluOp::Add] {
+            let w = word(op);
+            for err in [
+                decode_clockhands(&w, &[]).err(),
+                decode_straight(&w, &[]).err(),
+                decode_riscv(&w, &[]).err(),
+            ] {
+                assert!(
+                    matches!(err, Some(DecodeError::BadOpcode { at: 0, .. })),
+                    "{op:?}: {err:?}"
+                );
+            }
         }
     }
 

@@ -5,10 +5,11 @@
 //! mirroring C.ADD/C.SUB.
 
 use crate::bits::*;
-use crate::stream::Codec;
+use crate::form::*;
 use crate::{DecodeError, EncodeError};
 use ch_baselines::riscv::{Reg, RvInst};
 use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use Field::*;
 
 fn reg6(r: Reg, at: u32) -> Result<u32, EncodeError> {
     if r.0 >= 64 {
@@ -22,24 +23,42 @@ fn reg5(r: Reg) -> Option<u32> {
     (r.0 < 32).then_some(r.0 as u32)
 }
 
-// 16-bit quadrant-01 compact opcodes.
-const C_MV: u32 = 0;
-const C_LI: u32 = 1;
-const C_ADDI: u32 = 2;
-const C_LD: u32 = 3;
-const C_SD: u32 = 4;
-const C_BEQZ: u32 = 5;
-const C_BNEZ: u32 = 6;
-const C_J: u32 = 7;
-// Quadrant-10 compact opcodes.
-const C_NOP: u32 = 0;
-const C_HALT: u32 = 1;
-const C_JR: u32 = 2;
+/// Every RISC-V-style form: 6-bit registers in the 32-bit forms, 5-bit
+/// ones in the 16-bit forms.
+const FORMS: &[Form] = &[
+    form(W32, OP_ALU, &[Funct6, Dst(6), Src(6), Src(6)]),
+    form(W32, OP_ALUIMM, &[Funct6, Dst(6), Src(6), Imm(6)]),
+    forms(W32, OP_ADDI..=OP_XORI, &[Dst(6), Src(6), Imm(12)]),
+    form(W32, OP_LI, &[Dst(6), Imm(18)]),
+    forms(W32, OP_LB..=OP_LWU, &[Dst(6), Src(6), Imm(12)]),
+    forms(W32, OP_SB..=OP_SD, &[Src(6), Src(6), Imm(12)]),
+    forms(W32, OP_BEQ..=OP_BGEU, &[Src(6), Src(6), Disp(12)]),
+    form(W32, OP_JUMP, &[Disp(24)]),
+    form(W32, OP_CALL, &[Dst(6), Disp(18)]),
+    form(W32, OP_JUMPREG, &[Src(6)]),
+    form(W32, OP_CALLREG, &[Dst(6), Src(6)]),
+    form(W32, OP_MV, &[Dst(6), Src(6)]),
+    form(W32, OP_NOP, &[]),
+    form(W32, OP_HALT, &[Src(6)]),
+    // Destructive two-address ALU and `addi`: `rd` is also `rs1`.
+    forms(Q0, 0..=7, &[Dst(5), Src(5)]),
+    form(Q1, C_MV, &[Dst(5), Src(5)]),
+    form(Q1, C_LI, &[Dst(5), CImm(6)]),
+    form(Q1, C_ADDI, &[Dst(5), CImm(6)]),
+    form(Q1, C_LD, &[Dst(5), Src(5), COff(1)]),
+    form(Q1, C_SD, &[Src(5), Src(5), COff(1)]),
+    forms(Q1, C_BEQZ..=C_BNEZ, &[Src(5), CDisp(6)]),
+    form(Q1, C_J, &[CDisp(11)]),
+    form(Q2, C_NOP, &[]),
+    form(Q2, C_HALT, &[Src(5)]),
+    form(Q2, C_JR, &[Src(5)]),
+];
 
 pub(crate) struct Rv;
 
 impl Codec for Rv {
     type Inst = RvInst;
+    const FORMS: &'static [Form] = FORMS;
 
     fn target(i: &RvInst) -> Option<u32> {
         match *i {
@@ -50,409 +69,154 @@ impl Codec for Rv {
         }
     }
 
-    fn has_compact(i: &RvInst) -> bool {
-        match *i {
-            RvInst::Alu { op, rd, rs1, rs2 } => {
-                calu_funct(op).is_some() && rd == rs1 && reg5(rd).is_some() && reg5(rs2).is_some()
+    fn full(i: &RvInst, at: u32) -> Result<Ops, EncodeError> {
+        let r = |x| reg6(x, at);
+        Ok(match *i {
+            RvInst::Alu { op, rd, rs1, rs2 } => alu32(op, &[r(rd)?, r(rs1)?, r(rs2)?]),
+            RvInst::AluImm { op, rd, rs1, imm } => {
+                alu_imm32(op, &[r(rd)?, r(rs1)?], imm.into(), at)?
             }
+            RvInst::Li { rd, imm } => op32(OP_LI, &[r(rd)?], imm),
+            RvInst::Load {
+                op,
+                rd,
+                base,
+                offset,
+            } => op32(load_opcode(op), &[r(rd)?, r(base)?], offset.into()),
+            RvInst::Store {
+                op,
+                rs,
+                base,
+                offset,
+            } => op32(store_opcode(op), &[r(rs)?, r(base)?], offset.into()),
+            RvInst::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => op32(branch_opcode(cond), &[r(rs1)?, r(rs2)?], target.into()),
+            RvInst::Jump { target } => op32(OP_JUMP, &[], target.into()),
+            RvInst::Call { rd, target } => op32(OP_CALL, &[r(rd)?], target.into()),
+            RvInst::JumpReg { rs } => op32(OP_JUMPREG, &[r(rs)?], 0),
+            RvInst::CallReg { rd, rs } => op32(OP_CALLREG, &[r(rd)?, r(rs)?], 0),
+            RvInst::Mv { rd, rs } => op32(OP_MV, &[r(rd)?, r(rs)?], 0),
+            RvInst::Nop => op32(OP_NOP, &[], 0),
+            RvInst::Halt { rs } => op32(OP_HALT, &[r(rs)?], 0),
+        })
+    }
+
+    fn compact(i: &RvInst) -> Option<Ops> {
+        Some(match *i {
+            RvInst::Alu { op, rd, rs1, rs2 } if rd == rs1 => calu16(op, &[reg5(rd)?, reg5(rs2)?])?,
+            RvInst::Mv { rd, rs } => op16(Q1, C_MV, &[reg5(rd)?, reg5(rs)?], 0),
+            RvInst::Li { rd, imm } => op16(Q1, C_LI, &[reg5(rd)?], imm),
             RvInst::AluImm {
                 op: AluOp::Add,
                 rd,
                 rs1,
                 imm,
-            } => rd == rs1 && reg5(rd).is_some() && fits_signed(imm as i64, 6),
-            RvInst::Li { rd, imm } => reg5(rd).is_some() && fits_signed(imm, 6),
+            } if rd == rs1 => op16(Q1, C_ADDI, &[reg5(rd)?], imm.into()),
             RvInst::Load {
                 op: LoadOp::Ld,
                 rd,
                 base,
                 offset,
-            } => reg5(rd).is_some() && reg5(base).is_some() && (offset == 0 || offset == 8),
+            } => op16(Q1, C_LD, &[reg5(rd)?, reg5(base)?], offset.into()),
             RvInst::Store {
                 op: StoreOp::Sd,
                 rs,
                 base,
                 offset,
-            } => reg5(rs).is_some() && reg5(base).is_some() && (offset == 0 || offset == 8),
+            } => op16(Q1, C_SD, &[reg5(rs)?, reg5(base)?], offset.into()),
             RvInst::Branch {
-                cond: BrCond::Eq | BrCond::Ne,
+                cond,
                 rs1,
-                rs2,
-                ..
-            } => rs2 == Reg(0) && reg5(rs1).is_some(),
-            RvInst::JumpReg { rs } => reg5(rs).is_some(),
-            RvInst::Mv { rd, rs } => reg5(rd).is_some() && reg5(rs).is_some(),
-            RvInst::Halt { rs } => reg5(rs).is_some(),
-            RvInst::Jump { .. } | RvInst::Nop => true,
-            _ => false,
-        }
-    }
-
-    fn compact_disp_bits(i: &RvInst) -> u32 {
-        match *i {
-            RvInst::Branch { .. } => 6,
-            _ => 11, // C.J
-        }
-    }
-
-    fn encode(
-        i: &RvInst,
-        size: u8,
-        disp: i64,
-        pool: &mut Pool,
-        at: u32,
-    ) -> Result<u32, EncodeError> {
-        if size == 2 {
-            return encode16(i, disp);
-        }
-        let mut w;
-        match *i {
-            RvInst::Alu { op, rd, rs1, rs2 } => {
-                w = word32(OP_ALU);
-                put(&mut w, 7, 6, alu_funct(op));
-                put(&mut w, 13, 6, reg6(rd, at)?);
-                put(&mut w, 19, 6, reg6(rs1, at)?);
-                put(&mut w, 25, 6, reg6(rs2, at)?);
-            }
-            RvInst::AluImm { op, rd, rs1, imm } => match imm_opcode(op) {
-                Some(opc) => {
-                    w = word32(opc);
-                    put(&mut w, 7, 6, reg6(rd, at)?);
-                    put(&mut w, 13, 6, reg6(rs1, at)?);
-                    put_imm(&mut w, 19, 12, imm as i64, pool, at)?;
-                }
-                None => {
-                    w = word32(OP_ALUIMM);
-                    put(&mut w, 7, 6, alu_funct(op));
-                    put(&mut w, 13, 6, reg6(rd, at)?);
-                    put(&mut w, 19, 6, reg6(rs1, at)?);
-                    put_imm(&mut w, 25, 6, imm as i64, pool, at)?;
-                }
-            },
-            RvInst::Li { rd, imm } => {
-                w = word32(OP_LI);
-                put(&mut w, 7, 6, reg6(rd, at)?);
-                put_imm(&mut w, 13, 18, imm, pool, at)?;
-            }
-            RvInst::Load {
-                op,
-                rd,
-                base,
-                offset,
-            } => {
-                w = word32(load_opcode(op));
-                put(&mut w, 7, 6, reg6(rd, at)?);
-                put(&mut w, 13, 6, reg6(base, at)?);
-                put_imm(&mut w, 19, 12, offset as i64, pool, at)?;
-            }
-            RvInst::Store {
-                op,
-                rs,
-                base,
-                offset,
-            } => {
-                w = word32(store_opcode(op));
-                put(&mut w, 7, 6, reg6(rs, at)?);
-                put(&mut w, 13, 6, reg6(base, at)?);
-                put_imm(&mut w, 19, 12, offset as i64, pool, at)?;
-            }
-            RvInst::Branch { cond, rs1, rs2, .. } => {
-                w = word32(branch_opcode(cond));
-                put(&mut w, 7, 6, reg6(rs1, at)?);
-                put(&mut w, 13, 6, reg6(rs2, at)?);
-                put_imm(&mut w, 19, 12, disp, pool, at)?;
-            }
-            RvInst::Jump { .. } => {
-                w = word32(OP_JUMP);
-                put_imm(&mut w, 7, 24, disp, pool, at)?;
-            }
-            RvInst::Call { rd, .. } => {
-                w = word32(OP_CALL);
-                put(&mut w, 7, 6, reg6(rd, at)?);
-                put_imm(&mut w, 13, 18, disp, pool, at)?;
-            }
-            RvInst::JumpReg { rs } => {
-                w = word32(OP_JUMPREG);
-                put(&mut w, 7, 6, reg6(rs, at)?);
-            }
-            RvInst::CallReg { rd, rs } => {
-                w = word32(OP_CALLREG);
-                put(&mut w, 7, 6, reg6(rd, at)?);
-                put(&mut w, 13, 6, reg6(rs, at)?);
-            }
-            RvInst::Mv { rd, rs } => {
-                w = word32(OP_MV);
-                put(&mut w, 7, 6, reg6(rd, at)?);
-                put(&mut w, 13, 6, reg6(rs, at)?);
-            }
-            RvInst::Nop => {
-                w = word32(OP_NOP);
-            }
-            RvInst::Halt { rs } => {
-                w = word32(OP_HALT);
-                put(&mut w, 7, 6, reg6(rs, at)?);
-            }
-        }
-        Ok(w)
-    }
-
-    fn decode(
-        word: u32,
-        size: u8,
-        at: usize,
-        target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-        pool: &[u64],
-    ) -> Result<RvInst, DecodeError> {
-        if size == 2 {
-            return decode16(word, at, target);
-        }
-        let op = opcode(word);
-        Ok(match op {
-            OP_ALU => {
-                req_zero(word, 31, 1, at)?;
-                RvInst::Alu {
-                    op: alu_from_funct(get(word, 7, 6), at, word)?,
-                    rd: Reg(get(word, 13, 6) as u8),
-                    rs1: Reg(get(word, 19, 6) as u8),
-                    rs2: Reg(get(word, 25, 6) as u8),
-                }
-            }
-            OP_ALUIMM => RvInst::AluImm {
-                op: alu_from_funct(get(word, 7, 6), at, word)?,
-                rd: Reg(get(word, 13, 6) as u8),
-                rs1: Reg(get(word, 19, 6) as u8),
-                imm: get_imm32(word, 25, 6, pool, at)?,
-            },
-            OP_ADDI | OP_ANDI | OP_ORI | OP_XORI => RvInst::AluImm {
-                op: imm_op(op).unwrap(),
-                rd: Reg(get(word, 7, 6) as u8),
-                rs1: Reg(get(word, 13, 6) as u8),
-                imm: get_imm32(word, 19, 12, pool, at)?,
-            },
-            OP_LI => RvInst::Li {
-                rd: Reg(get(word, 7, 6) as u8),
-                imm: get_imm(word, 13, 18, pool, at)?,
-            },
-            OP_LB..=9 => RvInst::Load {
-                op: LoadOp::ALL[(op - OP_LB) as usize],
-                rd: Reg(get(word, 7, 6) as u8),
-                base: Reg(get(word, 13, 6) as u8),
-                offset: get_imm32(word, 19, 12, pool, at)?,
-            },
-            OP_SB..=13 => RvInst::Store {
-                op: StoreOp::ALL[(op - OP_SB) as usize],
-                rs: Reg(get(word, 7, 6) as u8),
-                base: Reg(get(word, 13, 6) as u8),
-                offset: get_imm32(word, 19, 12, pool, at)?,
-            },
-            OP_BEQ..=19 => RvInst::Branch {
-                cond: BrCond::ALL[(op - OP_BEQ) as usize],
-                rs1: Reg(get(word, 7, 6) as u8),
-                rs2: Reg(get(word, 13, 6) as u8),
-                target: target(get_imm(word, 19, 12, pool, at)?)?,
-            },
-            OP_JUMP => RvInst::Jump {
-                target: target(get_imm(word, 7, 24, pool, at)?)?,
-            },
-            OP_CALL => RvInst::Call {
-                rd: Reg(get(word, 7, 6) as u8),
-                target: target(get_imm(word, 13, 18, pool, at)?)?,
-            },
-            OP_JUMPREG => {
-                req_zero(word, 13, 19, at)?;
-                RvInst::JumpReg {
-                    rs: Reg(get(word, 7, 6) as u8),
-                }
-            }
-            OP_CALLREG => {
-                req_zero(word, 19, 13, at)?;
-                RvInst::CallReg {
-                    rd: Reg(get(word, 7, 6) as u8),
-                    rs: Reg(get(word, 13, 6) as u8),
-                }
-            }
-            OP_MV => {
-                req_zero(word, 19, 13, at)?;
-                RvInst::Mv {
-                    rd: Reg(get(word, 7, 6) as u8),
-                    rs: Reg(get(word, 13, 6) as u8),
-                }
-            }
-            OP_NOP => {
-                req_zero(word, 7, 25, at)?;
-                RvInst::Nop
-            }
-            OP_HALT => {
-                req_zero(word, 13, 19, at)?;
-                RvInst::Halt {
-                    rs: Reg(get(word, 7, 6) as u8),
-                }
-            }
-            _ => return Err(DecodeError::BadOpcode { at, word }),
+                rs2: Reg(0),
+                target,
+            } => op16(Q1, cbranch_funct(cond)?, &[reg5(rs1)?], target.into()),
+            RvInst::Jump { target } => op16(Q1, C_J, &[], target.into()),
+            RvInst::Nop => op16(Q2, C_NOP, &[], 0),
+            RvInst::Halt { rs } => op16(Q2, C_HALT, &[reg5(rs)?], 0),
+            RvInst::JumpReg { rs } => op16(Q2, C_JR, &[reg5(rs)?], 0),
+            _ => return None,
         })
     }
-}
 
-fn encode16(i: &RvInst, disp: i64) -> Result<u32, EncodeError> {
-    let mut w = 0u32;
-    match *i {
-        RvInst::Alu { op, rd, rs2, .. } => {
-            // Quadrant 00: destructive two-address form, rd == rs1.
-            put(&mut w, 2, 3, calu_funct(op).unwrap());
-            put(&mut w, 5, 5, reg5(rd).unwrap());
-            put(&mut w, 10, 5, reg5(rs2).unwrap());
-        }
-        RvInst::Mv { rd, rs } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_MV);
-            put(&mut w, 5, 5, reg5(rd).unwrap());
-            put(&mut w, 10, 5, reg5(rs).unwrap());
-        }
-        RvInst::Li { rd, imm } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_LI);
-            put(&mut w, 5, 5, reg5(rd).unwrap());
-            put_signed(&mut w, 10, 6, imm);
-        }
-        RvInst::AluImm { rd, imm, .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_ADDI);
-            put(&mut w, 5, 5, reg5(rd).unwrap());
-            put_signed(&mut w, 10, 6, imm as i64);
-        }
-        RvInst::Load {
-            rd, base, offset, ..
-        } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_LD);
-            put(&mut w, 5, 5, reg5(rd).unwrap());
-            put(&mut w, 10, 5, reg5(base).unwrap());
-            put(&mut w, 15, 1, offset as u32 / 8);
-        }
-        RvInst::Store {
-            rs, base, offset, ..
-        } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_SD);
-            put(&mut w, 5, 5, reg5(rs).unwrap());
-            put(&mut w, 10, 5, reg5(base).unwrap());
-            put(&mut w, 15, 1, offset as u32 / 8);
-        }
-        RvInst::Branch { cond, rs1, .. } => {
-            w = 0b01;
-            let c = if cond == BrCond::Eq { C_BEQZ } else { C_BNEZ };
-            put(&mut w, 2, 3, c);
-            put(&mut w, 5, 5, reg5(rs1).unwrap());
-            put_signed(&mut w, 10, 6, disp);
-        }
-        RvInst::Jump { .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_J);
-            put_signed(&mut w, 5, 11, disp);
-        }
-        RvInst::Nop => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_NOP);
-        }
-        RvInst::Halt { rs } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_HALT);
-            put(&mut w, 5, 5, reg5(rs).unwrap());
-        }
-        RvInst::JumpReg { rs } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_JR);
-            put(&mut w, 5, 5, reg5(rs).unwrap());
-        }
-        _ => unreachable!("has_compact admitted a 32-bit-only instruction"),
-    }
-    Ok(w)
-}
-
-fn decode16(
-    word: u32,
-    at: usize,
-    target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-) -> Result<RvInst, DecodeError> {
-    match word & 0b11 {
-        0b00 => {
-            req_zero(word, 15, 1, at)?;
-            let rd = Reg(get(word, 5, 5) as u8);
-            Ok(RvInst::Alu {
-                op: CALU_FUNCT[get(word, 2, 3) as usize],
-                rd,
-                rs1: rd,
-                rs2: Reg(get(word, 10, 5) as u8),
-            })
-        }
-        0b01 => Ok(match get(word, 2, 3) {
-            C_MV => {
-                req_zero(word, 15, 1, at)?;
-                RvInst::Mv {
-                    rd: Reg(get(word, 5, 5) as u8),
-                    rs: Reg(get(word, 10, 5) as u8),
-                }
-            }
-            C_LI => RvInst::Li {
-                rd: Reg(get(word, 5, 5) as u8),
-                imm: get_signed(word, 10, 6),
+    fn inst(o: &Ops, at: usize, word: u32) -> Result<RvInst, DecodeError> {
+        let [a, b, c] = o.spec.map(|v| Reg(v as u8));
+        let imm = || imm32(o.imm, at, word);
+        let target = o.imm as u32;
+        Ok(match o.tag {
+            (W32, OP_ALU) => RvInst::Alu {
+                op: alu_from_funct(o.funct, at, word)?,
+                rd: a,
+                rs1: b,
+                rs2: c,
             },
-            C_ADDI => {
-                let rd = Reg(get(word, 5, 5) as u8);
-                RvInst::AluImm {
-                    op: AluOp::Add,
-                    rd,
-                    rs1: rd,
-                    imm: get_signed(word, 10, 6) as i32,
-                }
-            }
-            C_LD => RvInst::Load {
+            (W32, OP_ALUIMM | OP_ADDI..=OP_XORI) => RvInst::AluImm {
+                op: alu_imm_op(o, at, word)?,
+                rd: a,
+                rs1: b,
+                imm: imm()?,
+            },
+            (W32, OP_LI) | (Q1, C_LI) => RvInst::Li { rd: a, imm: o.imm },
+            (W32, op @ OP_LB..=OP_LWU) => RvInst::Load {
+                op: LoadOp::ALL[(op - OP_LB) as usize],
+                rd: a,
+                base: b,
+                offset: imm()?,
+            },
+            (W32, op @ OP_SB..=OP_SD) => RvInst::Store {
+                op: StoreOp::ALL[(op - OP_SB) as usize],
+                rs: a,
+                base: b,
+                offset: imm()?,
+            },
+            (W32, op @ OP_BEQ..=OP_BGEU) => RvInst::Branch {
+                cond: BrCond::ALL[(op - OP_BEQ) as usize],
+                rs1: a,
+                rs2: b,
+                target,
+            },
+            (W32, OP_JUMP) | (Q1, C_J) => RvInst::Jump { target },
+            (W32, OP_CALL) => RvInst::Call { rd: a, target },
+            (W32, OP_JUMPREG) | (Q2, C_JR) => RvInst::JumpReg { rs: a },
+            (W32, OP_CALLREG) => RvInst::CallReg { rd: a, rs: b },
+            (W32, OP_MV) | (Q1, C_MV) => RvInst::Mv { rd: a, rs: b },
+            (W32, OP_NOP) | (Q2, C_NOP) => RvInst::Nop,
+            (W32, OP_HALT) | (Q2, C_HALT) => RvInst::Halt { rs: a },
+            (Q0, f) => RvInst::Alu {
+                op: CALU_FUNCT[f as usize],
+                rd: a,
+                rs1: a,
+                rs2: b,
+            },
+            (Q1, C_ADDI) => RvInst::AluImm {
+                op: AluOp::Add,
+                rd: a,
+                rs1: a,
+                imm: imm()?,
+            },
+            (Q1, C_LD) => RvInst::Load {
                 op: LoadOp::Ld,
-                rd: Reg(get(word, 5, 5) as u8),
-                base: Reg(get(word, 10, 5) as u8),
-                offset: (get(word, 15, 1) * 8) as i32,
+                rd: a,
+                base: b,
+                offset: imm()?,
             },
-            C_SD => RvInst::Store {
+            (Q1, C_SD) => RvInst::Store {
                 op: StoreOp::Sd,
-                rs: Reg(get(word, 5, 5) as u8),
-                base: Reg(get(word, 10, 5) as u8),
-                offset: (get(word, 15, 1) * 8) as i32,
+                rs: a,
+                base: b,
+                offset: imm()?,
             },
-            C_BEQZ | C_BNEZ => RvInst::Branch {
-                cond: if get(word, 2, 3) == C_BEQZ {
-                    BrCond::Eq
-                } else {
-                    BrCond::Ne
-                },
-                rs1: Reg(get(word, 5, 5) as u8),
+            (Q1, c @ (C_BEQZ | C_BNEZ)) => RvInst::Branch {
+                cond: CBRANCH[(c - C_BEQZ) as usize],
+                rs1: a,
                 rs2: Reg(0),
-                target: target(get_signed(word, 10, 6))?,
+                target,
             },
-            C_J => RvInst::Jump {
-                target: target(get_signed(word, 5, 11))?,
-            },
-            _ => unreachable!("3-bit compact opcode"),
-        }),
-        0b10 => match get(word, 2, 3) {
-            C_NOP => {
-                req_zero(word, 5, 11, at)?;
-                Ok(RvInst::Nop)
-            }
-            C_HALT => {
-                req_zero(word, 10, 6, at)?;
-                Ok(RvInst::Halt {
-                    rs: Reg(get(word, 5, 5) as u8),
-                })
-            }
-            C_JR => {
-                req_zero(word, 10, 6, at)?;
-                Ok(RvInst::JumpReg {
-                    rs: Reg(get(word, 5, 5) as u8),
-                })
-            }
-            _ => Err(DecodeError::BadOpcode { at, word }),
-        },
-        _ => unreachable!("0b11 is a 32-bit unit"),
+            _ => unreachable!("tag without a form row"),
+        })
     }
 }
 

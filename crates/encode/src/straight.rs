@@ -6,10 +6,11 @@
 //! what Clockhands' 6-bit specifiers buy back.
 
 use crate::bits::*;
-use crate::stream::Codec;
+use crate::form::*;
 use crate::{DecodeError, EncodeError};
 use ch_baselines::straight::{StInst, StSrc};
 use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use Field::*;
 
 /// 8-bit source: 0 = zero, 1–127 = distance, 128 = stack pointer.
 const SRC8_SP: u32 = 128;
@@ -54,25 +55,42 @@ fn src_from5(v: u32) -> StSrc {
     }
 }
 
-// 16-bit quadrant-01 compact opcodes.
-const C_MV: u32 = 0;
-const C_LI: u32 = 1;
-const C_ADDI: u32 = 2;
-const C_LD: u32 = 3;
-const C_SD: u32 = 4;
-const C_BEQZ: u32 = 5;
-const C_BNEZ: u32 = 6;
-const C_J: u32 = 7;
-// Quadrant-10 compact opcodes.
-const C_NOP: u32 = 0;
-const C_HALT: u32 = 1;
-const C_JR: u32 = 2;
-const C_SPADDI: u32 = 3;
+/// Every STRAIGHT form: 8-bit sources in the 32-bit forms and 5-bit
+/// compact sources in the 16-bit ones; no destination fields.
+const FORMS: &[Form] = &[
+    form(W32, OP_ALU, &[Funct6, Src(8), Src(8)]),
+    form(W32, OP_ALUIMM, &[Funct6, Src(8), Imm(10)]),
+    forms(W32, OP_ADDI..=OP_XORI, &[Src(8), Imm(16)]),
+    form(W32, OP_LI, &[Imm(24)]),
+    forms(W32, OP_LB..=OP_LWU, &[Src(8), Imm(16)]),
+    forms(W32, OP_SB..=OP_SD, &[Src(8), Src(8), Imm(8)]),
+    forms(W32, OP_BEQ..=OP_BGEU, &[Src(8), Src(8), Disp(8)]),
+    form(W32, OP_JUMP, &[Disp(24)]),
+    form(W32, OP_CALL, &[Disp(24)]),
+    form(W32, OP_JUMPREG, &[Src(8)]),
+    form(W32, OP_MV, &[Src(8)]),
+    form(W32, OP_NOP, &[]),
+    form(W32, OP_HALT, &[Src(8)]),
+    form(W32, OP_SPADDI, &[Imm(24)]),
+    forms(Q0, 0..=7, &[Src(5), Src(5)]),
+    form(Q1, C_MV, &[Src(8)]),
+    form(Q1, C_LI, &[CImm(11)]),
+    form(Q1, C_ADDI, &[Src(5), CImm(6)]),
+    form(Q1, C_LD, &[Src(5), COff(6)]),
+    form(Q1, C_SD, &[Src(5), Src(5)]),
+    forms(Q1, C_BEQZ..=C_BNEZ, &[Src(5), CDisp(6)]),
+    form(Q1, C_J, &[CDisp(11)]),
+    form(Q2, C_NOP, &[]),
+    form(Q2, C_HALT, &[Src(8)]),
+    form(Q2, C_JR, &[Src(8)]),
+    form(Q2, C_SPADDI, &[CImm(9)]),
+];
 
 pub(crate) struct St;
 
 impl Codec for St {
     type Inst = StInst;
+    const FORMS: &'static [Form] = FORMS;
 
     fn target(i: &StInst) -> Option<u32> {
         match *i {
@@ -83,384 +101,149 @@ impl Codec for St {
         }
     }
 
-    fn has_compact(i: &StInst) -> bool {
-        match *i {
-            StInst::Alu { op, src1, src2 } => {
-                calu_funct(op).is_some() && src5(src1).is_some() && src5(src2).is_some()
-            }
-            StInst::AluImm {
-                op: AluOp::Add,
-                src1,
-                imm,
-            } => src5(src1).is_some() && fits_signed(imm as i64, 6),
-            StInst::Li { imm } => fits_signed(imm, 11),
-            StInst::Load {
-                op: LoadOp::Ld,
-                base,
-                offset,
-            } => src5(base).is_some() && (0..=504).contains(&offset) && offset % 8 == 0,
-            StInst::Store {
-                value,
-                base,
-                offset,
-                op: StoreOp::Sd,
-            } => src5(value).is_some() && src5(base).is_some() && offset == 0,
-            StInst::Branch {
-                cond: BrCond::Eq | BrCond::Ne,
-                src1,
-                src2: StSrc::Zero,
-                ..
-            } => src5(src1).is_some(),
-            StInst::SpAddi { imm } => fits_signed(imm as i64, 9),
-            StInst::Jump { .. }
-            | StInst::JumpReg { .. }
-            | StInst::Mv { .. }
-            | StInst::Nop
-            | StInst::Halt { .. } => true,
-            _ => false,
-        }
-    }
-
-    fn compact_disp_bits(i: &StInst) -> u32 {
-        match *i {
-            StInst::Branch { .. } => 6,
-            _ => 11, // C.J
-        }
-    }
-
-    fn encode(
-        i: &StInst,
-        size: u8,
-        disp: i64,
-        pool: &mut Pool,
-        at: u32,
-    ) -> Result<u32, EncodeError> {
-        if size == 2 {
-            return encode16(i, disp, at);
-        }
-        let mut w;
-        match *i {
-            StInst::Alu { op, src1, src2 } => {
-                w = word32(OP_ALU);
-                put(&mut w, 7, 6, alu_funct(op));
-                put(&mut w, 13, 8, src8(src1, at)?);
-                put(&mut w, 21, 8, src8(src2, at)?);
-            }
-            StInst::AluImm { op, src1, imm } => match imm_opcode(op) {
-                Some(opc) => {
-                    w = word32(opc);
-                    put(&mut w, 7, 8, src8(src1, at)?);
-                    put_imm(&mut w, 15, 16, imm as i64, pool, at)?;
-                }
-                None => {
-                    w = word32(OP_ALUIMM);
-                    put(&mut w, 7, 6, alu_funct(op));
-                    put(&mut w, 13, 8, src8(src1, at)?);
-                    put_imm(&mut w, 21, 10, imm as i64, pool, at)?;
-                }
-            },
-            StInst::Li { imm } => {
-                w = word32(OP_LI);
-                put_imm(&mut w, 7, 24, imm, pool, at)?;
-            }
+    fn full(i: &StInst, at: u32) -> Result<Ops, EncodeError> {
+        let src = |s| src8(s, at);
+        Ok(match *i {
+            StInst::Alu { op, src1, src2 } => alu32(op, &[src(src1)?, src(src2)?]),
+            StInst::AluImm { op, src1, imm } => alu_imm32(op, &[src(src1)?], imm.into(), at)?,
+            StInst::Li { imm } => op32(OP_LI, &[], imm),
             StInst::Load { op, base, offset } => {
-                w = word32(load_opcode(op));
-                put(&mut w, 7, 8, src8(base, at)?);
-                put_imm(&mut w, 15, 16, offset as i64, pool, at)?;
+                op32(load_opcode(op), &[src(base)?], offset.into())
             }
             StInst::Store {
                 value,
                 base,
                 offset,
                 op,
-            } => {
-                w = word32(store_opcode(op));
-                put(&mut w, 7, 8, src8(value, at)?);
-                put(&mut w, 15, 8, src8(base, at)?);
-                put_imm(&mut w, 23, 8, offset as i64, pool, at)?;
-            }
+            } => op32(store_opcode(op), &[src(value)?, src(base)?], offset.into()),
             StInst::Branch {
-                cond, src1, src2, ..
-            } => {
-                w = word32(branch_opcode(cond));
-                put(&mut w, 7, 8, src8(src1, at)?);
-                put(&mut w, 15, 8, src8(src2, at)?);
-                put_imm(&mut w, 23, 8, disp, pool, at)?;
-            }
-            StInst::Jump { .. } => {
-                w = word32(OP_JUMP);
-                put_imm(&mut w, 7, 24, disp, pool, at)?;
-            }
-            StInst::Call { .. } => {
-                w = word32(OP_CALL);
-                put_imm(&mut w, 7, 24, disp, pool, at)?;
-            }
-            StInst::JumpReg { src } => {
-                w = word32(OP_JUMPREG);
-                put(&mut w, 7, 8, src8(src, at)?);
-            }
-            StInst::SpAddi { imm } => {
-                w = word32(OP_SPADDI);
-                put_imm(&mut w, 7, 24, imm as i64, pool, at)?;
-            }
-            StInst::Mv { src } => {
-                w = word32(OP_MV);
-                put(&mut w, 7, 8, src8(src, at)?);
-            }
-            StInst::Nop => {
-                w = word32(OP_NOP);
-            }
-            StInst::Halt { src } => {
-                w = word32(OP_HALT);
-                put(&mut w, 7, 8, src8(src, at)?);
-            }
-        }
-        Ok(w)
-    }
-
-    fn decode(
-        word: u32,
-        size: u8,
-        at: usize,
-        target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-        pool: &[u64],
-    ) -> Result<StInst, DecodeError> {
-        if size == 2 {
-            return decode16(word, at, target);
-        }
-        let op = opcode(word);
-        Ok(match op {
-            OP_ALU => {
-                req_zero(word, 29, 3, at)?;
-                StInst::Alu {
-                    op: alu_from_funct(get(word, 7, 6), at, word)?,
-                    src1: src_from8(get(word, 13, 8), at, word)?,
-                    src2: src_from8(get(word, 21, 8), at, word)?,
-                }
-            }
-            OP_ALUIMM => StInst::AluImm {
-                op: alu_from_funct(get(word, 7, 6), at, word)?,
-                src1: src_from8(get(word, 13, 8), at, word)?,
-                imm: get_imm32(word, 21, 10, pool, at)?,
-            },
-            OP_ADDI | OP_ANDI | OP_ORI | OP_XORI => StInst::AluImm {
-                op: imm_op(op).unwrap(),
-                src1: src_from8(get(word, 7, 8), at, word)?,
-                imm: get_imm32(word, 15, 16, pool, at)?,
-            },
-            OP_LI => StInst::Li {
-                imm: get_imm(word, 7, 24, pool, at)?,
-            },
-            OP_LB..=9 => StInst::Load {
-                op: LoadOp::ALL[(op - OP_LB) as usize],
-                base: src_from8(get(word, 7, 8), at, word)?,
-                offset: get_imm32(word, 15, 16, pool, at)?,
-            },
-            OP_SB..=13 => StInst::Store {
-                value: src_from8(get(word, 7, 8), at, word)?,
-                base: src_from8(get(word, 15, 8), at, word)?,
-                offset: get_imm32(word, 23, 8, pool, at)?,
-                op: StoreOp::ALL[(op - OP_SB) as usize],
-            },
-            OP_BEQ..=19 => StInst::Branch {
-                cond: BrCond::ALL[(op - OP_BEQ) as usize],
-                src1: src_from8(get(word, 7, 8), at, word)?,
-                src2: src_from8(get(word, 15, 8), at, word)?,
-                target: target(get_imm(word, 23, 8, pool, at)?)?,
-            },
-            OP_JUMP => StInst::Jump {
-                target: target(get_imm(word, 7, 24, pool, at)?)?,
-            },
-            OP_CALL => StInst::Call {
-                target: target(get_imm(word, 7, 24, pool, at)?)?,
-            },
-            OP_JUMPREG => {
-                req_zero(word, 15, 17, at)?;
-                StInst::JumpReg {
-                    src: src_from8(get(word, 7, 8), at, word)?,
-                }
-            }
-            OP_SPADDI => StInst::SpAddi {
-                imm: get_imm32(word, 7, 24, pool, at)?,
-            },
-            OP_MV => {
-                req_zero(word, 15, 17, at)?;
-                StInst::Mv {
-                    src: src_from8(get(word, 7, 8), at, word)?,
-                }
-            }
-            OP_NOP => {
-                req_zero(word, 7, 25, at)?;
-                StInst::Nop
-            }
-            OP_HALT => {
-                req_zero(word, 15, 17, at)?;
-                StInst::Halt {
-                    src: src_from8(get(word, 7, 8), at, word)?,
-                }
-            }
-            _ => return Err(DecodeError::BadOpcode { at, word }),
+                cond,
+                src1,
+                src2,
+                target,
+            } => op32(
+                branch_opcode(cond),
+                &[src(src1)?, src(src2)?],
+                target.into(),
+            ),
+            StInst::Jump { target } => op32(OP_JUMP, &[], target.into()),
+            StInst::Call { target } => op32(OP_CALL, &[], target.into()),
+            StInst::JumpReg { src: s } => op32(OP_JUMPREG, &[src(s)?], 0),
+            StInst::SpAddi { imm } => op32(OP_SPADDI, &[], imm.into()),
+            StInst::Mv { src: s } => op32(OP_MV, &[src(s)?], 0),
+            StInst::Nop => op32(OP_NOP, &[], 0),
+            StInst::Halt { src: s } => op32(OP_HALT, &[src(s)?], 0),
         })
     }
-}
 
-fn encode16(i: &StInst, disp: i64, at: u32) -> Result<u32, EncodeError> {
-    let mut w = 0u32;
-    match *i {
-        StInst::Alu { op, src1, src2 } => {
-            // Quadrant 00.
-            put(&mut w, 2, 3, calu_funct(op).unwrap());
-            put(&mut w, 5, 5, src5(src1).unwrap());
-            put(&mut w, 10, 5, src5(src2).unwrap());
-        }
-        StInst::Mv { src } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_MV);
-            put(&mut w, 5, 8, src8(src, at)?);
-        }
-        StInst::Li { imm } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_LI);
-            put_signed(&mut w, 5, 11, imm);
-        }
-        StInst::AluImm { src1, imm, .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_ADDI);
-            put(&mut w, 5, 5, src5(src1).unwrap());
-            put_signed(&mut w, 10, 6, imm as i64);
-        }
-        StInst::Load { base, offset, .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_LD);
-            put(&mut w, 5, 5, src5(base).unwrap());
-            put(&mut w, 10, 6, offset as u32 / 8);
-        }
-        StInst::Store { value, base, .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_SD);
-            put(&mut w, 5, 5, src5(value).unwrap());
-            put(&mut w, 10, 5, src5(base).unwrap());
-        }
-        StInst::Branch { cond, src1, .. } => {
-            w = 0b01;
-            let c = if cond == BrCond::Eq { C_BEQZ } else { C_BNEZ };
-            put(&mut w, 2, 3, c);
-            put(&mut w, 5, 5, src5(src1).unwrap());
-            put_signed(&mut w, 10, 6, disp);
-        }
-        StInst::Jump { .. } => {
-            w = 0b01;
-            put(&mut w, 2, 3, C_J);
-            put_signed(&mut w, 5, 11, disp);
-        }
-        StInst::Nop => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_NOP);
-        }
-        StInst::Halt { src } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_HALT);
-            put(&mut w, 5, 8, src8(src, at)?);
-        }
-        StInst::JumpReg { src } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_JR);
-            put(&mut w, 5, 8, src8(src, at)?);
-        }
-        StInst::SpAddi { imm } => {
-            w = 0b10;
-            put(&mut w, 2, 3, C_SPADDI);
-            put_signed(&mut w, 5, 9, imm as i64);
-        }
-        _ => unreachable!("has_compact admitted a 32-bit-only instruction"),
-    }
-    Ok(w)
-}
-
-fn decode16(
-    word: u32,
-    at: usize,
-    target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-) -> Result<StInst, DecodeError> {
-    match word & 0b11 {
-        0b00 => {
-            req_zero(word, 15, 1, at)?;
-            Ok(StInst::Alu {
-                op: CALU_FUNCT[get(word, 2, 3) as usize],
-                src1: src_from5(get(word, 5, 5)),
-                src2: src_from5(get(word, 10, 5)),
-            })
-        }
-        0b01 => Ok(match get(word, 2, 3) {
-            C_MV => {
-                req_zero(word, 13, 3, at)?;
-                StInst::Mv {
-                    src: src_from8(get(word, 5, 8), at, word)?,
-                }
-            }
-            C_LI => StInst::Li {
-                imm: get_signed(word, 5, 11),
-            },
-            C_ADDI => StInst::AluImm {
+    fn compact(i: &StInst) -> Option<Ops> {
+        let src = |s| src8(s, 0).ok();
+        Some(match *i {
+            StInst::Alu { op, src1, src2 } => calu16(op, &[src5(src1)?, src5(src2)?])?,
+            StInst::Mv { src: s } => op16(Q1, C_MV, &[src(s)?], 0),
+            StInst::Li { imm } => op16(Q1, C_LI, &[], imm),
+            StInst::AluImm {
                 op: AluOp::Add,
-                src1: src_from5(get(word, 5, 5)),
-                imm: get_signed(word, 10, 6) as i32,
-            },
-            C_LD => StInst::Load {
+                src1,
+                imm,
+            } => op16(Q1, C_ADDI, &[src5(src1)?], imm.into()),
+            StInst::Load {
                 op: LoadOp::Ld,
-                base: src_from5(get(word, 5, 5)),
-                offset: (get(word, 10, 6) * 8) as i32,
-            },
-            C_SD => {
-                req_zero(word, 15, 1, at)?;
-                StInst::Store {
-                    value: src_from5(get(word, 5, 5)),
-                    base: src_from5(get(word, 10, 5)),
-                    offset: 0,
-                    op: StoreOp::Sd,
-                }
-            }
-            C_BEQZ | C_BNEZ => StInst::Branch {
-                cond: if get(word, 2, 3) == C_BEQZ {
-                    BrCond::Eq
-                } else {
-                    BrCond::Ne
-                },
-                src1: src_from5(get(word, 5, 5)),
+                base,
+                offset,
+            } => op16(Q1, C_LD, &[src5(base)?], offset.into()),
+            // The compact store has no offset field.
+            StInst::Store {
+                value,
+                base,
+                offset: 0,
+                op: StoreOp::Sd,
+            } => op16(Q1, C_SD, &[src5(value)?, src5(base)?], 0),
+            StInst::Branch {
+                cond,
+                src1,
                 src2: StSrc::Zero,
-                target: target(get_signed(word, 10, 6))?,
+                target,
+            } => op16(Q1, cbranch_funct(cond)?, &[src5(src1)?], target.into()),
+            StInst::Jump { target } => op16(Q1, C_J, &[], target.into()),
+            StInst::Nop => op16(Q2, C_NOP, &[], 0),
+            StInst::Halt { src: s } => op16(Q2, C_HALT, &[src(s)?], 0),
+            StInst::JumpReg { src: s } => op16(Q2, C_JR, &[src(s)?], 0),
+            StInst::SpAddi { imm } => op16(Q2, C_SPADDI, &[], imm.into()),
+            _ => return None,
+        })
+    }
+
+    fn inst(o: &Ops, at: usize, word: u32) -> Result<StInst, DecodeError> {
+        let [a, b, _] = o.spec;
+        let src = |v| src_from8(v, at, word);
+        let imm = || imm32(o.imm, at, word);
+        let target = o.imm as u32;
+        Ok(match o.tag {
+            (W32, OP_ALU) => StInst::Alu {
+                op: alu_from_funct(o.funct, at, word)?,
+                src1: src(a)?,
+                src2: src(b)?,
             },
-            C_J => StInst::Jump {
-                target: target(get_signed(word, 5, 11))?,
+            (W32, OP_ALUIMM | OP_ADDI..=OP_XORI) => StInst::AluImm {
+                op: alu_imm_op(o, at, word)?,
+                src1: src(a)?,
+                imm: imm()?,
             },
-            _ => unreachable!("3-bit compact opcode"),
-        }),
-        0b10 => match get(word, 2, 3) {
-            C_NOP => {
-                req_zero(word, 5, 11, at)?;
-                Ok(StInst::Nop)
-            }
-            C_HALT => {
-                req_zero(word, 13, 3, at)?;
-                Ok(StInst::Halt {
-                    src: src_from8(get(word, 5, 8), at, word)?,
-                })
-            }
-            C_JR => {
-                req_zero(word, 13, 3, at)?;
-                Ok(StInst::JumpReg {
-                    src: src_from8(get(word, 5, 8), at, word)?,
-                })
-            }
-            C_SPADDI => {
-                req_zero(word, 14, 2, at)?;
-                Ok(StInst::SpAddi {
-                    imm: get_signed(word, 5, 9) as i32,
-                })
-            }
-            _ => Err(DecodeError::BadOpcode { at, word }),
-        },
-        _ => unreachable!("0b11 is a 32-bit unit"),
+            (W32, OP_LI) | (Q1, C_LI) => StInst::Li { imm: o.imm },
+            (W32, op @ OP_LB..=OP_LWU) => StInst::Load {
+                op: LoadOp::ALL[(op - OP_LB) as usize],
+                base: src(a)?,
+                offset: imm()?,
+            },
+            (W32, op @ OP_SB..=OP_SD) => StInst::Store {
+                value: src(a)?,
+                base: src(b)?,
+                offset: imm()?,
+                op: StoreOp::ALL[(op - OP_SB) as usize],
+            },
+            (W32, op @ OP_BEQ..=OP_BGEU) => StInst::Branch {
+                cond: BrCond::ALL[(op - OP_BEQ) as usize],
+                src1: src(a)?,
+                src2: src(b)?,
+                target,
+            },
+            (W32, OP_JUMP) | (Q1, C_J) => StInst::Jump { target },
+            (W32, OP_CALL) => StInst::Call { target },
+            (W32, OP_JUMPREG) | (Q2, C_JR) => StInst::JumpReg { src: src(a)? },
+            (W32, OP_SPADDI) | (Q2, C_SPADDI) => StInst::SpAddi { imm: imm()? },
+            (W32, OP_MV) | (Q1, C_MV) => StInst::Mv { src: src(a)? },
+            (W32, OP_NOP) | (Q2, C_NOP) => StInst::Nop,
+            (W32, OP_HALT) | (Q2, C_HALT) => StInst::Halt { src: src(a)? },
+            (Q0, f) => StInst::Alu {
+                op: CALU_FUNCT[f as usize],
+                src1: src_from5(a),
+                src2: src_from5(b),
+            },
+            (Q1, C_ADDI) => StInst::AluImm {
+                op: AluOp::Add,
+                src1: src_from5(a),
+                imm: imm()?,
+            },
+            (Q1, C_LD) => StInst::Load {
+                op: LoadOp::Ld,
+                base: src_from5(a),
+                offset: imm()?,
+            },
+            (Q1, C_SD) => StInst::Store {
+                value: src_from5(a),
+                base: src_from5(b),
+                offset: 0,
+                op: StoreOp::Sd,
+            },
+            (Q1, c @ (C_BEQZ | C_BNEZ)) => StInst::Branch {
+                cond: CBRANCH[(c - C_BEQZ) as usize],
+                src1: src_from5(a),
+                src2: StSrc::Zero,
+                target,
+            },
+            _ => unreachable!("tag without a form row"),
+        })
     }
 }
 
@@ -567,8 +350,8 @@ mod tests {
     #[test]
     fn distance_128_is_rejected_as_a_source_pattern() {
         // 0b1000_0000 decodes as Sp; 129.. is reserved.
-        let mut w = word32(OP_MV);
-        put(&mut w, 7, 8, 200);
+        // OP_MV with 200 in its 8-bit source field, the first above the tag.
+        let w = 200 << 7 | OP_MV << 2 | W32;
         let err = crate::decode_straight(&w.to_le_bytes(), &[]).unwrap_err();
         assert!(matches!(err, DecodeError::BadSrc { at: 0, .. }), "{err:?}");
     }

@@ -2,7 +2,7 @@
 //! relaxation fixpoint, byte-accurate layout, and the boundary walk
 //! that decoding shares with real front ends.
 //!
-//! A [`Codec`] supplies the per-ISA bit formats; this module supplies
+//! A [`Codec`] supplies the per-ISA form table; this module supplies
 //! everything that is the same for all three ISAs:
 //!
 //! * **Sizing** — under [`EncodingVariant::Compressed`], every
@@ -21,47 +21,9 @@
 //!   structured [`DecodeError::BadTarget`], never a misparse.
 
 use crate::bits::{fits_signed, Pool};
+use crate::form::Codec;
 use crate::{DecodeError, EncodeError, Layout, TEXT_BASE};
 use ch_common::EncodingVariant;
-
-/// The per-ISA bit format behind the generic driver.
-pub(crate) trait Codec {
-    /// The ISA's static instruction type.
-    type Inst: Copy + PartialEq + std::fmt::Debug;
-
-    /// Branch/jump/call target as an instruction index, if the
-    /// instruction transfers control via an immediate displacement.
-    fn target(i: &Self::Inst) -> Option<u32>;
-
-    /// Whether the instruction has a 16-bit form, ignoring displacement
-    /// reach (the driver handles reach via relaxation).
-    fn has_compact(i: &Self::Inst) -> bool;
-
-    /// Signed width in bits of the halfword-displacement field of the
-    /// 16-bit form. Only consulted for compact control transfers.
-    fn compact_disp_bits(i: &Self::Inst) -> u32;
-
-    /// Encodes at `size` (2 or 4) with halfword displacement `disp`
-    /// (0 when there is no target). A 16-bit unit occupies the low half
-    /// of the returned word.
-    fn encode(
-        i: &Self::Inst,
-        size: u8,
-        disp: i64,
-        pool: &mut Pool,
-        at: u32,
-    ) -> Result<u32, EncodeError>;
-
-    /// Decodes one unit. `target` maps a halfword displacement (relative
-    /// to this unit) to an instruction index.
-    fn decode(
-        word: u32,
-        size: u8,
-        at: usize,
-        target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
-        pool: &[u64],
-    ) -> Result<Self::Inst, DecodeError>;
-}
 
 /// Encodes an instruction stream: sizes, relaxes, lays out, and emits.
 pub(crate) fn encode_stream<C: Codec>(

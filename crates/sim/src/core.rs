@@ -214,8 +214,6 @@ pub struct Simulator<T: PipelineTracer = NullTracer> {
     /// Whether the instruction at each recent sequence number completed
     /// late because of the memory hierarchy (load-to-use attribution).
     mem_late: Vec<bool>,
-    /// Per-instruction stage log on stderr (set `CH_SIM_TRACE=1`).
-    trace_log: bool,
 }
 
 impl Simulator<NullTracer> {
@@ -270,7 +268,6 @@ impl<T: PipelineTracer> Simulator<T> {
             last_fetch_time: 0,
             next_commit_slot: 0,
             mem_late: vec![false; seq_ring_len(&cfg)],
-            trace_log: std::env::var_os("CH_SIM_TRACE").is_some(),
             counters: Counters::new(),
             cfg,
         }
@@ -794,14 +791,6 @@ impl<T: PipelineTracer> Simulator<T> {
                 idle_slots: idle,
             },
         );
-
-        if self.trace_log {
-            eprintln!(
-                "seq {seq} pc {:#x} {:?} fetch {fetch_time} alloc {alloc} select {select} \
-exec {exec_start} complete {complete} commit {commit}",
-                inst.pc, inst.class
-            );
-        }
 
         // Track stores for forwarding decisions by later loads.
         if inst.class == OpClass::Store {
