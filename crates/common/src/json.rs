@@ -26,6 +26,11 @@
 
 use std::fmt::Write as _;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile line from
+/// overflowing the stack.
+pub const MAX_DEPTH: u32 = 128;
+
 /// A parsed JSON value.
 ///
 /// Object members keep their textual order (a `Vec`, not a map): the
@@ -56,6 +61,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -196,6 +202,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Open arrays and objects; see [`MAX_DEPTH`].
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -237,12 +245,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.at)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parses an array or object one nesting level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -443,6 +465,19 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2"] {
             assert!(Json::parse(bad).is_err(), "{bad} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let at_bound = MAX_DEPTH as usize;
+        assert!(Json::parse(&nest(at_bound)).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(at_bound), "}".repeat(at_bound));
+        assert!(Json::parse(&objects).is_ok());
+        let too_deep = format!("nesting deeper than {MAX_DEPTH} levels at byte {at_bound}");
+        assert_eq!(Json::parse(&nest(at_bound + 1)), Err(too_deep.clone()));
+        // Far past the bound: an error, not a stack overflow.
+        assert_eq!(Json::parse(&nest(20_000)), Err(too_deep));
     }
 
     #[test]

@@ -29,9 +29,20 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting of blocks and expressions [`parse`] accepts.
+///
+/// The parser, the lowering and the drop of the tree all recurse once
+/// per level, so without a bound a hostile source overflows the stack.
+/// Every level counts: a block, an `else if`, a parenthesis or other
+/// subexpression, a prefix operator, and each operand folded into a
+/// left-associative chain (`a + b + c` or `a[i][j]`).
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Open nesting levels; see [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -56,6 +67,27 @@ impl Parser {
             line: self.line(),
             message: message.into(),
         })
+    }
+
+    /// Opens one nesting level. Levels are closed by restoring `depth`;
+    /// an error ends the parse, so error paths leave them open.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.enter()?;
+        let v = f(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn is_punct(&self, p: &str) -> bool {
@@ -197,14 +229,16 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.eat_punct("{")?;
-        let mut stmts = Vec::new();
-        while !self.at_punct("}") {
-            if self.peek() == &Tok::Eof {
-                return self.err("unterminated block");
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.at_punct("}") {
+                if p.peek() == &Tok::Eof {
+                    return p.err("unterminated block");
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+            Ok(stmts)
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -265,7 +299,7 @@ impl Parser {
                 let else_b = if self.peek() == &Tok::Kw(Kw::Else) {
                     self.bump();
                     if self.peek() == &Tok::Kw(Kw::If) {
-                        vec![self.stmt()?]
+                        vec![self.nested(Self::stmt)?]
                     } else {
                         self.block()?
                     }
@@ -381,10 +415,11 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.bin_expr(0)
+        self.nested(|p| p.bin_expr(0))
     }
 
     fn bin_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut lhs = self.unary()?;
         loop {
             let (op, prec) = match self.peek() {
@@ -413,46 +448,42 @@ impl Parser {
             }
             let line = self.line();
             self.bump();
+            self.enter()?;
             let rhs = self.bin_expr(prec + 1)?;
             lhs = Expr {
                 kind: ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)),
                 line,
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         let line = self.line();
-        if self.at_punct("-") {
-            let e = self.unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Un(UnOp::Neg, Box::new(e)),
-                line,
-            });
-        }
-        if self.at_punct("!") {
-            let e = self.unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Un(UnOp::Not, Box::new(e)),
-                line,
-            });
-        }
-        if self.at_punct("~") {
-            let e = self.unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Un(UnOp::BitNot, Box::new(e)),
-                line,
-            });
-        }
-        self.postfix()
+        let op = if self.at_punct("-") {
+            UnOp::Neg
+        } else if self.at_punct("!") {
+            UnOp::Not
+        } else if self.at_punct("~") {
+            UnOp::BitNot
+        } else {
+            return self.postfix();
+        };
+        let e = self.nested(Self::unary)?;
+        Ok(Expr {
+            kind: ExprKind::Un(op, Box::new(e)),
+            line,
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut e = self.primary()?;
         loop {
             let line = self.line();
             if self.at_punct("[") {
+                self.enter()?;
                 let idx = self.expr()?;
                 self.eat_punct("]")?;
                 e = Expr {
@@ -463,6 +494,7 @@ impl Parser {
                 break;
             }
         }
+        self.depth = outer;
         Ok(e)
     }
 
@@ -549,7 +581,11 @@ impl Parser {
 /// ```
 pub fn parse(src: &str) -> Result<Unit, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.unit()
 }
 
@@ -633,6 +669,57 @@ mod tests {
     fn error_has_line() {
         let e = parse("fn main() {\n  var x int;\n}").unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    /// A `main` returning `expr`, in a block nested `blocks` deep.
+    fn nested_main(expr: &str, blocks: usize) -> String {
+        format!(
+            "fn main() -> int {{ {}return {expr};{} }}",
+            "if (1) { ".repeat(blocks),
+            " }".repeat(blocks)
+        )
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let n = 3000;
+        let else_ifs = format!(
+            "fn main() -> int {{ if (0) {{ }}{} return 1; }}",
+            " else if (0) { }".repeat(n)
+        );
+        for src in [
+            nested_main(&format!("{}1{}", "(".repeat(n), ")".repeat(n)), 0),
+            nested_main(&format!("{}1", "-".repeat(n)), 0),
+            nested_main(&vec!["1"; n].join(" + "), 0),
+            nested_main(&format!("a{}", "[0]".repeat(n)), 0),
+            nested_main("1", n),
+            else_ifs,
+        ] {
+            let e = parse(&src).unwrap_err();
+            assert_eq!(
+                e.message,
+                format!("nesting deeper than {MAX_NESTING} levels")
+            );
+            assert_eq!(e.line, 1);
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_compiles() {
+        // The block and `return` each open a level, as does every `if`.
+        let depth = MAX_NESTING - 2;
+        for src in [
+            nested_main(&format!("{}1{}", "(".repeat(depth), ")".repeat(depth)), 0),
+            nested_main(&vec!["1"; depth + 1].join(" + "), 0),
+            nested_main("1", depth),
+        ] {
+            crate::compile(&src).unwrap_or_else(|e| panic!("{e}: {src}"));
+        }
+        let over = nested_main(
+            &format!("{}1{}", "(".repeat(depth + 1), ")".repeat(depth + 1)),
+            0,
+        );
+        assert!(parse(&over).is_err());
     }
 
     #[test]

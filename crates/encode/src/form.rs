@@ -74,11 +74,6 @@ impl Form {
         self.base() + self.fields.iter().map(|&f| f.width()).sum::<u32>()
     }
 
-    /// Whether the row covers `(quadrant, code)`.
-    fn has(&self, (quadrant, code): (u32, u32)) -> bool {
-        self.quadrant == quadrant && self.codes.contains(&code)
-    }
-
     /// Whether `imm` fits the row's compact immediate or offset field.
     /// Sources are checked by the ISA's codecs, displacement reach by
     /// the driver.
@@ -196,9 +191,41 @@ pub(crate) fn alu_imm_op(o: &Ops, at: usize, word: u32) -> Result<AluOp, DecodeE
         .ok_or(DecodeError::BadOpcode { at, word })
 }
 
-/// The row of `tag`, if any.
-fn find(forms: &'static [Form], tag: (u32, u32)) -> Option<&'static Form> {
-    forms.iter().find(|f| f.has(tag))
+/// Slots of a tag index: a tag `(quadrant, code)` sits at
+/// `quadrant << 5 | code`, as a code has at most five bits.
+const TAGS: usize = 4 << 5;
+
+/// A tag index slot no row covers; it is past the end of every table,
+/// so looking it up finds no row.
+const NO_ROW: u8 = u8::MAX;
+
+/// The slot of `(quadrant, code)` in a tag index.
+const fn slot(quadrant: u32, code: u32) -> usize {
+    (quadrant << 5 | code) as usize
+}
+
+/// The row number of every tag in `forms`, built once per ISA at compile
+/// time, so that finding a row costs one load instead of a scan.
+const fn index(forms: &[Form]) -> [u8; TAGS] {
+    assert!(
+        forms.len() < NO_ROW as usize,
+        "too many rows for a u8 index"
+    );
+    let mut index = [NO_ROW; TAGS];
+    let mut r = 0;
+    while r < forms.len() {
+        let f = &forms[r];
+        let mut code = *f.codes.start();
+        while code <= *f.codes.end() {
+            assert!(f.quadrant < 4 && code < 32, "a tag out of range");
+            let at = &mut index[slot(f.quadrant, code)];
+            assert!(*at == NO_ROW, "two rows declare one tag");
+            *at = r as u8;
+            code += 1;
+        }
+        r += 1;
+    }
+    index
 }
 
 /// An ISA's binary format: its form table and the mapping between its
@@ -210,6 +237,15 @@ pub(crate) trait Codec {
 
     /// Every 32-bit and 16-bit form of the ISA, one row each.
     const FORMS: &'static [Form];
+
+    /// [`Self::FORMS`]' row number of each tag.
+    const INDEX: [u8; TAGS] = index(Self::FORMS);
+
+    /// The row of `(quadrant, code)`, if any.
+    fn find((quadrant, code): (u32, u32)) -> Option<&'static Form> {
+        let r = *Self::INDEX.get(slot(quadrant, code))?;
+        Self::FORMS.get(usize::from(r))
+    }
 
     /// Branch/jump/call target as an instruction index, if the
     /// instruction transfers control via an immediate displacement.
@@ -227,7 +263,7 @@ pub(crate) trait Codec {
 
     /// The row of a mapped instruction.
     fn row(o: &Ops) -> &'static Form {
-        find(Self::FORMS, o.tag).expect("every mapped tag has a row")
+        Self::find(o.tag).expect("every mapped tag has a row")
     }
 
     /// Whether the instruction has a 16-bit form whose compact immediate
@@ -292,7 +328,7 @@ pub(crate) trait Codec {
     ) -> Result<Self::Inst, DecodeError> {
         // The low two bits are the quadrant, or `W32` for a 32-bit word.
         let tag = (word & 0b11, get(word, 2, if size == 4 { 5 } else { 3 }));
-        let f = find(Self::FORMS, tag).ok_or(DecodeError::BadOpcode { at, word })?;
+        let f = Self::find(tag).ok_or(DecodeError::BadOpcode { at, word })?;
         // A 16-bit unit arrives zero-extended, so one test covers both sizes.
         if word.checked_shr(f.end()).unwrap_or(0) != 0 {
             return Err(DecodeError::Reserved { at, word });

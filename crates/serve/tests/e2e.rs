@@ -11,7 +11,9 @@
 //! * a compressed-layout `sim` equals the in-process pipeline's result,
 //!   on the fast and on the reference engine;
 //! * `figures --server ADDR` output is byte-identical to the in-process
-//!   run (subprocess test over the simulation-driven experiments).
+//!   run (subprocess test over the simulation-driven experiments);
+//! * a line nested far past `ch_common::json::MAX_DEPTH` gets a
+//!   `bad-request` reply, and the server keeps answering.
 
 use ch_bench::remote::{Client, SimRequest, SweepRequest};
 use ch_serve::{ConfigKey, Server, Service, ServiceConfig};
@@ -147,6 +149,41 @@ fn poisoned_config_is_isolated_and_idempotent() {
     assert_eq!(stats.failed, 1, "the poison ran exactly once");
     // The same connection — and the server — are still fully alive.
     client.ping().expect("ping after poison");
+}
+
+/// One line of 20,000 `[` then 20,000 `]` (40 KB) used to overflow the
+/// connection thread's stack in the JSON parser, which aborts the whole
+/// server. It must get an error reply, and the server must still answer
+/// `ping`, on that connection and on a new one.
+#[test]
+fn deeply_nested_line_is_a_bad_request() {
+    use ch_common::json::Json;
+    use std::io::{BufRead, BufReader, Write};
+    let addr = spawn_engine_server(1);
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut ask = |line: &str| -> Json {
+        writeln!(writer, "{line}").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        Json::parse(&reply).expect("reply is one JSON line")
+    };
+    let reply = ask(&format!("{}{}", "[".repeat(20_000), "]".repeat(20_000)));
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("bad-request")
+    );
+    let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("nesting deeper than"), "{message}");
+    let pong = ask(r#"{"type":"ping","id":7}"#);
+    assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+    assert_eq!(pong.get("id").and_then(Json::as_u64), Some(7));
+    Client::connect(&addr)
+        .expect("new connection")
+        .ping()
+        .expect("ping on a new connection");
 }
 
 /// A client-side timeout returns a structured `timeout` error without

@@ -2,6 +2,7 @@
 
 use crate::domain::{Av, Frame, Kind, Marks, Origin, ENTRY_SITE};
 use crate::engine::Sink;
+use std::fmt::Display;
 
 /// How a read operand is being used; some uses legalise or forbid value
 /// kinds (a return address may be spilled or relayed, never computed
@@ -54,10 +55,8 @@ impl Default for Options {
 
 /// Marks every writer of `av` as used (the value was read or escaped).
 pub fn mark_av(av: &Av, marks: &mut Marks) {
-    if let Some(ws) = &av.writers {
-        for w in ws {
-            marks.mark(*w);
-        }
+    for w in av.writers.iter() {
+        marks.mark(w);
     }
 }
 
@@ -65,12 +64,13 @@ pub fn mark_av(av: &Av, marks: &mut Marks) {
 ///
 /// `entry_kind` classifies entry tokens by convention role (plain
 /// argument, callee-saved, return address); `describe_entry` renders an
-/// entry token for messages.
+/// entry token for messages. `operand` is rendered only when a finding
+/// is reported.
 #[allow(clippy::too_many_arguments)]
 pub fn check_read(
     av: &Av,
     inst: u32,
-    operand: &str,
+    operand: &dyn Display,
     cx: UseCx,
     opts: &Options,
     sink: &mut Sink,
@@ -78,7 +78,7 @@ pub fn check_read(
     describe_entry: &dyn Fn(u16) -> String,
 ) {
     let op = || Some(operand.to_string());
-    if let Some(origins) = &av.origins {
+    if let Some(origins) = av.origins.get() {
         let mut entry_toks: Vec<u16> = Vec::new();
         for o in origins {
             match *o {
@@ -183,13 +183,13 @@ pub fn check_read(
 /// becomes a pointer anchored at that origin (this is how the symbolic
 /// frame tracking follows `sp = caller_sp - frame`).
 pub fn addi_result(i: u32, src: &Av, imm: i64) -> Av {
-    let kind = match (&src.kind, &src.origins) {
+    let kind = match (src.kind, src.origins.get()) {
         (Kind::Cst(c), _) => Kind::Cst(c.wrapping_add(imm)),
         (Kind::Ptr { base, off }, _) => Kind::Ptr {
-            base: *base,
+            base,
             off: off.wrapping_add(imm),
         },
-        (Kind::Val, Some(o)) if o.len() == 1 => match o[0] {
+        (Kind::Val, Some(&[o])) => match o {
             Origin::Uninit | Origin::Hole(_) | Origin::Opaque(_) => Kind::Val,
             base => Kind::Ptr { base, off: imm },
         },
@@ -210,9 +210,7 @@ pub fn load_result(i: u32, frame: &Frame, base_av: &Av, offset: i32, marks: &mut
     if let Kind::Ptr { base, off } = base_av.kind {
         if let Some(v) = frame.get(&(base, off.wrapping_add(offset as i64))) {
             mark_av(v, marks);
-            let mut v = v.clone();
-            v.writers = Some(vec![i]);
-            return v;
+            return v.relayed_by(i);
         }
     }
     Av::inst(i)
@@ -243,7 +241,7 @@ mod tests {
     fn run_check(av: &Av, cx: UseCx) -> Vec<&'static str> {
         let mut sink = Sink::new("f");
         let opts = Options::default();
-        check_read(av, 0, "x", cx, &opts, &mut sink, &classify, &|t| {
+        check_read(av, 0, &"x", cx, &opts, &mut sink, &classify, &|t| {
             format!("tok{t}")
         });
         sink.into_diags().iter().map(|d| d.code).collect()
@@ -341,6 +339,6 @@ mod tests {
         assert!(back.is_entry_value(42));
         // Untracked load: fresh defined value, not an error.
         let fresh = load_result(6, &frame, &Av::inst(1), 0, &mut marks);
-        assert_eq!(fresh.origins, Some(vec![Origin::Inst(6)]));
+        assert_eq!(fresh.origins.get(), Some(&[Origin::Inst(6)][..]));
     }
 }

@@ -167,18 +167,9 @@ fn read_src(
                 );
                 return Av::inst(i);
             }
-            let av = st.hands[h.index()][d as usize].clone();
+            let av = st.hands[h.index()][d as usize];
             mark_av(&av, marks);
-            check_read(
-                &av,
-                i,
-                &src.to_string(),
-                cx,
-                opts,
-                sink,
-                &entry_kind,
-                &describe,
-            );
+            check_read(&av, i, &src, cx, opts, sink, &entry_kind, &describe);
             av
         }
     }
@@ -208,7 +199,7 @@ fn apply_call(st: &mut ChState, prog: &Program, block_start: u32, i: u32, marks:
     // the s hand or memory), so all current writers count as used.
     st.mark_all(marks);
     let nargs = args_pushed(prog, block_start, i);
-    let sp = st.hands[Hand::S.index()][nargs].clone();
+    let sp = st.hands[Hand::S.index()][nargs];
     st.hands[Hand::T.index()] = vec![Av::opaque(i); DEPTH];
     st.hands[Hand::U.index()] = vec![Av::opaque(i); DEPTH];
     let mut s = vec![Av::opaque(i); DEPTH];
@@ -282,14 +273,7 @@ fn transfer(
             }
             Inst::Mv { dst, src } => {
                 let a = read_src(&st, src, i, UseCx::Mv, opts, sink, marks);
-                st.write(
-                    dst,
-                    Av {
-                        origins: a.origins.clone(),
-                        kind: a.kind,
-                        writers: Some(vec![i]),
-                    },
-                );
+                st.write(dst, a.relayed_by(i));
             }
             Inst::JumpReg { src } => {
                 read_src(&st, src, i, UseCx::JrTarget, opts, sink, marks);
@@ -313,7 +297,7 @@ fn transfer(
 /// each callee-saved `v[j]` must hold its entry value.
 fn check_return_conventions(st: &ChState, i: u32, sink: &mut Sink) {
     let s0 = &st.hands[Hand::S.index()][0];
-    let sp_ok = s0.origins.is_none() || (0..DEPTH).any(|d| s0.is_entry_value(tok(Hand::S, d)));
+    let sp_ok = s0.origins.is_top() || (0..DEPTH).any(|d| s0.is_entry_value(tok(Hand::S, d)));
     if !sp_ok {
         sink.error(
             "E-SP",
@@ -326,7 +310,7 @@ fn check_return_conventions(st: &ChState, i: u32, sink: &mut Sink) {
     }
     for j in 0..V_SAVED {
         let av = &st.hands[Hand::V.index()][j];
-        if av.origins.is_some() && !av.is_entry_value(tok(Hand::V, j)) {
+        if !av.origins.is_top() && !av.is_entry_value(tok(Hand::V, j)) {
             sink.error(
                 "E-CALLEE",
                 Some(i),

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 pub const ENTRY_SITE: u32 = u32::MAX;
 
 /// Where an abstract value may come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Origin {
     /// Produced by the instruction at this index.
     Inst(u32),
@@ -43,6 +43,7 @@ pub enum Origin {
     /// an error.
     Opaque(u32),
     /// Never written on some incoming path; reading it is an error.
+    #[default]
     Uninit,
 }
 
@@ -75,7 +76,7 @@ impl Kind {
     }
 }
 
-/// Origin sets and writer sets are widened to `None` ("anything") past
+/// Origin sets and writer sets are widened to top ("anything") past
 /// this size; widened reads are assumed initialized (no false positives).
 const ORIGIN_CAP: usize = 8;
 const WRITER_CAP: usize = 12;
@@ -108,27 +109,159 @@ impl Marks {
     }
 }
 
-/// One abstract slot value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Av {
-    /// Possible origins; `None` is the widened top ("anything, assumed
-    /// initialized").
-    pub origins: Option<Vec<Origin>>,
-    /// Value kind.
-    pub kind: Kind,
-    /// Instructions whose write may occupy this slot (`None` = widened;
-    /// members were marked used at widening time so no lint is lost).
-    pub writers: Option<Vec<u32>>,
+/// A sorted set of at most `N` elements stored inline, or the widened
+/// top ("anything").
+///
+/// Slots past the length always hold `T::default()`, so the derived
+/// equality compares sets.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SmallSet<T, const N: usize> {
+    /// Number of members; [`TOP`] marks the widened set.
+    len: u8,
+    items: [T; N],
 }
 
+/// The length that marks a widened [`SmallSet`].
+const TOP: u8 = u8::MAX;
+
+impl<T: Copy + Ord + Default, const N: usize> SmallSet<T, N> {
+    /// The empty set.
+    pub fn empty() -> Self {
+        const { assert!(N < TOP as usize, "the length must fit below TOP") };
+        SmallSet {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+
+    /// The widened set.
+    pub fn top() -> Self {
+        SmallSet {
+            len: TOP,
+            ..Self::empty()
+        }
+    }
+
+    /// The set holding only `x`.
+    pub fn one(x: T) -> Self {
+        let mut s = Self::empty();
+        s.items[0] = x;
+        s.len = 1;
+        s
+    }
+
+    /// The members in ascending order; `None` when widened.
+    pub fn get(&self) -> Option<&[T]> {
+        (self.len != TOP).then(|| &self.items[..self.len as usize])
+    }
+
+    /// Whether the set is widened.
+    pub fn is_top(&self) -> bool {
+        self.len == TOP
+    }
+
+    /// The members (none when widened).
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.get().unwrap_or_default().iter().copied()
+    }
+
+    /// Unions `other` into `self`; returns whether `self` changed. A
+    /// union of more than `N` members widens to top, and so does a
+    /// widened `other`; on widening `widened` is handed each side's
+    /// members.
+    fn union_with(&mut self, other: &Self, mut widened: impl FnMut(&[T])) -> bool {
+        let Some(a) = self.get() else {
+            return false;
+        };
+        let Some(b) = other.get() else {
+            widened(a);
+            *self = Self::top();
+            return true;
+        };
+        let mut out = [T::default(); N];
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        loop {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if y < x => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), Some(&y)) => {
+                    i += 1;
+                    j += usize::from(x == y);
+                    x
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => break,
+            };
+            if n == N {
+                widened(a);
+                widened(b);
+                *self = Self::top();
+                return true;
+            }
+            out[n] = next;
+            n += 1;
+        }
+        let changed = n != a.len();
+        *self = SmallSet {
+            len: n as u8,
+            items: out,
+        };
+        changed
+    }
+}
+
+impl<T: Copy + Ord + Default + std::fmt::Debug, const N: usize> std::fmt::Debug for SmallSet<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.get() {
+            Some(items) => f.debug_set().entries(items).finish(),
+            None => f.write_str("Top"),
+        }
+    }
+}
+
+/// The possible origins of a value.
+pub type Origins = SmallSet<Origin, ORIGIN_CAP>;
+/// The instructions whose write may occupy a slot.
+pub type Writers = SmallSet<u32, WRITER_CAP>;
+
+/// One abstract slot value.
+///
+/// `Copy` and free of heap data: the engine copies whole register files
+/// per CFG edge, so a slot must cost a `memcpy`, not an allocation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Av {
+    /// Possible origins; top is "anything, assumed initialized".
+    pub origins: Origins,
+    /// Value kind.
+    pub kind: Kind,
+    /// Instructions whose write may occupy this slot (top = widened;
+    /// members were marked used at widening time so no lint is lost).
+    pub writers: Writers,
+}
+
+const _: () = assert!(std::mem::size_of::<Av>() <= 160);
+
 impl Av {
+    fn of(origins: Origins, writers: Writers) -> Av {
+        Av {
+            origins,
+            kind: Kind::Val,
+            writers,
+        }
+    }
+
     /// A value produced by instruction `i`.
     pub fn inst(i: u32) -> Av {
-        Av {
-            origins: Some(vec![Origin::Inst(i)]),
-            kind: Kind::Val,
-            writers: Some(vec![i]),
-        }
+        Av::of(Origins::one(Origin::Inst(i)), Writers::one(i))
     }
 
     /// A known constant produced by instruction `i`.
@@ -141,65 +274,49 @@ impl Av {
 
     /// A function-entry anchor.
     pub fn entry(tok: u16) -> Av {
-        Av {
-            origins: Some(vec![Origin::Entry(tok)]),
-            kind: Kind::Val,
-            writers: Some(Vec::new()),
-        }
+        Av::of(Origins::one(Origin::Entry(tok)), Writers::empty())
     }
 
     /// A never-written slot.
     pub fn uninit() -> Av {
-        Av {
-            origins: Some(vec![Origin::Uninit]),
-            kind: Kind::Val,
-            writers: Some(Vec::new()),
-        }
+        Av::of(Origins::one(Origin::Uninit), Writers::empty())
     }
 
     /// A slot clobbered by (or never owned across) the call at `site`.
     pub fn opaque(site: u32) -> Av {
-        Av {
-            origins: Some(vec![Origin::Opaque(site)]),
-            kind: Kind::Val,
-            writers: Some(Vec::new()),
-        }
+        Av::of(Origins::one(Origin::Opaque(site)), Writers::empty())
     }
 
     /// A STRAIGHT value-less ring slot occupied by instruction `i`.
     pub fn hole(i: u32) -> Av {
-        Av {
-            origins: Some(vec![Origin::Hole(i)]),
-            kind: Kind::Val,
-            writers: Some(Vec::new()),
-        }
+        Av::of(Origins::one(Origin::Hole(i)), Writers::empty())
     }
 
     /// The return value of the call at `i`.
     pub fn retval(i: u32) -> Av {
-        Av {
-            origins: Some(vec![Origin::Retval(i)]),
-            kind: Kind::Val,
-            writers: Some(vec![i]),
-        }
+        Av::of(Origins::one(Origin::Retval(i)), Writers::one(i))
     }
 
     /// A machine-reset value (defined by hardware, no tracked identity —
     /// e.g. the reset stack pointer). Reads never error.
     pub fn reset() -> Av {
-        Av {
-            origins: Some(Vec::new()),
-            kind: Kind::Val,
-            writers: Some(Vec::new()),
-        }
+        Av::of(Origins::empty(), Writers::empty())
     }
 
     /// The hardwired zero register.
     pub fn zero() -> Av {
         Av {
-            origins: Some(Vec::new()),
             kind: Kind::Cst(0),
-            writers: Some(Vec::new()),
+            ..Av::reset()
+        }
+    }
+
+    /// This value relayed by instruction `i` (a `mv`, or a load of a
+    /// tracked frame slot): same origins and kind, one writer.
+    pub fn relayed_by(self, i: u32) -> Av {
+        Av {
+            writers: Writers::one(i),
+            ..self
         }
     }
 
@@ -216,39 +333,19 @@ impl Av {
                 return true;
             }
         }
-        matches!(&self.origins, Some(o) if o.as_slice() == [Origin::Entry(tok)])
+        self.origins.get() == Some(&[Origin::Entry(tok)])
     }
 
     /// Joins `other` into `self`; returns whether `self` changed.
     /// Widened writer sets mark their members used via `marks` so the
     /// lint layer never flags a value that escaped into a join.
     pub fn join_with(&mut self, other: &Av, marks: &mut Marks) -> bool {
-        let mut changed = false;
-        // Origins: set union with cap-widening to Top.
-        let widen_origins = match (&mut self.origins, &other.origins) {
-            (None, _) => false,
-            (Some(_), None) => {
-                changed = true;
-                true
-            }
-            (Some(a), Some(b)) => {
-                for o in b {
-                    if let Err(pos) = a.binary_search(o) {
-                        a.insert(pos, *o);
-                        changed = true;
-                    }
-                }
-                if a.len() > ORIGIN_CAP {
-                    changed = true;
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        if widen_origins {
-            self.origins = None;
+        // Equal values are the common case at a fixpoint.
+        if self == other {
+            return false;
         }
+        // Origins: set union with cap-widening to top.
+        let mut changed = self.origins.union_with(&other.origins, |_| {});
         // Kind lattice: equal or Val.
         let k = self.kind.join(other.kind);
         if k != self.kind {
@@ -256,36 +353,11 @@ impl Av {
             changed = true;
         }
         // Writers: union, widening marks everything used.
-        let widen = match (&mut self.writers, &other.writers) {
-            (None, _) => false,
-            (Some(a), None) => {
-                for w in a.iter() {
-                    marks.mark(*w);
-                }
-                changed = true;
-                true
+        changed |= self.writers.union_with(&other.writers, |ws| {
+            for &w in ws {
+                marks.mark(w);
             }
-            (Some(a), Some(b)) => {
-                for w in b {
-                    if let Err(pos) = a.binary_search(w) {
-                        a.insert(pos, *w);
-                        changed = true;
-                    }
-                }
-                if a.len() > WRITER_CAP {
-                    for w in a.iter() {
-                        marks.mark(*w);
-                    }
-                    changed = true;
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        if widen {
-            self.writers = None;
-        }
+        });
         changed
     }
 }
@@ -308,10 +380,8 @@ pub fn join_frames(a: &mut Frame, b: &Frame, marks: &mut Marks) -> bool {
     let drop_keys: Vec<MemKey> = a.keys().filter(|k| !b.contains_key(k)).cloned().collect();
     for k in drop_keys {
         if let Some(av) = a.remove(&k) {
-            if let Some(ws) = av.writers {
-                for w in ws {
-                    marks.mark(w);
-                }
+            for w in av.writers.iter() {
+                marks.mark(w);
             }
             changed = true;
         }
@@ -325,6 +395,9 @@ pub fn join_frames(a: &mut Frame, b: &Frame, marks: &mut Marks) -> bool {
 }
 
 #[cfg(test)]
+mod props;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -334,12 +407,9 @@ mod tests {
         // a φ: identical origin sets join without change.
         let mut marks = Marks::new(8);
         let mut a = Av::inst(3);
-        let b = Av {
-            writers: Some(vec![5]), // relayed by a mv at 5
-            ..Av::inst(3)
-        };
+        let b = Av::inst(3).relayed_by(5); // relayed by a mv at 5
         assert!(a.join_with(&b, &mut marks)); // writer set grew
-        assert_eq!(a.origins, Some(vec![Origin::Inst(3)]));
+        assert_eq!(a.origins.get(), Some(&[Origin::Inst(3)][..]));
         assert!(!a.join_with(&b, &mut marks)); // fixpoint
     }
 
@@ -348,7 +418,10 @@ mod tests {
         let mut marks = Marks::new(8);
         let mut a = Av::inst(1);
         assert!(a.join_with(&Av::inst(2), &mut marks));
-        assert_eq!(a.origins, Some(vec![Origin::Inst(1), Origin::Inst(2)]));
+        assert_eq!(
+            a.origins.get(),
+            Some(&[Origin::Inst(1), Origin::Inst(2)][..])
+        );
     }
 
     #[test]
@@ -381,7 +454,7 @@ mod tests {
         for i in 1..=(ORIGIN_CAP as u32) {
             a.join_with(&Av::inst(i), &mut marks);
         }
-        assert_eq!(a.origins, None);
+        assert!(a.origins.is_top());
         // Top absorbs anything without change.
         assert!(!a.join_with(&Av::uninit(), &mut marks));
     }

@@ -143,18 +143,9 @@ fn read_reg(
         );
         return Av::inst(i);
     }
-    let av = st.regs[r.0 as usize].clone();
+    let av = st.regs[r.0 as usize];
     mark_av(&av, marks);
-    check_read(
-        &av,
-        i,
-        &r.to_string(),
-        cx,
-        opts,
-        sink,
-        &entry_kind,
-        &describe,
-    );
+    check_read(&av, i, &r, cx, opts, sink, &entry_kind, &describe);
     av
 }
 
@@ -251,15 +242,7 @@ fn transfer(
             }
             RvInst::Mv { rd, rs } => {
                 let a = read_reg(&st, rs, i, UseCx::Mv, opts, sink, marks);
-                write_reg(
-                    &mut st,
-                    rd,
-                    Av {
-                        origins: a.origins.clone(),
-                        kind: a.kind,
-                        writers: Some(vec![i]),
-                    },
-                );
+                write_reg(&mut st, rd, a.relayed_by(i));
             }
             RvInst::JumpReg { rs } => {
                 read_reg(&st, rs, i, UseCx::JrTarget, opts, sink, marks);
@@ -283,7 +266,7 @@ fn transfer(
 /// every callee-saved register must hold its entry value.
 fn check_return_conventions(st: &RvState, i: u32, sink: &mut Sink) {
     let sp = &st.regs[Reg::SP.0 as usize];
-    if sp.origins.is_some() && !sp.is_entry_value(Reg::SP.0 as u16) {
+    if !sp.origins.is_top() && !sp.is_entry_value(Reg::SP.0 as u16) {
         sink.error(
             "E-SP",
             Some(i),
@@ -293,7 +276,7 @@ fn check_return_conventions(st: &RvState, i: u32, sink: &mut Sink) {
     }
     for &r in &CALLEE_SAVED {
         let av = &st.regs[r as usize];
-        if av.origins.is_some() && !av.is_entry_value(r as u16) {
+        if !av.origins.is_top() && !av.is_entry_value(r as u16) {
             sink.error(
                 "E-CALLEE",
                 Some(i),

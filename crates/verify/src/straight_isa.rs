@@ -126,7 +126,7 @@ fn read_src(
 ) -> Av {
     let av = match src {
         StSrc::Zero => return Av::zero(),
-        StSrc::Sp => st.sp.clone(),
+        StSrc::Sp => st.sp,
         StSrc::Dist(d) => {
             if !src.is_valid() {
                 sink.error(
@@ -137,14 +137,14 @@ fn read_src(
                 );
                 return Av::inst(i);
             }
-            st.ring[d as usize - 1].clone()
+            st.ring[d as usize - 1]
         }
     };
     mark_av(&av, marks);
     check_read(
         &av,
         i,
-        &src.to_string(),
+        &src,
         cx,
         opts,
         sink,
@@ -212,7 +212,7 @@ fn transfer(
             StInst::Jump { .. } | StInst::Nop => st.push(Av::hole(i)),
             StInst::SpAddi { imm } => {
                 mark_av(&st.sp, marks);
-                st.sp = addi_result(i, &st.sp.clone(), imm as i64);
+                st.sp = addi_result(i, &st.sp, imm as i64);
                 st.push(Av::hole(i));
             }
             StInst::Call { .. } => {
@@ -228,16 +228,12 @@ fn transfer(
             }
             StInst::Mv { src } => {
                 let a = read_src(&st, src, i, UseCx::Mv, opts, sink, marks);
-                st.push(Av {
-                    origins: a.origins.clone(),
-                    kind: a.kind,
-                    writers: Some(vec![i]),
-                });
+                st.push(a.relayed_by(i));
             }
             StInst::JumpReg { src } => {
                 read_src(&st, src, i, UseCx::JrTarget, opts, sink, marks);
                 if opts.conventions && !func.is_machine_entry {
-                    let sp_ok = st.sp.origins.is_none() || st.sp.is_entry_value(SP_TOK);
+                    let sp_ok = st.sp.origins.is_top() || st.sp.is_entry_value(SP_TOK);
                     if !sp_ok {
                         sink.error(
                             "E-SP",
