@@ -14,12 +14,11 @@
 //!   stack pointer is a special register updated with `SPADDi`
 //!   (Section 2.2).
 //!
-//! Both provide a functional interpreter emitting the same
-//! [`ch_common::inst::DynInst`] stream as the Clockhands interpreter, so
-//! the timing simulator and trace analyses treat all three uniformly.
+//! Each keeps only its operand types, operand file and operand rules:
+//! the instruction shape, the program container and the interpreter step
+//! are shared with Clockhands ([`ch_common::isa`], [`ch_common::interp`]),
+//! so all three emit the same [`ch_common::inst::DynInst`] stream and the
+//! timing simulator and trace analyses treat them uniformly.
 
-pub mod prog;
 pub mod riscv;
 pub mod straight;
-
-pub use prog::Prog;

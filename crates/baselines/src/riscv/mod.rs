@@ -3,14 +3,17 @@
 //! Operand specification is by logical register number (Fig. 5, top row),
 //! which creates false dependencies through register reuse and therefore
 //! requires the renaming hardware modelled in [`rename`].
+//!
+//! The instruction shape, program container and interpreter step are the
+//! shared ones ([`ch_common::isa`], [`ch_common::interp`]); this module
+//! keeps only the register type, the register file and their rules.
 
 pub mod asm;
 pub mod interp;
 pub mod rename;
 
-use crate::prog::{CheckInst, Prog};
-use ch_common::exec::{AluOp, BrCond, LoadOp, Srcs, StoreOp};
-use ch_common::op::OpClass;
+use ch_common::isa::{Absent, Inst, Operands, Program};
+use interp::RegFile;
 
 /// Number of logical registers (32 integer + 32 floating point).
 pub const NUM_REGS: u8 = 64;
@@ -72,207 +75,49 @@ impl std::fmt::Display for Reg {
     }
 }
 
-/// One RISC instruction. The shapes mirror the Clockhands instruction set
-/// exactly (Fig. 5: only the operand fields differ).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RvInst {
-    /// Register-register ALU operation.
-    Alu {
-        /// Operation.
-        op: AluOp,
-        /// Destination.
-        rd: Reg,
-        /// First source.
-        rs1: Reg,
-        /// Second source.
-        rs2: Reg,
-    },
-    /// Register-immediate ALU operation.
-    AluImm {
-        /// Operation.
-        op: AluOp,
-        /// Destination.
-        rd: Reg,
-        /// Source.
-        rs1: Reg,
-        /// Immediate.
-        imm: i32,
-    },
-    /// Load immediate (`lui`+`addi` class pseudo-instruction).
-    Li {
-        /// Destination.
-        rd: Reg,
-        /// Immediate value.
-        imm: i64,
-    },
-    /// Memory load.
-    Load {
-        /// Width/extension.
-        op: LoadOp,
-        /// Destination.
-        rd: Reg,
-        /// Base register.
-        base: Reg,
-        /// Byte offset.
-        offset: i32,
-    },
-    /// Memory store.
-    Store {
-        /// Width.
-        op: StoreOp,
-        /// Value register.
-        rs: Reg,
-        /// Base register.
-        base: Reg,
-        /// Byte offset.
-        offset: i32,
-    },
-    /// Conditional branch.
-    Branch {
-        /// Comparison.
-        cond: BrCond,
-        /// First source.
-        rs1: Reg,
-        /// Second source.
-        rs2: Reg,
-        /// Taken target (instruction index).
-        target: u32,
-    },
-    /// Unconditional jump.
-    Jump {
-        /// Target (instruction index).
-        target: u32,
-    },
-    /// Direct call (`jal rd, target`).
-    Call {
-        /// Link register.
-        rd: Reg,
-        /// Callee entry (instruction index).
-        target: u32,
-    },
-    /// Indirect call (`jalr rd, rs`).
-    CallReg {
-        /// Link register.
-        rd: Reg,
-        /// Target address register.
-        rs: Reg,
-    },
-    /// Indirect jump / return (`jr rs`).
-    JumpReg {
-        /// Target address register.
-        rs: Reg,
-    },
-    /// Register move.
-    Mv {
-        /// Destination.
-        rd: Reg,
-        /// Source.
-        rs: Reg,
-    },
-    /// No-operation.
-    Nop,
-    /// Stop execution, reporting `rs` as the exit value.
-    Halt {
-        /// Exit-value register.
-        rs: Reg,
-    },
-}
+/// The RISC operand naming: logical registers as destinations and
+/// sources, and the indirect call `jalr`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Riscv;
 
-impl RvInst {
-    /// The destination register, if the instruction writes one (writes to
-    /// `x0` count as no destination).
-    pub fn dst(&self) -> Option<Reg> {
-        let rd = match *self {
-            RvInst::Alu { rd, .. }
-            | RvInst::AluImm { rd, .. }
-            | RvInst::Li { rd, .. }
-            | RvInst::Load { rd, .. }
-            | RvInst::Call { rd, .. }
-            | RvInst::CallReg { rd, .. }
-            | RvInst::Mv { rd, .. } => rd,
-            _ => return None,
-        };
-        if rd.is_zero() {
-            None
-        } else {
-            Some(rd)
-        }
-    }
+impl Operands for Riscv {
+    type Dst = Reg;
+    type Src = Reg;
+    type CallReg = ();
+    type SpAddi = Absent;
+    type File = RegFile;
 
-    /// Source registers in operand order (the zero register included —
-    /// it reads as zero but exercises no dataflow).
-    pub fn srcs(&self) -> Srcs<Reg> {
-        match *self {
-            RvInst::Alu { rs1, rs2, .. } => Srcs::two(rs1, rs2),
-            RvInst::AluImm { rs1, .. } => Srcs::one(rs1),
-            RvInst::Li { .. } | RvInst::Jump { .. } | RvInst::Call { .. } | RvInst::Nop => {
-                Srcs::none()
-            }
-            RvInst::Load { base, .. } => Srcs::one(base),
-            RvInst::Store { rs, base, .. } => Srcs::two(rs, base),
-            RvInst::Branch { rs1, rs2, .. } => Srcs::two(rs1, rs2),
-            RvInst::CallReg { rs, .. } | RvInst::JumpReg { rs } => Srcs::one(rs),
-            RvInst::Mv { rs, .. } => Srcs::one(rs),
-            RvInst::Halt { rs } => Srcs::one(rs),
-        }
-    }
-
-    /// Coarse operation class.
-    pub fn class(&self) -> OpClass {
-        match *self {
-            RvInst::Alu { op, .. } | RvInst::AluImm { op, .. } => op.class(),
-            RvInst::Li { .. } => OpClass::IntAlu,
-            RvInst::Load { .. } => OpClass::Load,
-            RvInst::Store { .. } => OpClass::Store,
-            RvInst::Branch { .. } => OpClass::CondBr,
-            RvInst::Jump { .. } => OpClass::Jump,
-            RvInst::Call { .. } | RvInst::CallReg { .. } | RvInst::JumpReg { .. } => {
-                OpClass::CallRet
-            }
-            RvInst::Mv { .. } => OpClass::Move,
-            RvInst::Nop => OpClass::Nop,
-            RvInst::Halt { .. } => OpClass::Other,
-        }
+    /// Writes to `x0` count as no destination.
+    fn is_written(rd: Reg) -> bool {
+        !rd.is_zero()
     }
 }
 
-impl CheckInst for RvInst {
-    fn check(&self, _at: u32, len: u32) -> Result<(), String> {
-        let target = match *self {
-            RvInst::Branch { target, .. }
-            | RvInst::Jump { target }
-            | RvInst::Call { target, .. } => Some(target),
-            _ => None,
-        };
-        if let Some(t) = target {
-            if t >= len {
-                return Err(format!("target {t} out of range"));
-            }
-        }
-        Ok(())
-    }
-}
+/// One RISC instruction: the shape shared with Clockhands and STRAIGHT
+/// (Fig. 5: only the operand fields differ).
+pub type RvInst = Inst<Riscv>;
 
 /// A RISC program.
-pub type RvProgram = Prog<RvInst>;
+pub type RvProgram = Program<RvInst>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ch_common::exec::AluOp;
 
     #[test]
     fn zero_register_is_not_a_destination() {
         let i = RvInst::AluImm {
             op: AluOp::Add,
-            rd: Reg::ZERO,
-            rs1: Reg::x(5),
+            dst: Reg::ZERO,
+            src1: Reg::x(5),
             imm: 1,
         };
         assert_eq!(i.dst(), None);
         let j = RvInst::AluImm {
             op: AluOp::Add,
-            rd: Reg::x(5),
-            rs1: Reg::ZERO,
+            dst: Reg::x(5),
+            src1: Reg::ZERO,
             imm: 1,
         };
         assert_eq!(j.dst(), Some(Reg::x(5)));
@@ -292,7 +137,7 @@ mod tests {
         p.insts.push(RvInst::Jump { target: 2 });
         assert!(p.validate().is_err());
         p.insts.push(RvInst::Nop);
-        p.insts.push(RvInst::Halt { rs: Reg::A0 });
+        p.insts.push(RvInst::Halt { src: Reg::A0 });
         assert!(p.validate().is_ok());
     }
 

@@ -1,49 +1,27 @@
-//! Functional interpreter for STRAIGHT.
+//! Functional interpreter for STRAIGHT: the shared
+//! [`ch_common::interp::Interpreter`] over the [`RingFile`].
 
-use super::{StInst, StProgram, StSrc, MAX_DISTANCE};
-use ch_common::exec::Machine;
-use ch_common::inst::{CtrlKind, DstTag, DynInst, NO_PRODUCER};
-use ch_common::mem::Memory;
+use super::{StSrc, Straight, MAX_DISTANCE};
+use ch_common::inst::{DstTag, NO_PRODUCER};
+use ch_common::interp::OperandFile;
 
-/// Default initial stack pointer (matches the other interpreters).
-pub const STACK_TOP: u64 = 0x8000_0000;
+pub use ch_common::interp::STACK_TOP;
 
 /// Ring capacity for the functional model (≥ MAX_DISTANCE+1, power of 2).
 const RING: usize = 256;
 
-/// A runtime error raised during interpretation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StError {
-    /// Execution ran past the end of the program.
-    PcOffEnd {
-        /// The out-of-range instruction index.
-        pc: u32,
-    },
-    /// The instruction limit was reached before the program halted.
-    LimitReached,
-    /// A source referenced further back than instructions executed.
-    ReadBeforeWrite {
-        /// Instruction index performing the read.
-        at: u32,
-    },
-    /// The program failed static validation.
-    Invalid(String),
-}
+/// A source referenced further back than instructions executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadBeforeWrite;
 
-impl std::fmt::Display for StError {
+impl std::fmt::Display for ReadBeforeWrite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StError::PcOffEnd { pc } => write!(f, "execution ran off the end at index {pc}"),
-            StError::LimitReached => f.write_str("instruction limit reached before halt"),
-            StError::ReadBeforeWrite { at } => {
-                write!(f, "instruction {at} reads a slot older than the program")
-            }
-            StError::Invalid(e) => write!(f, "invalid program: {e}"),
-        }
+        f.write_str("reads a slot older than the program")
     }
 }
 
-impl std::error::Error for StError {}
+/// A runtime error raised during interpretation.
+pub type InterpError = ch_common::interp::InterpError<ReadBeforeWrite>;
 
 /// Functional STRAIGHT interpreter.
 ///
@@ -64,231 +42,82 @@ impl std::error::Error for StError {}
 /// assert_eq!(cpu.run(1000)?.exit_value, 42);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub type Interpreter = ch_common::interp::Interpreter<Straight>;
+
+/// The STRAIGHT operand state: the single ring of results, indexed by
+/// sequence number, and the SP special register.
 #[derive(Debug, Clone)]
-pub struct Interpreter {
-    prog: StProgram,
+pub struct RingFile {
     ring: [u64; RING],
     producers: [u64; RING],
     sp: u64,
-    mem: Memory,
-    pc: u32,
-    seq: u64,
-    halted: Option<u64>,
 }
 
-impl Interpreter {
-    /// Creates an interpreter, validating the program, loading its data
-    /// image, and seeding the SP special register.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StError::Invalid`] if the program fails validation.
-    pub fn new(prog: StProgram) -> Result<Self, StError> {
-        prog.validate().map_err(StError::Invalid)?;
-        let mut mem = Memory::new();
-        for (base, bytes) in &prog.data {
-            mem.write_bytes(*base, bytes);
-        }
-        let pc = prog.entry;
-        Ok(Interpreter {
-            prog,
-            ring: [0; RING],
-            producers: [NO_PRODUCER; RING],
-            sp: STACK_TOP,
-            mem,
-            pc,
-            seq: 0,
-            halted: None,
-        })
-    }
-
+impl RingFile {
     /// Current SP special-register value.
     pub fn sp(&self) -> u64 {
         self.sp
     }
+}
 
-    fn read(&self, src: StSrc) -> Result<u64, StError> {
+impl OperandFile<Straight> for RingFile {
+    type Error = ReadBeforeWrite;
+
+    fn at_entry(sp: u64) -> Self {
+        RingFile {
+            ring: [0; RING],
+            producers: [NO_PRODUCER; RING],
+            sp,
+        }
+    }
+
+    #[inline]
+    fn read(&self, src: StSrc, seq: u64) -> Result<u64, ReadBeforeWrite> {
         match src {
             StSrc::Dist(d) => {
                 debug_assert!((1..=MAX_DISTANCE).contains(&d));
-                if (d as u64) > self.seq {
-                    return Err(StError::ReadBeforeWrite { at: self.pc });
+                if (d as u64) > seq {
+                    return Err(ReadBeforeWrite);
                 }
-                Ok(self.ring[(self.seq - d as u64) as usize & (RING - 1)])
+                Ok(self.ring[(seq - d as u64) as usize & (RING - 1)])
             }
             StSrc::Sp => Ok(self.sp),
             StSrc::Zero => Ok(0),
         }
     }
 
-    fn producer_of(&self, src: StSrc) -> u64 {
-        match src {
-            StSrc::Dist(d) if (d as u64) <= self.seq => {
-                self.producers[(self.seq - d as u64) as usize & (RING - 1)]
+    #[inline]
+    fn producer(&self, src: StSrc, seq: u64) -> Result<u64, ReadBeforeWrite> {
+        Ok(match src {
+            StSrc::Dist(d) if (d as u64) <= seq => {
+                self.producers[(seq - d as u64) as usize & (RING - 1)]
             }
             _ => NO_PRODUCER,
-        }
+        })
     }
 
-    fn index_of_pc(&self, pc_val: u64) -> Result<u32, StError> {
-        let base = self.prog.pc_of(0);
-        if pc_val < base || !(pc_val - base).is_multiple_of(4) {
-            return Err(StError::PcOffEnd { pc: u32::MAX });
-        }
-        let idx = ((pc_val - base) / 4) as u32;
-        if idx as usize >= self.prog.len() {
-            return Err(StError::PcOffEnd { pc: idx });
-        }
-        Ok(idx)
-    }
-}
-
-impl Machine for Interpreter {
-    type Error = StError;
-
-    const LIMIT_REACHED: StError = StError::LimitReached;
-
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StError`] on bad control flow or a read of a slot older
-    /// than the program.
-    // Inlined into the run loops, which are instantiated in the caller's crate.
+    /// Every instruction occupies the next ring slot, value or not (this
+    /// is what couples distance with execution and forces the relay
+    /// instructions).
     #[inline]
-    fn step(&mut self) -> Result<Option<DynInst>, StError> {
-        if self.halted.is_some() {
-            return Ok(None);
-        }
-        if self.pc as usize >= self.prog.len() {
-            return Err(StError::PcOffEnd { pc: self.pc });
-        }
-        let inst = self.prog.insts[self.pc as usize];
-        let seq = self.seq;
-        let mut rec = DynInst::new(seq, self.prog.pc_of(self.pc), inst.class());
-
-        let mut producers = [NO_PRODUCER; 2];
-        for (i, s) in inst.srcs().into_iter().enumerate() {
-            producers[i] = self.producer_of(s);
-        }
-        rec.srcs = producers;
-
-        let mut next_pc = self.pc + 1;
-        // Result value this instruction deposits in its ring slot.
-        let mut result: u64 = 0;
-        let mut result_producer = NO_PRODUCER;
-        match inst {
-            StInst::Alu { op, src1, src2 } => {
-                result = op.eval(self.read(src1)?, self.read(src2)?);
-                result_producer = seq;
-                rec.dst = Some(DstTag::RingSlot);
-            }
-            StInst::AluImm { op, src1, imm } => {
-                result = op.eval(self.read(src1)?, imm as i64 as u64);
-                result_producer = seq;
-                rec.dst = Some(DstTag::RingSlot);
-            }
-            StInst::Li { imm } => {
-                result = imm as u64;
-                result_producer = seq;
-                rec.dst = Some(DstTag::RingSlot);
-            }
-            StInst::Load { op, base, offset } => {
-                let addr = self.read(base)?.wrapping_add(offset as i64 as u64);
-                result = op.extend(self.mem.read(addr, op.size()));
-                result_producer = seq;
-                rec.dst = Some(DstTag::RingSlot);
-                rec = rec.with_mem(addr, op.size());
-            }
-            StInst::Store {
-                value,
-                base,
-                offset,
-                op,
-            } => {
-                let addr = self.read(base)?.wrapping_add(offset as i64 as u64);
-                self.mem.write(addr, op.size(), self.read(value)?);
-                rec = rec.with_mem(addr, op.size());
-            }
-            StInst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => {
-                let taken = cond.eval(self.read(src1)?, self.read(src2)?);
-                if taken {
-                    next_pc = target;
-                }
-                rec = rec.with_ctrl(CtrlKind::Cond, taken, self.prog.pc_of(target));
-            }
-            StInst::Jump { target } => {
-                next_pc = target;
-                rec = rec.with_ctrl(CtrlKind::Jump, true, self.prog.pc_of(target));
-            }
-            StInst::Call { target } => {
-                result = self.prog.pc_of(self.pc + 1);
-                result_producer = seq;
-                rec.dst = Some(DstTag::RingSlot);
-                next_pc = target;
-                rec = rec.with_ctrl(CtrlKind::Call, true, self.prog.pc_of(target));
-            }
-            StInst::JumpReg { src } => {
-                let target_pc = self.read(src)?;
-                next_pc = self.index_of_pc(target_pc)?;
-                rec = rec.with_ctrl(CtrlKind::Ret, true, target_pc);
-            }
-            StInst::SpAddi { imm } => {
-                self.sp = self.sp.wrapping_add(imm as i64 as u64);
-            }
-            StInst::Mv { src } => {
-                result = self.read(src)?;
-                result_producer = seq;
-                rec.dst = Some(DstTag::RingSlot);
-            }
-            StInst::Nop => {}
-            StInst::Halt { src } => {
-                self.halted = Some(self.read(src)?);
-                return Ok(None);
-            }
-        }
-        // Every instruction occupies the next ring slot (this is what
-        // couples distance with execution and forces the relay insts).
+    fn write(&mut self, out: Option<((), u64)>, seq: u64) -> Option<DstTag> {
         let slot = (seq as usize) & (RING - 1);
-        self.ring[slot] = result;
-        self.producers[slot] = result_producer;
-        self.pc = next_pc;
-        self.seq += 1;
-        Ok(Some(rec))
+        let (value, producer) = out.map_or((0, NO_PRODUCER), |((), v)| (v, seq));
+        self.ring[slot] = value;
+        self.producers[slot] = producer;
+        out.map(|_| DstTag::RingSlot)
     }
 
-    fn exit_value(&self) -> Option<u64> {
-        self.halted
-    }
-
-    fn committed(&self) -> u64 {
-        self.seq
-    }
-
-    fn mem(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn into_mem(self) -> Memory {
-        self.mem
+    fn sp_addi(&mut self, imm: i32, (): ()) {
+        self.sp = self.sp.wrapping_add(imm as i64 as u64);
     }
 }
-
-// Experiment drivers run interpreters on worker threads (compile-time audit).
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Interpreter>()
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::straight::asm::assemble;
+    use ch_common::exec::Machine;
 
     fn run_src(src: &str) -> ch_common::exec::RunResult {
         let prog = assemble(src).expect("assembles");
@@ -305,11 +134,11 @@ mod tests {
         // budget is spent, LimitReached otherwise.
         let prog = assemble("li 7\nhalt [1]").expect("assembles");
         let mut it = Interpreter::new(prog.clone()).expect("valid");
-        assert!(matches!(it.run(0), Err(StError::LimitReached)));
+        assert!(matches!(it.run(0), Err(InterpError::LimitReached)));
         assert_eq!(it.run(100).expect("halts").exit_value, 7);
         assert_eq!(it.run(0).expect("still halted").exit_value, 7);
         let mut it = Interpreter::new(prog).expect("valid");
-        assert!(matches!(it.trace(1), Err(StError::LimitReached)));
+        assert!(matches!(it.trace(1), Err(InterpError::LimitReached)));
         // Resuming after the budget ran out only replays what's left —
         // here just the (record-free) halt step.
         let (rest, res) = it.trace(100).expect("halts");
@@ -385,7 +214,13 @@ mod tests {
     fn read_before_write_detected() {
         let prog = assemble("mv [5]\nhalt zero").unwrap();
         let err = Interpreter::new(prog).unwrap().run(10).unwrap_err();
-        assert!(matches!(err, StError::ReadBeforeWrite { .. }));
+        assert_eq!(
+            err,
+            InterpError::Operand {
+                at: 0,
+                error: ReadBeforeWrite
+            }
+        );
     }
 
     #[test]

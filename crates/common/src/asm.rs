@@ -30,6 +30,7 @@
 //! instruction prints. [`assemble`] and [`disassemble`] do the rest.
 
 use crate::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use crate::isa::Program;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -52,17 +53,6 @@ pub trait Syntax {
     /// Prints one instruction (no indentation, no newline), naming
     /// branch targets through `targets`.
     fn format(inst: &Self::Inst, targets: &Targets<'_>) -> String;
-}
-
-/// Assembled text: instructions, labels and data segments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Assembled<I> {
-    /// Instructions in source order.
-    pub insts: Vec<I>,
-    /// Label name → instruction index.
-    pub labels: BTreeMap<String, u32>,
-    /// `.data` segments: (base address, little-endian bytes).
-    pub data: Vec<(u64, Vec<u8>)>,
 }
 
 /// A mnemonic, classified by the shared op tables.
@@ -171,21 +161,24 @@ impl<'a> Line<'a> {
     }
 
     /// Resolves a branch target: a label, or `@N` naming instruction `N`
-    /// (else ``undefined label `tok` ``). Like a label after the last
-    /// instruction, `@N` may name the end of the program (`N` equal to
-    /// the instruction count), the one-past-the-end target the binary
-    /// encodings also carry.
+    /// (else ``undefined label `tok` ``). A target must name an
+    /// instruction (the target rule of [`Program::validate`]): a label
+    /// after the last instruction may exist but is not a target.
     pub fn target(&self, tok: &str) -> Result<u32, AsmError> {
-        if let Some(&t) = self.labels.get(tok) {
-            return Ok(t);
-        }
-        match tok.strip_prefix('@').map(str::parse::<u32>) {
-            Some(Ok(t)) if (t as usize) <= self.len => Ok(t),
-            Some(Ok(t)) => Err(self.error(format!(
-                "target `@{t}` is past the end ({} instructions)",
+        let t = match self.labels.get(tok) {
+            Some(&t) => t,
+            None => match tok.strip_prefix('@').map(str::parse::<u32>) {
+                Some(Ok(t)) => t,
+                _ => return Err(self.error(format!("undefined label `{tok}`"))),
+            },
+        };
+        if (t as usize) < self.len {
+            Ok(t)
+        } else {
+            Err(self.error(format!(
+                "target `{tok}` is past the end ({} instructions)",
                 self.len
-            ))),
-            _ => Err(self.error(format!("undefined label `{tok}`"))),
+            )))
         }
     }
 
@@ -231,7 +224,8 @@ fn peel_labels(mut text: &str) -> (Vec<&str>, &str) {
     (labels, text)
 }
 
-/// Assembles source text with `S`'s operand syntax.
+/// Assembles source text with `S`'s operand syntax into a program that
+/// enters at instruction 0.
 ///
 /// Labels are collected first, so a target may name a later label.
 ///
@@ -239,7 +233,7 @@ fn peel_labels(mut text: &str) -> (Vec<&str>, &str) {
 ///
 /// Returns an [`AsmError`] naming the offending line for syntax errors,
 /// unknown mnemonics or operands, and duplicate or undefined labels.
-pub fn assemble<S: Syntax>(source: &str) -> Result<Assembled<S::Inst>, AsmError> {
+pub fn assemble<S: Syntax>(source: &str) -> Result<Program<S::Inst>, AsmError> {
     let mut labels = BTreeMap::new();
     let mut statements = Vec::new();
     let mut len = 0;
@@ -279,8 +273,9 @@ pub fn assemble<S: Syntax>(source: &str) -> Result<Assembled<S::Inst>, AsmError>
             insts.push(S::parse(Mnemonic::classify(mnemonic), &line)?);
         }
     }
-    Ok(Assembled {
+    Ok(Program {
         insts,
+        entry: 0,
         labels,
         data,
     })
@@ -303,16 +298,19 @@ impl Targets<'_> {
 }
 
 /// Disassembles a program back to source text that [`assemble`] turns
-/// into the same instructions, labels and data.
+/// into the same instructions, labels and data (the entry is not
+/// printed).
 ///
 /// Prints one `.data` line per segment (its bytes as 64-bit words), then
 /// every instruction indented by four spaces under the labels at its
 /// index. Labels at or past the end come last.
-pub fn disassemble<S: Syntax>(
-    insts: &[S::Inst],
-    labels: &BTreeMap<String, u32>,
-    data: &[(u64, Vec<u8>)],
-) -> String {
+pub fn disassemble<S: Syntax>(prog: &Program<S::Inst>) -> String {
+    let Program {
+        insts,
+        labels,
+        data,
+        ..
+    } = prog;
     let mut targets = Targets {
         by_index: BTreeMap::new(),
     };
@@ -394,7 +392,7 @@ mod tests {
         }
     }
 
-    fn asm(src: &str) -> Result<Assembled<T>, AsmError> {
+    fn asm(src: &str) -> Result<Program<T>, AsmError> {
         assemble::<Toy>(src)
     }
 
@@ -415,11 +413,20 @@ mod tests {
     }
 
     #[test]
-    fn end_target_matches_an_end_label() {
-        let by_index = asm("b @1").unwrap();
-        let by_label = asm("b end\nend:").unwrap();
-        assert_eq!(by_index.insts, [T::B(1)]);
-        assert_eq!(by_label.insts, by_index.insts);
+    fn a_target_at_the_end_is_refused_but_an_end_label_is_kept() {
+        // The target rule is `target < len`: neither `@N` nor a label
+        // naming the end may be a target, though the label may exist.
+        for (src, text) in [
+            ("b @1", "target `@1` is past the end (1 instructions)"),
+            (
+                "b end\nend:",
+                "target `end` is past the end (1 instructions)",
+            ),
+        ] {
+            assert_eq!(asm(src).unwrap_err().message, text, "{src}");
+        }
+        let p = asm("b @0\nend:").unwrap();
+        assert_eq!((p.insts, p.labels["end"]), (vec![T::B(0)], 1));
     }
 
     #[test]
@@ -452,13 +459,16 @@ mod tests {
     fn disassembly_reassembles() {
         let src = ".data 0x2000 5 6\nz: a:\n    op -3\n    b @0\n    b a\nend:\n";
         let p = asm(src).unwrap();
-        let text = disassemble::<Toy>(&p.insts, &p.labels, &p.data);
+        let text = disassemble::<Toy>(&p);
         assert_eq!(
             text,
             ".data 0x2000 5 6\na:\nz:\n    op -3\n    b a\n    b a\nend:\n"
         );
         assert_eq!(asm(&text).unwrap(), p);
-        let unlabelled = disassemble::<Toy>(&p.insts, &BTreeMap::new(), &[]);
+        let unlabelled = disassemble::<Toy>(&Program {
+            insts: p.insts,
+            ..Program::new()
+        });
         assert_eq!(unlabelled, "    op -3\n    b @0\n    b @0\n");
     }
 

@@ -8,6 +8,11 @@
 //!
 //! * [`op`] — operation classes and functional-unit kinds (the categories of
 //!   Fig. 15 of the paper) together with their execution latencies,
+//! * [`isa`] — the static instruction shape the three ISAs share
+//!   ([`isa::Inst`], generic over an ISA's [`isa::Operands`]) and the one
+//!   program container [`isa::Program`] with its target rule,
+//! * [`interp`] — the one functional interpreter, generic over the same
+//!   operands: each ISA supplies only its [`interp::OperandFile`],
 //! * [`inst`] — the [`inst::DynInst`] dynamic-instruction record that
 //!   functional emulators produce and the timing simulator / trace analyses
 //!   consume,
@@ -35,6 +40,8 @@ pub mod error;
 pub mod exec;
 pub mod heap;
 pub mod inst;
+pub mod interp;
+pub mod isa;
 pub mod json;
 pub mod mem;
 pub mod op;

@@ -56,11 +56,11 @@ pub fn compile(module: &Module) -> Result<RvProgram, String> {
 
     // _start: call main, halt with its return value.
     prog.insts.push(RvInst::Call {
-        rd: Reg::RA,
+        dst: Reg::RA,
         target: 0,
     });
     call_fixups.push((0, module.main_index()));
-    prog.insts.push(RvInst::Halt { rs: Reg::A0 });
+    prog.insts.push(RvInst::Halt { src: Reg::A0 });
     prog.labels.insert("_start".to_string(), 0);
 
     for f in &module.funcs {
@@ -267,15 +267,15 @@ fn compile_fn(
     if cg.frame_size > 0 {
         cg.push(RvInst::AluImm {
             op: AluOp::Add,
-            rd: Reg::SP,
-            rs1: Reg::SP,
+            dst: Reg::SP,
+            src1: Reg::SP,
             imm: -cg.frame_size,
         });
     }
     for (i, r) in cg.saved_regs.clone().into_iter().enumerate() {
         cg.push(RvInst::Store {
             op: StoreOp::Sd,
-            rs: r,
+            value: r,
             base: Reg::SP,
             offset: 8 * i as i32,
         });
@@ -283,7 +283,7 @@ fn compile_fn(
     if cg.save_ra {
         cg.push(RvInst::Store {
             op: StoreOp::Sd,
-            rs: Reg::RA,
+            value: Reg::RA,
             base: Reg::SP,
             offset: ra_off,
         });
@@ -305,12 +305,12 @@ fn compile_fn(
         match cg.homes[p as usize] {
             Home::Reg(r) => {
                 if r != src {
-                    cg.push(RvInst::Mv { rd: r, rs: src });
+                    cg.push(RvInst::Mv { dst: r, src });
                 }
             }
             Home::Spill(o) => cg.push(RvInst::Store {
                 op: StoreOp::Sd,
-                rs: src,
+                value: src,
                 base: Reg::SP,
                 offset: o,
             }),
@@ -337,7 +337,7 @@ fn compile_fn(
     if cg.save_ra {
         cg.push(RvInst::Load {
             op: LoadOp::Ld,
-            rd: Reg::RA,
+            dst: Reg::RA,
             base: Reg::SP,
             offset: ra_off,
         });
@@ -345,7 +345,7 @@ fn compile_fn(
     for (i, r) in cg.saved_regs.clone().into_iter().enumerate() {
         cg.push(RvInst::Load {
             op: LoadOp::Ld,
-            rd: r,
+            dst: r,
             base: Reg::SP,
             offset: 8 * i as i32,
         });
@@ -353,12 +353,12 @@ fn compile_fn(
     if cg.frame_size > 0 {
         cg.push(RvInst::AluImm {
             op: AluOp::Add,
-            rd: Reg::SP,
-            rs1: Reg::SP,
+            dst: Reg::SP,
+            src1: Reg::SP,
             imm: cg.frame_size,
         });
     }
-    cg.push(RvInst::JumpReg { rs: Reg::RA });
+    cg.push(RvInst::JumpReg { src: Reg::RA });
 
     // ---- Branch fixups ----
     for (at, blk) in cg.br_fixups.clone() {
@@ -395,7 +395,7 @@ impl<'a> FnCg<'a> {
                 };
                 self.push(RvInst::Load {
                     op: LoadOp::Ld,
-                    rd: scratch,
+                    dst: scratch,
                     base: Reg::SP,
                     offset: off,
                 });
@@ -423,7 +423,7 @@ impl<'a> FnCg<'a> {
         if let Home::Spill(off) = self.homes[v as usize] {
             self.push(RvInst::Store {
                 op: StoreOp::Sd,
-                rs: r,
+                value: r,
                 base: Reg::SP,
                 offset: off,
             });
@@ -434,27 +434,27 @@ impl<'a> FnCg<'a> {
         match ins {
             Ins::Const { dst, val } => {
                 let rd = self.write_reg(*dst);
-                self.push(RvInst::Li { rd, imm: *val });
+                self.push(RvInst::Li { dst: rd, imm: *val });
                 self.finish_write(*dst, rd);
             }
             Ins::FConst { dst, val } => {
                 let rd = self.write_reg(*dst);
                 self.push(RvInst::Li {
-                    rd: SCRATCH2,
+                    dst: SCRATCH2,
                     imm: val.to_bits() as i64,
                 });
                 self.push(RvInst::Alu {
                     op: AluOp::Fmvdx,
-                    rd,
-                    rs1: SCRATCH2,
-                    rs2: Reg::ZERO,
+                    dst: rd,
+                    src1: SCRATCH2,
+                    src2: Reg::ZERO,
                 });
                 self.finish_write(*dst, rd);
             }
             Ins::GlobalAddr { dst, id } => {
                 let rd = self.write_reg(*dst);
                 self.push(RvInst::Li {
-                    rd,
+                    dst: rd,
                     imm: module.globals[*id].addr as i64,
                 });
                 self.finish_write(*dst, rd);
@@ -464,8 +464,8 @@ impl<'a> FnCg<'a> {
                 let imm = self.array_offsets[*slot];
                 self.push(RvInst::AluImm {
                     op: AluOp::Add,
-                    rd,
-                    rs1: Reg::SP,
+                    dst: rd,
+                    src1: Reg::SP,
                     imm,
                 });
                 self.finish_write(*dst, rd);
@@ -476,9 +476,9 @@ impl<'a> FnCg<'a> {
                 let rd = self.write_reg(*dst);
                 self.push(RvInst::Alu {
                     op: *op,
-                    rd,
-                    rs1: ra,
-                    rs2: rb,
+                    dst: rd,
+                    src1: ra,
+                    src2: rb,
                 });
                 self.finish_write(*dst, rd);
             }
@@ -487,8 +487,8 @@ impl<'a> FnCg<'a> {
                 let rd = self.write_reg(*dst);
                 self.push(RvInst::AluImm {
                     op: *op,
-                    rd,
-                    rs1: ra,
+                    dst: rd,
+                    src1: ra,
                     imm: *imm,
                 });
                 self.finish_write(*dst, rd);
@@ -498,7 +498,7 @@ impl<'a> FnCg<'a> {
                 let rd = self.write_reg(*dst);
                 self.push(RvInst::Load {
                     op: *op,
-                    rd,
+                    dst: rd,
                     base: ra,
                     offset: *off,
                 });
@@ -509,7 +509,7 @@ impl<'a> FnCg<'a> {
                 let ra = self.read(*addr, 1);
                 self.push(RvInst::Store {
                     op: *op,
-                    rs: rv,
+                    value: rv,
                     base: ra,
                     offset: *off,
                 });
@@ -518,7 +518,7 @@ impl<'a> FnCg<'a> {
                 let rs = self.read(*src, 0);
                 let rd = self.write_reg(*dst);
                 if rd != rs {
-                    self.push(RvInst::Mv { rd, rs });
+                    self.push(RvInst::Mv { dst: rd, src: rs });
                 }
                 self.finish_write(*dst, rd);
             }
@@ -540,15 +540,12 @@ impl<'a> FnCg<'a> {
                         return Err("more than 8 arguments are not supported".into());
                     }
                     if src != dst_reg {
-                        self.push(RvInst::Mv {
-                            rd: dst_reg,
-                            rs: src,
-                        });
+                        self.push(RvInst::Mv { dst: dst_reg, src });
                     }
                 }
                 let at = self.out.insts.len();
                 self.push(RvInst::Call {
-                    rd: Reg::RA,
+                    dst: Reg::RA,
                     target: 0,
                 });
                 self.call_fixups.push((at, *callee));
@@ -556,7 +553,7 @@ impl<'a> FnCg<'a> {
                     let ret = if self.is_fp(*d) { Reg(42) } else { Reg::A0 };
                     let rd = self.write_reg(*d);
                     if rd != ret {
-                        self.push(RvInst::Mv { rd, rs: ret });
+                        self.push(RvInst::Mv { dst: rd, src: ret });
                     }
                     self.finish_write(*d, rd);
                 }
@@ -587,8 +584,8 @@ impl<'a> FnCg<'a> {
                     let at = self.out.insts.len();
                     self.push(RvInst::Branch {
                         cond: cond.negate(),
-                        rs1: ra,
-                        rs2: rb,
+                        src1: ra,
+                        src2: rb,
                         target: 0,
                     });
                     self.br_fixups.push((at, *else_));
@@ -596,8 +593,8 @@ impl<'a> FnCg<'a> {
                     let at = self.out.insts.len();
                     self.push(RvInst::Branch {
                         cond: *cond,
-                        rs1: ra,
-                        rs2: rb,
+                        src1: ra,
+                        src2: rb,
                         target: 0,
                     });
                     self.br_fixups.push((at, *then_));
@@ -613,7 +610,7 @@ impl<'a> FnCg<'a> {
                     let src = self.read(*v, 0);
                     let ret = if self.is_fp(*v) { Reg(42) } else { Reg::A0 };
                     if src != ret {
-                        self.push(RvInst::Mv { rd: ret, rs: src });
+                        self.push(RvInst::Mv { dst: ret, src });
                     }
                 }
                 let at = self.out.insts.len();

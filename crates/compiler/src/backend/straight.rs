@@ -64,7 +64,7 @@ pub fn compile_with(module: &Module, opt: &OptConfig) -> Result<StProgram, Strin
     let mut call_fixups: Vec<(usize, usize)> = Vec::new();
     let mut fn_starts: Vec<u32> = Vec::new();
 
-    prog.insts.push(StInst::Call { target: 0 });
+    prog.insts.push(StInst::Call { dst: (), target: 0 });
     call_fixups.push((0, module.main_index()));
     prog.insts.push(StInst::Halt {
         src: StSrc::Dist(2),
@@ -95,7 +95,7 @@ pub fn compile_with(module: &Module, opt: &OptConfig) -> Result<StProgram, Strin
         FnCg::new(chosen, module, &mut prog, &mut call_fixups).run()?;
     }
     for (at, func) in call_fixups {
-        if let StInst::Call { target } = &mut prog.insts[at] {
+        if let StInst::Call { target, .. } = &mut prog.insts[at] {
             *target = fn_starts[func];
         }
     }
@@ -251,7 +251,7 @@ impl<'a> FnCg<'a> {
                 Some(v) => {
                     let s = self.src(v)?;
                     self.define(v);
-                    self.push(StInst::Mv { src: s });
+                    self.push(StInst::Mv { dst: (), src: s });
                 }
                 None => return Ok(()),
             }
@@ -454,6 +454,7 @@ impl<'a> FnCg<'a> {
             // (the call's slot: distance 1 at entry, 2 after the spaddi).
             self.push(StInst::SpAddi {
                 imm: -self.frame_size,
+                isa: (),
             });
             self.push(StInst::Store {
                 op: StoreOp::Sd,
@@ -510,23 +511,26 @@ impl<'a> FnCg<'a> {
                     return Ok(()); // reads become StSrc::Zero
                 }
                 self.define(*dst);
-                self.push(StInst::Li { imm: *val });
+                self.push(StInst::Li { dst: (), imm: *val });
             }
             Ins::FConst { dst, val } => {
                 self.define(*dst);
                 self.push(StInst::Li {
+                    dst: (),
                     imm: val.to_bits() as i64,
                 });
             }
             Ins::GlobalAddr { dst, id } => {
                 self.define(*dst);
                 self.push(StInst::Li {
+                    dst: (),
                     imm: self.module.globals[*id].addr as i64,
                 });
             }
             Ins::FrameAddr { dst, slot } => {
                 self.define(*dst);
                 self.push(StInst::AluImm {
+                    dst: (),
                     op: AluOp::Add,
                     src1: StSrc::Sp,
                     imm: self.array_offsets[*slot],
@@ -537,6 +541,7 @@ impl<'a> FnCg<'a> {
                 let s2 = self.src(*b)?;
                 self.define(*dst);
                 self.push(StInst::Alu {
+                    dst: (),
                     op: *op,
                     src1: s1,
                     src2: s2,
@@ -546,6 +551,7 @@ impl<'a> FnCg<'a> {
                 let s1 = self.src(*a)?;
                 self.define(*dst);
                 self.push(StInst::AluImm {
+                    dst: (),
                     op: *op,
                     src1: s1,
                     imm: *imm,
@@ -555,6 +561,7 @@ impl<'a> FnCg<'a> {
                 let base = self.src(*addr)?;
                 self.define(*dst);
                 self.push(StInst::Load {
+                    dst: (),
                     op: *op,
                     base,
                     offset: *off,
@@ -573,7 +580,7 @@ impl<'a> FnCg<'a> {
             Ins::Copy { dst, src } => {
                 let s = self.src(*src)?;
                 self.define(*dst);
-                self.push(StInst::Mv { src: s });
+                self.push(StInst::Mv { dst: (), src: s });
             }
             Ins::Call { dst, callee, args } => {
                 // 1. Spill everything needed after the call that currently
@@ -603,11 +610,11 @@ impl<'a> FnCg<'a> {
                 // 2. Push args argN..arg1.
                 for &a in args.iter().rev() {
                     let s = self.src(a)?;
-                    self.push(StInst::Mv { src: s });
+                    self.push(StInst::Mv { dst: (), src: s });
                 }
                 // 3. Call; its slot is the return address.
                 let at = self.out.insts.len();
-                self.push(StInst::Call { target: 0 });
+                self.push(StInst::Call { dst: (), target: 0 });
                 self.call_fixups.push((at, *callee));
                 // 4. Every caller position is dead. The return value is at
                 //    distance 2 from the next instruction (retval mv, ret).
@@ -620,6 +627,7 @@ impl<'a> FnCg<'a> {
                     let off = self.spill_off[&v];
                     self.define(v);
                     self.push(StInst::Load {
+                        dst: (),
                         op: LoadOp::Ld,
                         base: StSrc::Sp,
                         offset: off,
@@ -711,7 +719,7 @@ impl<'a> FnCg<'a> {
                 Some((v, _)) => {
                     let sop = self.src(v)?;
                     self.define(v);
-                    self.push(StInst::Mv { src: sop });
+                    self.push(StInst::Mv { dst: (), src: sop });
                     self.fix_writes += 1;
                     c = self.min_fix_writes(&targets, jj);
                 }
@@ -724,9 +732,9 @@ impl<'a> FnCg<'a> {
                 Some(&(v, _)) => {
                     let sop = self.src(v)?;
                     self.define(v);
-                    self.push(StInst::Mv { src: sop });
+                    self.push(StInst::Mv { dst: (), src: sop });
                 }
-                None => self.push(StInst::Li { imm: 0 }),
+                None => self.push(StInst::Li { dst: (), imm: 0 }),
             }
         }
         if jump {
@@ -796,6 +804,7 @@ impl<'a> FnCg<'a> {
                     None => None,
                 };
                 self.push(StInst::Load {
+                    dst: (),
                     op: LoadOp::Ld,
                     base: StSrc::Sp,
                     offset: self.ra_off,
@@ -803,6 +812,7 @@ impl<'a> FnCg<'a> {
                 let ra_pos = self.counter - 1;
                 self.push(StInst::SpAddi {
                     imm: self.frame_size,
+                    isa: (),
                 });
                 if let Some(s) = retsrc {
                     // Two instructions were emitted since the source was
@@ -817,7 +827,7 @@ impl<'a> FnCg<'a> {
                         }
                         other => other,
                     };
-                    self.push(StInst::Mv { src: s });
+                    self.push(StInst::Mv { dst: (), src: s });
                 }
                 let d = self.counter - ra_pos;
                 self.push(StInst::JumpReg {

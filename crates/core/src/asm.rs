@@ -16,7 +16,7 @@
 //! three ISAs ([`ch_common::asm`]).
 
 use crate::hand::{Hand, MAX_DISTANCE};
-use crate::inst::{Inst, Src};
+use crate::inst::{Clockhands, Inst, Src};
 use crate::program::Program;
 use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
 
@@ -59,8 +59,6 @@ fn parse_dst(line: &Line<'_>, tok: &str) -> Result<Hand, AsmError> {
 }
 
 /// Clockhands operands: hands as destinations, `hand[k]` as sources.
-struct Clockhands;
-
 impl Syntax for Clockhands {
     type Inst = Inst;
 
@@ -147,6 +145,7 @@ impl Syntax for Clockhands {
                 Inst::CallReg {
                     dst: dst(d)?,
                     src: src(s)?,
+                    isa: (),
                 }
             }
             Mnemonic::Other("jr" | "ret") => {
@@ -201,7 +200,8 @@ impl Syntax for Clockhands {
             ),
             Inst::Jump { target } => format!("j {}", targets.name(target)),
             Inst::Call { dst, target } => format!("call {dst}, {}", targets.name(target)),
-            Inst::CallReg { dst, src } => format!("jalr {dst}, {src}"),
+            Inst::CallReg { dst, src, .. } => format!("jalr {dst}, {src}"),
+            Inst::SpAddi { isa, .. } => match isa {},
             Inst::JumpReg { src } => format!("jr {src}"),
             Inst::Mv { dst, src } => format!("mv {dst}, {src}"),
             Inst::Nop => "nop".to_string(),
@@ -227,20 +227,14 @@ impl Syntax for Clockhands {
 /// # Ok::<(), clockhands::asm::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
-    let a = asm::assemble::<Clockhands>(source)?;
-    Ok(Program {
-        insts: a.insts,
-        entry: 0,
-        labels: a.labels,
-        data: a.data,
-    })
+    asm::assemble::<Clockhands>(source)
 }
 
 /// Disassembles a program back to source text that [`assemble`] turns
 /// into the same program (labels preserved when the program carries
 /// them; `@index` targets otherwise).
 pub fn disassemble(prog: &Program) -> String {
-    asm::disassemble::<Clockhands>(&prog.insts, &prog.labels, &prog.data)
+    asm::disassemble::<Clockhands>(prog)
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
-//! Clockhands instructions.
+//! Clockhands instructions: the shared shape [`ch_common::isa::Inst`]
+//! with Clockhands operands.
 //!
 //! An instruction's destination, when present, is a *hand* (Fig. 5:
 //! `dst-hand` field); one physical register is implicitly allocated from
 //! that hand's ring. A source is a *(hand, distance)* pair: `t[2]` means
 //! "the value written to hand `t` three writes ago" — or the hardwired
-//! zero register.
+//! zero register. This module keeps only those operand types and their
+//! rule; the variants, `dst`, `srcs`, `class` and `target` are shared.
 
 use crate::hand::Hand;
-use ch_common::exec::{AluOp, BrCond, LoadOp, Srcs, StoreOp};
-use ch_common::op::OpClass;
+use crate::state::HandFile;
+use ch_common::isa::{Absent, Operands};
 
 /// A source operand (the default is the zero register).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -53,178 +55,31 @@ impl std::fmt::Display for Src {
     }
 }
 
-/// Branch/jump target: an instruction index within the program.
-pub type Target = u32;
+/// The Clockhands operand naming: hands as destinations, `hand[distance]`
+/// as sources, and the indirect call `jalr`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Clockhands;
+
+impl Operands for Clockhands {
+    type Dst = Hand;
+    type Src = Src;
+    type CallReg = ();
+    type SpAddi = Absent;
+    type File = HandFile;
+
+    fn is_valid(src: Src) -> bool {
+        src.is_encodable()
+    }
+}
 
 /// One Clockhands instruction.
-///
-/// Immediates are kept as native integers; the binary encoder (the
-/// `ch-encode` crate) places them inline or, when they outgrow their
-/// field, in a literal pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inst {
-    /// Register-register ALU operation: `op dst, src1, src2`.
-    Alu {
-        /// Operation.
-        op: AluOp,
-        /// Destination hand.
-        dst: Hand,
-        /// First source.
-        src1: Src,
-        /// Second source.
-        src2: Src,
-    },
-    /// Register-immediate ALU operation: `opi dst, src1, imm`.
-    AluImm {
-        /// Operation.
-        op: AluOp,
-        /// Destination hand.
-        dst: Hand,
-        /// Source.
-        src1: Src,
-        /// 12-bit-class immediate.
-        imm: i32,
-    },
-    /// Load immediate (`lui`+`addi` class): `li dst, imm`.
-    Li {
-        /// Destination hand.
-        dst: Hand,
-        /// Immediate value.
-        imm: i64,
-    },
-    /// Memory load: `lX dst, offset(base)`.
-    Load {
-        /// Width/extension.
-        op: LoadOp,
-        /// Destination hand.
-        dst: Hand,
-        /// Base address source.
-        base: Src,
-        /// Byte offset.
-        offset: i32,
-    },
-    /// Memory store: `sX value, offset(base)`. No destination hand.
-    Store {
-        /// Width.
-        op: StoreOp,
-        /// Value source.
-        value: Src,
-        /// Base address source.
-        base: Src,
-        /// Byte offset.
-        offset: i32,
-    },
-    /// Conditional branch: `bCC src1, src2, target`. No destination hand.
-    Branch {
-        /// Comparison.
-        cond: BrCond,
-        /// First source.
-        src1: Src,
-        /// Second source.
-        src2: Src,
-        /// Taken target (instruction index).
-        target: Target,
-    },
-    /// Unconditional jump (`j`). No destination hand, so the distances of
-    /// all hands are unchanged — this is what removes STRAIGHT's
-    /// convergence-point `nop`s (Section 3.3).
-    Jump {
-        /// Target (instruction index).
-        target: Target,
-    },
-    /// Direct call (`jal`): writes the return address to `dst`
-    /// (conventionally `s`).
-    Call {
-        /// Destination hand for the return address.
-        dst: Hand,
-        /// Callee entry (instruction index).
-        target: Target,
-    },
-    /// Indirect jump through a register (used for returns): `jr src`.
-    JumpReg {
-        /// Target address source.
-        src: Src,
-    },
-    /// Indirect call (`jalr`): writes the return address to `dst`.
-    CallReg {
-        /// Destination hand for the return address.
-        dst: Hand,
-        /// Target address source.
-        src: Src,
-    },
-    /// Register move: `mv dst, src`.
-    Mv {
-        /// Destination hand.
-        dst: Hand,
-        /// Source.
-        src: Src,
-    },
-    /// No-operation.
-    Nop,
-    /// Stop execution; `src` is reported as the exit value.
-    Halt {
-        /// Exit-value source.
-        src: Src,
-    },
-}
-
-impl Inst {
-    /// The destination hand, if the instruction writes one.
-    pub fn dst(&self) -> Option<Hand> {
-        match *self {
-            Inst::Alu { dst, .. }
-            | Inst::AluImm { dst, .. }
-            | Inst::Li { dst, .. }
-            | Inst::Load { dst, .. }
-            | Inst::Call { dst, .. }
-            | Inst::CallReg { dst, .. }
-            | Inst::Mv { dst, .. } => Some(dst),
-            _ => None,
-        }
-    }
-
-    /// The source operands, in operand order.
-    pub fn srcs(&self) -> Srcs<Src> {
-        match *self {
-            Inst::Alu { src1, src2, .. } => Srcs::two(src1, src2),
-            Inst::AluImm { src1, .. } => Srcs::one(src1),
-            Inst::Li { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::Nop => Srcs::none(),
-            Inst::Load { base, .. } => Srcs::one(base),
-            Inst::Store { value, base, .. } => Srcs::two(value, base),
-            Inst::Branch { src1, src2, .. } => Srcs::two(src1, src2),
-            Inst::JumpReg { src } | Inst::CallReg { src, .. } => Srcs::one(src),
-            Inst::Mv { src, .. } => Srcs::one(src),
-            Inst::Halt { src } => Srcs::one(src),
-        }
-    }
-
-    /// Coarse operation class (for Fig. 15 and functional-unit routing).
-    pub fn class(&self) -> OpClass {
-        match *self {
-            Inst::Alu { op, .. } | Inst::AluImm { op, .. } => op.class(),
-            Inst::Li { .. } => OpClass::IntAlu,
-            Inst::Load { .. } => OpClass::Load,
-            Inst::Store { .. } => OpClass::Store,
-            Inst::Branch { .. } => OpClass::CondBr,
-            Inst::Jump { .. } => OpClass::Jump,
-            Inst::Call { .. } | Inst::CallReg { .. } => OpClass::CallRet,
-            // `jr s[0]` is a return in the calling convention.
-            Inst::JumpReg { .. } => OpClass::CallRet,
-            Inst::Mv { .. } => OpClass::Move,
-            Inst::Nop => OpClass::Nop,
-            Inst::Halt { .. } => OpClass::Other,
-        }
-    }
-
-    /// Whether all source distances are within [`crate::hand::MAX_DISTANCE`].
-    pub fn is_encodable(&self) -> bool {
-        self.srcs().iter().all(|s| s.is_encodable())
-    }
-}
+pub type Inst = ch_common::isa::Inst<Clockhands>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ch_common::exec::{AluOp, BrCond, StoreOp};
+    use ch_common::op::OpClass;
 
     #[test]
     fn dst_presence_matches_paper() {
@@ -257,7 +112,8 @@ mod tests {
         assert_eq!(
             Inst::CallReg {
                 dst: Hand::S,
-                src: Src::Hand(Hand::T, 1)
+                src: Src::Hand(Hand::T, 1),
+                isa: ()
             }
             .dst(),
             Some(Hand::S)
@@ -274,9 +130,9 @@ mod tests {
             dst: Hand::T,
             src: Src::Hand(Hand::U, 16),
         };
-        assert!(ok.is_encodable());
-        assert!(!too_far.is_encodable());
-        assert!(Inst::Nop.is_encodable());
+        assert_eq!(ok.invalid_src(), None);
+        assert_eq!(too_far.invalid_src(), Some(Src::Hand(Hand::U, 16)));
+        assert_eq!(Inst::Nop.invalid_src(), None);
     }
 
     #[test]

@@ -1,52 +1,23 @@
-//! Functional interpreter for Clockhands programs.
+//! Functional interpreter for Clockhands programs: the shared
+//! [`ch_common::interp::Interpreter`] over the [`HandFile`].
 //!
-//! Executes a validated [`Program`] against a [`HandFile`] and a sparse
-//! [`Memory`], yielding one [`DynInst`] per committed instruction with the
+//! Executes a validated [`crate::Program`] yielding one
+//! [`ch_common::inst::DynInst`] per committed instruction with the
 //! register dataflow resolved to producer sequence numbers. The timing
-//! simulator and the trace analyses consume that stream.
+//! simulator and the trace analyses consume that stream. This module
+//! supplies only the operand file: hand reads, producers and writes.
 
 use crate::hand::Hand;
-use crate::inst::{Inst, Src};
-use crate::program::{Program, ProgramError};
+use crate::inst::{Clockhands, Src};
 use crate::state::{DistanceError, HandFile};
-use ch_common::exec::Machine;
-use ch_common::inst::{CtrlKind, DstTag, DynInst, NO_PRODUCER};
-use ch_common::mem::Memory;
+use ch_common::inst::{DstTag, NO_PRODUCER};
+use ch_common::interp::OperandFile;
+use ch_common::isa::Absent;
 
-/// Default initial stack pointer (grows down; well clear of text/data).
-pub const STACK_TOP: u64 = 0x8000_0000;
+pub use ch_common::interp::STACK_TOP;
 
 /// A runtime error raised during interpretation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InterpError {
-    /// A source reference exceeded the maximum distance.
-    Distance(DistanceError),
-    /// Execution ran past the end of the program without halting.
-    PcOffEnd {
-        /// The out-of-range instruction index.
-        pc: u32,
-    },
-    /// The instruction limit was reached before the program halted.
-    LimitReached,
-}
-
-impl std::fmt::Display for InterpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InterpError::Distance(e) => write!(f, "{e}"),
-            InterpError::PcOffEnd { pc } => write!(f, "execution ran off the end at index {pc}"),
-            InterpError::LimitReached => f.write_str("instruction limit reached before halt"),
-        }
-    }
-}
-
-impl std::error::Error for InterpError {}
-
-impl From<DistanceError> for InterpError {
-    fn from(e: DistanceError) -> Self {
-        InterpError::Distance(e)
-    }
-}
+pub type InterpError = ch_common::interp::InterpError<DistanceError>;
 
 /// Functional Clockhands interpreter.
 ///
@@ -68,230 +39,52 @@ impl From<DistanceError> for InterpError {
 /// assert_eq!(result.exit_value, 42);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Interpreter {
-    prog: Program,
-    file: HandFile,
-    mem: Memory,
-    pc: u32,
-    seq: u64,
-    halted: Option<u64>,
-}
+pub type Interpreter = ch_common::interp::Interpreter<Clockhands>;
 
-impl Interpreter {
-    /// Creates an interpreter, validating the program and loading its data
-    /// image. The stack pointer is seeded into the `s` hand so `s[0]`
-    /// reads [`STACK_TOP`] at entry, per the calling convention.
-    ///
-    /// # Errors
-    ///
-    /// Returns the program's validation error, if any.
-    pub fn new(prog: Program) -> Result<Self, ProgramError> {
-        prog.validate()?;
-        let mut mem = Memory::new();
-        for (base, bytes) in &prog.data {
-            mem.write_bytes(*base, bytes);
-        }
+/// The stack pointer is seeded into the `s` hand, so `s[0]` reads it at
+/// entry, per the calling convention.
+impl OperandFile<Clockhands> for HandFile {
+    type Error = DistanceError;
+
+    fn at_entry(sp: u64) -> Self {
         let mut file = HandFile::new();
-        file.write(Hand::S, STACK_TOP, NO_PRODUCER);
-        let pc = prog.entry;
-        Ok(Interpreter {
-            prog,
-            file,
-            mem,
-            pc,
-            seq: 0,
-            halted: None,
-        })
+        file.write(Hand::S, sp, NO_PRODUCER);
+        file
     }
 
-    /// The architectural hand file (for inspection and debugging).
-    pub fn hands(&self) -> &HandFile {
-        &self.file
-    }
-
-    fn read(&self, src: Src) -> Result<u64, DistanceError> {
+    #[inline]
+    fn read(&self, src: Src, _seq: u64) -> Result<u64, DistanceError> {
         match src {
-            Src::Hand(h, d) => self.file.read(h, d),
+            Src::Hand(h, d) => self.read(h, d),
             Src::Zero => Ok(0),
         }
     }
 
-    fn producer_of(&self, src: Src) -> Result<u64, DistanceError> {
+    #[inline]
+    fn producer(&self, src: Src, _seq: u64) -> Result<u64, DistanceError> {
         match src {
-            Src::Hand(h, d) => self.file.producer(h, d),
+            Src::Hand(h, d) => self.producer(h, d),
             Src::Zero => Ok(NO_PRODUCER),
         }
     }
 
-    fn index_of_pc(&self, pc_val: u64) -> Result<u32, InterpError> {
-        let base = self.prog.pc_of(0);
-        if pc_val < base || !(pc_val - base).is_multiple_of(4) {
-            return Err(InterpError::PcOffEnd { pc: u32::MAX });
-        }
-        let idx = ((pc_val - base) / 4) as u32;
-        if idx as usize >= self.prog.len() {
-            return Err(InterpError::PcOffEnd { pc: idx });
-        }
-        Ok(idx)
-    }
-}
-
-impl Machine for Interpreter {
-    type Error = InterpError;
-
-    const LIMIT_REACHED: InterpError = InterpError::LimitReached;
-
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError`] on a distance violation or if control runs
-    /// off the end of the program.
-    // Inlined into the run loops, which are instantiated in the caller's crate.
     #[inline]
-    fn step(&mut self) -> Result<Option<DynInst>, InterpError> {
-        if self.halted.is_some() {
-            return Ok(None);
-        }
-        if self.pc as usize >= self.prog.len() {
-            return Err(InterpError::PcOffEnd { pc: self.pc });
-        }
-        let inst = self.prog.insts[self.pc as usize];
-        let seq = self.seq;
-        let pc_val = self.prog.pc_of(self.pc);
-        let mut rec = DynInst::new(seq, pc_val, inst.class());
-
-        // Resolve dataflow producers before any write of this instruction.
-        let mut producers = [NO_PRODUCER; 2];
-        for (i, s) in inst.srcs().into_iter().enumerate() {
-            producers[i] = self.producer_of(s)?;
-        }
-        rec.srcs = producers;
-
-        let mut next_pc = self.pc + 1;
-        match inst {
-            Inst::Alu {
-                op,
-                dst,
-                src1,
-                src2,
-            } => {
-                let v = op.eval(self.read(src1)?, self.read(src2)?);
-                self.file.write(dst, v, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-            }
-            Inst::AluImm { op, dst, src1, imm } => {
-                let v = op.eval(self.read(src1)?, imm as i64 as u64);
-                self.file.write(dst, v, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-            }
-            Inst::Li { dst, imm } => {
-                self.file.write(dst, imm as u64, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-            }
-            Inst::Load {
-                op,
-                dst,
-                base,
-                offset,
-            } => {
-                let addr = self.read(base)?.wrapping_add(offset as i64 as u64);
-                let v = op.extend(self.mem.read(addr, op.size()));
-                self.file.write(dst, v, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-                rec = rec.with_mem(addr, op.size());
-            }
-            Inst::Store {
-                op,
-                value,
-                base,
-                offset,
-            } => {
-                let addr = self.read(base)?.wrapping_add(offset as i64 as u64);
-                let v = self.read(value)?;
-                self.mem.write(addr, op.size(), v);
-                rec = rec.with_mem(addr, op.size());
-            }
-            Inst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => {
-                let taken = cond.eval(self.read(src1)?, self.read(src2)?);
-                if taken {
-                    next_pc = target;
-                }
-                rec = rec.with_ctrl(CtrlKind::Cond, taken, self.prog.pc_of(target));
-            }
-            Inst::Jump { target } => {
-                next_pc = target;
-                rec = rec.with_ctrl(CtrlKind::Jump, true, self.prog.pc_of(target));
-            }
-            Inst::Call { dst, target } => {
-                let ret = self.prog.pc_of(self.pc + 1);
-                self.file.write(dst, ret, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-                next_pc = target;
-                rec = rec.with_ctrl(CtrlKind::Call, true, self.prog.pc_of(target));
-            }
-            Inst::CallReg { dst, src } => {
-                let ret = self.prog.pc_of(self.pc + 1);
-                let target_pc = self.read(src)?;
-                self.file.write(dst, ret, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-                next_pc = self.index_of_pc(target_pc)?;
-                rec = rec.with_ctrl(CtrlKind::Call, true, target_pc);
-            }
-            Inst::JumpReg { src } => {
-                let target_pc = self.read(src)?;
-                next_pc = self.index_of_pc(target_pc)?;
-                rec = rec.with_ctrl(CtrlKind::Ret, true, target_pc);
-            }
-            Inst::Mv { dst, src } => {
-                let v = self.read(src)?;
-                self.file.write(dst, v, seq);
-                rec.dst = Some(DstTag::Hand(dst.index() as u8));
-            }
-            Inst::Nop => {}
-            Inst::Halt { src } => {
-                self.halted = Some(self.read(src)?);
-                return Ok(None);
-            }
-        }
-        self.pc = next_pc;
-        self.seq += 1;
-        Ok(Some(rec))
+    fn write(&mut self, out: Option<(Hand, u64)>, seq: u64) -> Option<DstTag> {
+        let (h, v) = out?;
+        self.write(h, v, seq);
+        Some(DstTag::Hand(h.index() as u8))
     }
 
-    fn exit_value(&self) -> Option<u64> {
-        self.halted
-    }
-
-    fn committed(&self) -> u64 {
-        self.seq
-    }
-
-    fn mem(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn into_mem(self) -> Memory {
-        self.mem
+    fn sp_addi(&mut self, _imm: i32, isa: Absent) {
+        match isa {}
     }
 }
-
-// Experiment drivers run interpreters on worker threads (compile-time audit).
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Interpreter>()
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use ch_common::exec::Machine;
     use ch_common::op::OpClass;
 
     fn run_src(src: &str) -> ch_common::exec::RunResult {

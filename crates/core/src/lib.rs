@@ -14,17 +14,20 @@
 //!
 //! * [`hand`] — the four hands `t`, `u`, `v`, `s` and the ISA constants
 //!   (H = 4 hands, D = 16 maximum reference distance).
-//! * [`inst`] — the instruction set (an RV64G-subset with Clockhands
-//!   operands, per Fig. 5 of the paper).
+//! * [`inst`] — the instruction set: the RV64G-subset shape shared with
+//!   the baselines ([`ch_common::isa::Inst`]) over Clockhands operands,
+//!   per Fig. 5 of the paper.
 //! * [`asm`] — textual assembler / disassembler in the paper's syntax.
-//! * [`program`] — program container and validation.
+//! * [`program`] — the shared program container over Clockhands
+//!   instructions.
 //! * [`state`] — the architectural hand file (logical shift registers).
 //! * [`rp`] — the Register Pointer file: the microarchitectural
 //!   allocation mechanism of Section 5.1, including the group prefix-sum
 //!   allocation, the wrap-around stall rule, and the tiny recovery
 //!   checkpoints of Table 1.
-//! * [`interp`] — a functional interpreter that also emits dataflow-
-//!   resolved dynamic traces for the timing simulator.
+//! * [`interp`] — the hand file as the shared interpreter's operand
+//!   file: a functional interpreter that also emits dataflow-resolved
+//!   dynamic traces for the timing simulator.
 //!
 //! ## Quick start
 //!
@@ -60,7 +63,7 @@ pub mod rp;
 pub mod state;
 
 pub use hand::{Hand, MAX_DISTANCE, NUM_HANDS};
-pub use inst::{Inst, Src};
+pub use inst::{Clockhands, Inst, Src};
 pub use interp::Interpreter;
 pub use program::Program;
 pub use rp::RingFile;

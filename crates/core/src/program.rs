@@ -1,50 +1,10 @@
-//! Program container: instructions, labels, and initial data image.
+//! The Clockhands program: the shared container
+//! [`ch_common::isa::Program`] over Clockhands instructions. Its
+//! `validate` checks every source distance and the target rule.
 
-use crate::hand::MAX_DISTANCE;
 use crate::inst::Inst;
-use std::collections::BTreeMap;
 
-/// Base address instructions are considered to live at (for PC values).
-pub const TEXT_BASE: u64 = 0x1_0000;
-
-/// A validation problem found in a [`Program`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProgramError {
-    /// A branch/jump/call target is past the end of the program.
-    BadTarget {
-        /// Instruction index containing the bad target.
-        at: u32,
-        /// The out-of-range target.
-        target: u32,
-    },
-    /// A source distance is not encodable (≥ [`MAX_DISTANCE`]).
-    BadDistance {
-        /// Instruction index.
-        at: u32,
-    },
-    /// The program is empty.
-    Empty,
-}
-
-impl std::fmt::Display for ProgramError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProgramError::BadTarget { at, target } => {
-                write!(f, "instruction {at}: target {target} out of range")
-            }
-            ProgramError::BadDistance { at } => {
-                write!(
-                    f,
-                    "instruction {at}: source distance exceeds {}",
-                    MAX_DISTANCE - 1
-                )
-            }
-            ProgramError::Empty => f.write_str("program has no instructions"),
-        }
-    }
-}
-
-impl std::error::Error for ProgramError {}
+pub use ch_common::isa::{ProgramError, TEXT_BASE};
 
 /// A complete Clockhands program: code, symbolic labels, and the initial
 /// data image loaded into memory before execution.
@@ -63,69 +23,7 @@ impl std::error::Error for ProgramError {}
 /// assert_eq!(p.len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Program {
-    /// Instructions, in layout order.
-    pub insts: Vec<Inst>,
-    /// Entry point (instruction index).
-    pub entry: u32,
-    /// Label name → instruction index (debugging/disassembly aid).
-    pub labels: BTreeMap<String, u32>,
-    /// Initial data segments: (base address, bytes).
-    pub data: Vec<(u64, Vec<u8>)>,
-}
-
-impl Program {
-    /// Creates an empty program.
-    pub fn new() -> Self {
-        Program::default()
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// Whether the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
-    /// The PC value of the instruction at `index`.
-    pub fn pc_of(&self, index: u32) -> u64 {
-        TEXT_BASE + 4 * index as u64
-    }
-
-    /// Checks targets and source distances.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ProgramError`] found, if any.
-    pub fn validate(&self) -> Result<(), ProgramError> {
-        if self.insts.is_empty() {
-            return Err(ProgramError::Empty);
-        }
-        let n = self.insts.len() as u32;
-        for (i, inst) in self.insts.iter().enumerate() {
-            let at = i as u32;
-            if !inst.is_encodable() {
-                return Err(ProgramError::BadDistance { at });
-            }
-            let target = match *inst {
-                Inst::Branch { target, .. } | Inst::Jump { target } | Inst::Call { target, .. } => {
-                    Some(target)
-                }
-                _ => None,
-            };
-            if let Some(t) = target {
-                if t >= n {
-                    return Err(ProgramError::BadTarget { at, target: t });
-                }
-            }
-        }
-        Ok(())
-    }
-}
+pub type Program = ch_common::isa::Program<Inst>;
 
 #[cfg(test)]
 mod tests {
@@ -155,7 +53,25 @@ mod tests {
             dst: Hand::T,
             src: Src::Hand(Hand::T, 20),
         });
-        assert_eq!(p.validate(), Err(ProgramError::BadDistance { at: 0 }));
+        assert_eq!(
+            p.validate(),
+            Err(ProgramError::BadSrc {
+                at: 0,
+                src: "t[20]".into()
+            })
+        );
+    }
+
+    #[test]
+    fn a_target_equal_to_the_length_is_refused() {
+        let mut p = Program::new();
+        p.insts.push(Inst::Jump { target: 1 });
+        assert_eq!(
+            p.validate(),
+            Err(ProgramError::BadTarget { at: 0, target: 1 })
+        );
+        p.insts[0] = Inst::Jump { target: 0 };
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

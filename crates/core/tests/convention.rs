@@ -53,9 +53,9 @@ fn leaf_function_full_convention() {
         ");
     assert_eq!(v, 7 + 999);
     // The caller's v[0] must be intact after the call.
-    assert_eq!(cpu.hands().read(Hand::V, 0).unwrap(), 111);
+    assert_eq!(cpu.file().read(Hand::V, 0).unwrap(), 111);
     // And s[0] at the halt is the caller's (initial) SP.
-    assert_eq!(cpu.hands().read(Hand::S, 0).unwrap(), STACK_TOP);
+    assert_eq!(cpu.file().read(Hand::S, 0).unwrap(), STACK_TOP);
 }
 
 #[test]

@@ -14,6 +14,7 @@
 use crate::bits::*;
 use crate::{DecodeError, EncodeError};
 use ch_common::exec::AluOp;
+use ch_common::isa::{Inst, Operands};
 use std::ops::RangeInclusive;
 
 /// One field of an instruction form, in packing order (low bits first).
@@ -232,8 +233,8 @@ const fn index(forms: &[Form]) -> [u8; TAGS] {
 /// instructions and (tag, field values). Sizing, encoding and decoding
 /// derive from the table.
 pub(crate) trait Codec {
-    /// The ISA's static instruction type.
-    type Inst: Copy + PartialEq + std::fmt::Debug;
+    /// The ISA's operands; its instructions are `Inst<Self::Ops>`.
+    type Ops: Operands;
 
     /// Every 32-bit and 16-bit form of the ISA, one row each.
     const FORMS: &'static [Form];
@@ -247,19 +248,15 @@ pub(crate) trait Codec {
         Self::FORMS.get(usize::from(r))
     }
 
-    /// Branch/jump/call target as an instruction index, if the
-    /// instruction transfers control via an immediate displacement.
-    fn target(i: &Self::Inst) -> Option<u32>;
-
     /// The instruction in its 32-bit form.
-    fn full(i: &Self::Inst, at: u32) -> Result<Ops, EncodeError>;
+    fn full(i: &Inst<Self::Ops>, at: u32) -> Result<Ops, EncodeError>;
 
     /// The instruction in its 16-bit form, if it has one and its
     /// sources fit the compact specifiers.
-    fn compact(i: &Self::Inst) -> Option<Ops>;
+    fn compact(i: &Inst<Self::Ops>) -> Option<Ops>;
 
     /// The instruction behind a decoded unit.
-    fn inst(o: &Ops, at: usize, word: u32) -> Result<Self::Inst, DecodeError>;
+    fn inst(o: &Ops, at: usize, word: u32) -> Result<Inst<Self::Ops>, DecodeError>;
 
     /// The row of a mapped instruction.
     fn row(o: &Ops) -> &'static Form {
@@ -269,13 +266,13 @@ pub(crate) trait Codec {
     /// Whether the instruction has a 16-bit form whose compact immediate
     /// or offset fits its row (the driver checks displacement reach by
     /// relaxation).
-    fn has_compact(i: &Self::Inst) -> bool {
+    fn has_compact(i: &Inst<Self::Ops>) -> bool {
         Self::compact(i).is_some_and(|o| Self::row(&o).fits(o.imm))
     }
 
     /// Signed width in bits of the halfword-displacement field of the
     /// 16-bit form. Only consulted for compact control transfers.
-    fn compact_disp_bits(i: &Self::Inst) -> u32 {
+    fn compact_disp_bits(i: &Inst<Self::Ops>) -> u32 {
         Self::row(&Self::compact(i).expect("compact form"))
             .fields
             .iter()
@@ -290,7 +287,7 @@ pub(crate) trait Codec {
     /// (0 when there is no target). A 16-bit unit occupies the low half
     /// of the returned word.
     fn encode(
-        i: &Self::Inst,
+        i: &Inst<Self::Ops>,
         size: u8,
         disp: i64,
         pool: &mut Pool,
@@ -325,7 +322,7 @@ pub(crate) trait Codec {
         at: usize,
         target: &mut dyn FnMut(i64) -> Result<u32, DecodeError>,
         pool: &[u64],
-    ) -> Result<Self::Inst, DecodeError> {
+    ) -> Result<Inst<Self::Ops>, DecodeError> {
         // The low two bits are the quadrant, or `W32` for a 32-bit word.
         let tag = (word & 0b11, get(word, 2, if size == 4 { 5 } else { 3 }));
         let f = Self::find(tag).ok_or(DecodeError::BadOpcode { at, word })?;

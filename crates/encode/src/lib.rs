@@ -46,9 +46,9 @@ mod riscv;
 mod straight;
 mod stream;
 
-/// Base address of the text section — matches the abstract layout used
-/// by `clockhands::program` and `ch_baselines::prog`.
-pub const TEXT_BASE: u64 = 0x1_0000;
+/// Base address of the text section: the abstract layout's, shared by
+/// every ISA's program.
+pub use ch_common::isa::TEXT_BASE;
 
 /// Byte-accurate code layout: per-instruction sizes and PCs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +56,8 @@ pub struct Layout {
     /// Encoded size in bytes of each instruction (2 or 4).
     pub sizes: Vec<u8>,
     /// Byte PC of each instruction, plus one end-of-text sentinel, so
-    /// `pcs` has `sizes.len() + 1` entries and branch targets of
-    /// "one past the last instruction" stay addressable.
+    /// `pcs` has `sizes.len() + 1` entries and the end of the text (a
+    /// final call's return address) stays addressable.
     pub pcs: Vec<u64>,
 }
 
@@ -231,8 +231,8 @@ pub enum DecodeError {
         /// The offending unit.
         word: u32,
     },
-    /// A displacement that lands outside the text section or inside
-    /// an instruction unit.
+    /// A displacement that does not land on an instruction: outside
+    /// the text section, inside a unit, or at the end of the stream.
     BadTarget {
         /// Byte offset of the transferring unit.
         at: usize,
@@ -373,10 +373,41 @@ mod tests {
     use ch_common::inst::{CtrlInfo, CtrlKind, MemAccess};
     use ch_common::op::OpClass;
 
+    /// The target rule `target < len`, at its boundary: encoding refuses
+    /// a target equal to the instruction count, and a displacement to
+    /// the end of the stream does not decode.
+    macro_rules! check_end_target {
+        ($encode:path, $decode:path, $jump:expr, $nop:expr) => {
+            for variant in EncodingVariant::ALL {
+                assert_eq!(
+                    $encode(&[$jump(1)], variant).err(),
+                    Some(EncodeError::BadTarget { at: 0, target: 1 }),
+                    "{variant}"
+                );
+                // `j @1` over a second instruction encodes; the jump alone,
+                // cut from that stream, displaces to the end.
+                let two = $encode(&[$jump(1), $nop], variant).unwrap();
+                let size = two.layout.sizes[0] as usize;
+                assert_eq!(
+                    $decode(&two.bytes[..size], &two.pool),
+                    Err(DecodeError::BadTarget { at: 0 }),
+                    "{variant}"
+                );
+                assert_eq!($decode(&two.bytes, &two.pool), Ok(vec![$jump(1), $nop]));
+            }
+        };
+    }
+
     #[test]
-    fn text_base_matches_abstract_layouts() {
-        assert_eq!(TEXT_BASE, ::clockhands::program::TEXT_BASE);
-        assert_eq!(TEXT_BASE, ch_baselines::prog::TEXT_BASE);
+    fn a_target_at_the_end_neither_encodes_nor_decodes() {
+        use ::clockhands::inst::Inst;
+        use ch_baselines::{riscv::RvInst, straight::StInst};
+        let ch = |target| Inst::Jump { target };
+        let st = |target| StInst::Jump { target };
+        let rv = |target| RvInst::Jump { target };
+        check_end_target!(encode_clockhands, decode_clockhands, ch, Inst::Nop);
+        check_end_target!(encode_straight, decode_straight, st, StInst::Nop);
+        check_end_target!(encode_riscv, decode_riscv, rv, RvInst::Nop);
     }
 
     #[test]
@@ -427,14 +458,15 @@ mod tests {
             imm: 1,
         };
         let st = StInst::AluImm {
+            dst: (),
             op: sub,
             src1: StSrc::Zero,
             imm: 1,
         };
         let rv = RvInst::AluImm {
             op: sub,
-            rd: Reg(1),
-            rs1: Reg(1),
+            dst: Reg(1),
+            src1: Reg(1),
             imm: 1,
         };
         let refused = Err(EncodeError::NoImmForm { at: 0 });
@@ -485,7 +517,7 @@ mod tests {
                 true,
                 TEXT_BASE,
             ),
-            // A jump to one-past-the-end resolves to the sentinel.
+            // A target at the end of the text resolves to the sentinel.
             DynInst::new(2, TEXT_BASE + 12, OpClass::Jump).with_ctrl(
                 CtrlKind::Jump,
                 true,

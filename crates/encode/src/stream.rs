@@ -17,17 +17,23 @@
 //! * **The walk** — decoding scans halfwords: a low bit pair of `0b11`
 //!   means a 32-bit unit (the RVC length-tag convention), anything else
 //!   a 16-bit unit. Displacements resolve against the recovered unit
-//!   boundaries, so a displacement landing inside a unit is a
-//!   structured [`DecodeError::BadTarget`], never a misparse.
+//!   boundaries, so a displacement landing inside a unit or at the end
+//!   of the stream is a structured [`DecodeError::BadTarget`], never a
+//!   misparse.
+//!
+//! Both directions apply the target rule of
+//! [`ch_common::isa::Program::validate`]: a target names an
+//! instruction, `target < len`.
 
 use crate::bits::{fits_signed, Pool};
 use crate::form::Codec;
 use crate::{DecodeError, EncodeError, Layout, TEXT_BASE};
+use ch_common::isa::Inst;
 use ch_common::EncodingVariant;
 
 /// Encodes an instruction stream: sizes, relaxes, lays out, and emits.
 pub(crate) fn encode_stream<C: Codec>(
-    insts: &[C::Inst],
+    insts: &[Inst<C::Ops>],
     variant: EncodingVariant,
 ) -> Result<(Vec<u8>, Vec<u64>, Layout), EncodeError> {
     let n = insts.len();
@@ -55,8 +61,8 @@ pub(crate) fn encode_stream<C: Codec>(
     loop {
         let mut changed = false;
         for (at, i) in insts.iter().enumerate() {
-            let Some(t) = C::target(i) else { continue };
-            if t as usize > n {
+            let Some(t) = i.target() else { continue };
+            if t as usize >= n {
                 return Err(EncodeError::BadTarget {
                     at: at as u32,
                     target: t,
@@ -79,7 +85,7 @@ pub(crate) fn encode_stream<C: Codec>(
     let mut pool = Pool::new();
     let mut bytes = Vec::with_capacity(offs[n] as usize);
     for (at, i) in insts.iter().enumerate() {
-        let disp = match C::target(i) {
+        let disp = match i.target() {
             Some(t) => (offs[t as usize] as i64 - offs[at] as i64) / 2,
             None => 0,
         };
@@ -97,7 +103,7 @@ pub(crate) fn encode_stream<C: Codec>(
 pub(crate) fn decode_stream<C: Codec>(
     bytes: &[u8],
     pool: &[u64],
-) -> Result<Vec<C::Inst>, DecodeError> {
+) -> Result<Vec<Inst<C::Ops>>, DecodeError> {
     // Walk the stream once to recover unit boundaries.
     let mut units: Vec<(usize, u32, u8)> = Vec::new();
     let mut off = 0usize;
@@ -122,18 +128,13 @@ pub(crate) fn decode_stream<C: Codec>(
     let boundaries: Vec<usize> = units.iter().map(|&(o, _, _)| o).collect();
     let mut insts = Vec::with_capacity(units.len());
     for &(off, word, size) in units.iter() {
+        // A target must start a unit: the end of the stream is not one.
         let mut to_index = |disp: i64| -> Result<u32, DecodeError> {
-            let t = off as i64 + disp * 2;
-            if t == bytes.len() as i64 {
-                return Ok(units.len() as u32); // one past the end
-            }
-            if t < 0 || t > bytes.len() as i64 {
-                return Err(DecodeError::BadTarget { at: off });
-            }
-            boundaries
-                .binary_search(&(t as usize))
+            usize::try_from(off as i64 + disp * 2)
+                .ok()
+                .and_then(|t| boundaries.binary_search(&t).ok())
                 .map(|i| i as u32)
-                .map_err(|_| DecodeError::BadTarget { at: off })
+                .ok_or(DecodeError::BadTarget { at: off })
         };
         insts.push(C::decode(word, size, off, &mut to_index, pool)?);
     }

@@ -7,6 +7,12 @@
 //! make two byte streams mean one program (a reserved bit nobody
 //! checks, or a form that duplicates another), and one that does not
 //! reassemble would disassemble to text no assembler accepts.
+//!
+//! A lone transfer whose displacement reaches the end of its one-unit
+//! stream (a 16-bit `j` with displacement 1, say) does not decode: a
+//! target must name an instruction (`target < len`), the rule the
+//! assemblers apply too. Such units are skipped like any other that
+//! does not decode.
 
 use ch_common::EncodingVariant;
 

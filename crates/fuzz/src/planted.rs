@@ -110,7 +110,11 @@ fn ch_slots(inst: &mut Inst) -> Vec<&mut Src> {
         | Inst::CallReg { src, .. }
         | Inst::Mv { src, .. }
         | Inst::Halt { src } => vec![src],
-        Inst::Li { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::Nop => vec![],
+        Inst::Li { .. }
+        | Inst::Jump { .. }
+        | Inst::Call { .. }
+        | Inst::SpAddi { .. }
+        | Inst::Nop => vec![],
     };
     all.into_iter()
         .filter(|s| matches!(s, Src::Hand(..)))
@@ -138,7 +142,10 @@ fn st_slots(inst: &mut StInst) -> Vec<&mut StSrc> {
         StInst::AluImm { src1, .. } => vec![src1],
         StInst::Load { base, .. } => vec![base],
         StInst::Store { value, base, .. } => vec![value, base],
-        StInst::JumpReg { src } | StInst::Mv { src } | StInst::Halt { src } => vec![src],
+        StInst::JumpReg { src }
+        | StInst::CallReg { src, .. }
+        | StInst::Mv { src, .. }
+        | StInst::Halt { src } => vec![src],
         StInst::Li { .. }
         | StInst::Jump { .. }
         | StInst::Call { .. }
@@ -270,7 +277,7 @@ fn draw_straight(
     let funcs = roots(
         prog.entry,
         prog.insts.iter().filter_map(|inst| match *inst {
-            StInst::Call { target } => Some(target),
+            StInst::Call { target, .. } => Some(target),
             _ => None,
         }),
     );

@@ -17,15 +17,17 @@ const MAX_TRANSFERS: usize = 100_000;
 
 /// Runs `transfer` to a fixpoint over `func`'s blocks, starting from
 /// `entry_state` at the entry block. `transfer(block, in_state, marks,
-/// sink)` returns the out-states per successor block id (and may emit
-/// diagnostics — the sink deduplicates across re-runs). Returns the
-/// final per-block in-states (`None` = block unreachable).
+/// sink)` returns the block's out-state, or `None` where the block
+/// returns or halts (and may emit diagnostics — the sink deduplicates
+/// across re-runs); the out-state flows to every successor, the last
+/// one taking it by move. Returns the final per-block in-states
+/// (`None` = block unreachable).
 pub fn fixpoint<S: AbsState>(
     func: &Func,
     entry_state: S,
     marks: &mut Marks,
     sink: &mut Sink,
-    mut transfer: impl FnMut(usize, S, &mut Marks, &mut Sink) -> Vec<(usize, S)>,
+    mut transfer: impl FnMut(usize, S, &mut Marks, &mut Sink) -> Option<S>,
 ) -> Vec<Option<S>> {
     let n = func.blocks.len();
     let mut ins: Vec<Option<S>> = vec![None; n];
@@ -48,11 +50,20 @@ pub fn fixpoint<S: AbsState>(
             break;
         }
         let state = ins[b].clone().expect("queued block has a state");
-        for (succ, out) in transfer(b, state, marks, sink) {
+        let Some(out) = transfer(b, state, marks, sink) else {
+            continue;
+        };
+        let mut out = Some(out);
+        let succs = &func.blocks[b].succs;
+        for (k, &succ) in succs.iter().enumerate() {
             let changed = match &mut ins[succ] {
-                Some(cur) => cur.join_with(&out, marks),
+                Some(cur) => cur.join_with(out.as_ref().expect("moved on the last edge"), marks),
                 slot @ None => {
-                    *slot = Some(out);
+                    *slot = if k + 1 == succs.len() {
+                        out.take()
+                    } else {
+                        out.clone()
+                    };
                     true
                 }
             };
@@ -183,7 +194,7 @@ mod tests {
         let mut marks = Marks::new(2);
         let mut sink = Sink::new("f");
         let ins = fixpoint(&func, Count(0), &mut marks, &mut sink, |_b, st, _m, _s| {
-            vec![(1, Count((st.0 + 1).min(10)))]
+            Some(Count((st.0 + 1).min(10)))
         });
         assert_eq!(ins[1].as_ref().map(|s| s.0), Some(10));
         assert!(sink.into_diags().is_empty());

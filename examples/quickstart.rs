@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The hands after execution: v still holds the constants.
     println!(
         "v[0] = {}, v[1] = {} (constants never rotated away)",
-        cpu.hands().read(Hand::V, 0)?,
-        cpu.hands().read(Hand::V, 1)?
+        cpu.file().read(Hand::V, 0)?,
+        cpu.file().read(Hand::V, 1)?
     );
 
     // ---- 2. The same program from Kern source, all three ISAs ----

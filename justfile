@@ -40,6 +40,14 @@ fuzz *ARGS:
 planted *ARGS:
     cargo run --release -p ch-fuzz -- --planted --cases 500 --seed 49388 {{ARGS}}
 
+# Regenerate the stdout goldens CI diffs against: the full figure
+# suite at test scale and both fixed-seed fuzz batches. A change that
+# moves any printed counter shows up in `git diff tests/golden/`.
+goldens:
+    cargo run --release -p ch-bench --bin figures -- --scale test > tests/golden/figures-test.txt
+    cargo run --release -p ch-fuzz -- --cases 500 --seed 49388 > tests/golden/fuzz-500-49388.txt
+    cargo run --release -p ch-fuzz -- --planted --cases 500 --seed 49388 > tests/golden/planted-500-49388.txt
+
 # Statically verify every workload's compiled output on all three
 # backends (lint warnings allowed and tabulated; errors are fatal).
 verify-workloads:

@@ -9,9 +9,10 @@
 //! decoders fail *structurally* (never panic) on truncated and garbage
 //! byte streams.
 
+use ch_common::isa::{Inst, Operands};
 use ch_common::EncodingVariant;
 use ch_compiler::{compile, encode_set};
-use ch_encode::{decode_clockhands, decode_riscv, decode_straight, DecodeError};
+use ch_encode::{decode_clockhands, decode_riscv, decode_straight, DecodeError, EncodedProgram};
 use ch_workloads::{Scale, Workload};
 use proptest::TestRng;
 
@@ -95,27 +96,43 @@ fn golden_workloads_round_trip() {
     }
 }
 
-/// Runs `body` once per ISA decoder, with `$decode` bound to the
-/// decoder fn and `$name` to its label. A macro because the three
-/// decoders return different instruction types.
-macro_rules! for_each_decoder {
-    (|$name:ident, $decode:ident| $body:block) => {{
-        {
-            let $name = "riscv";
-            let $decode = decode_riscv;
-            $body
+/// One ISA's decoder: every decoder returns the shared instruction
+/// shape over its ISA's operands.
+type Decoder<O> = fn(&[u8], &[u64]) -> Result<Vec<Inst<O>>, DecodeError>;
+
+/// Every proper prefix of `prog` decodes to a structured outcome,
+/// never a panic.
+fn check_truncations<O: Operands>(
+    name: &str,
+    variant: EncodingVariant,
+    decode: Decoder<O>,
+    prog: &EncodedProgram,
+) {
+    // Ok when the cut lands on an instruction boundary and no branch
+    // escapes it, a Truncated/BadTarget error otherwise.
+    for cut in 0..prog.bytes.len() {
+        if let Err(e) = decode(&prog.bytes[..cut], &prog.pool) {
+            assert!(
+                matches!(
+                    e,
+                    DecodeError::Truncated { .. } | DecodeError::BadTarget { .. }
+                ),
+                "{name}/{variant}: cut at {cut} gave unexpected error {e}"
+            );
         }
-        {
-            let $name = "straight";
-            let $decode = decode_straight;
-            $body
+    }
+    // A cut one byte short splits the final unit and must report
+    // exactly where.
+    let cut = prog.bytes.len() - 1;
+    match decode(&prog.bytes[..cut], &prog.pool) {
+        Err(DecodeError::Truncated { at }) => {
+            assert!(at < cut, "{name}/{variant}: truncation offset past the cut")
         }
-        {
-            let $name = "clockhands";
-            let $decode = decode_clockhands;
-            $body
+        Err(DecodeError::BadTarget { .. }) => {
+            // Acceptable: the severed tail held a branch target.
         }
-    }};
+        other => panic!("{name}/{variant}: mid-unit cut decoded as {other:?}"),
+    }
 }
 
 #[test]
@@ -130,46 +147,37 @@ fn truncated_streams_decode_to_structured_errors() {
     .expect("compiles");
     for variant in EncodingVariant::ALL {
         let enc = encode_set(&set, variant).expect("encodes");
-        let programs = [
-            ("riscv", &enc.riscv),
-            ("straight", &enc.straight),
-            ("clockhands", &enc.clockhands),
-        ];
-        for_each_decoder!(|name, decode| {
-            let prog = programs
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, p)| *p)
-                .unwrap();
-            // Every proper prefix must decode to a structured outcome,
-            // never a panic: Ok when the cut lands on an instruction
-            // boundary and no branch escapes it, a Truncated/BadTarget
-            // error otherwise.
-            for cut in 0..prog.bytes.len() {
-                if let Err(e) = decode(&prog.bytes[..cut], &prog.pool) {
-                    assert!(
-                        matches!(
-                            e,
-                            DecodeError::Truncated { .. } | DecodeError::BadTarget { .. }
-                        ),
-                        "{name}/{variant}: cut at {cut} gave unexpected error {e}"
-                    );
-                }
-            }
-            // A cut one byte short splits the final unit and must
-            // report exactly where.
-            let cut = prog.bytes.len() - 1;
-            match decode(&prog.bytes[..cut], &prog.pool) {
-                Err(DecodeError::Truncated { at }) => {
-                    assert!(at < cut, "{name}/{variant}: truncation offset past the cut")
-                }
-                Err(DecodeError::BadTarget { .. }) => {
-                    // Acceptable: the severed tail held a branch target.
-                }
-                other => panic!("{name}/{variant}: mid-unit cut decoded as {other:?}"),
-            }
-        });
+        check_truncations("riscv", variant, decode_riscv, &enc.riscv);
+        check_truncations("straight", variant, decode_straight, &enc.straight);
+        check_truncations("clockhands", variant, decode_clockhands, &enc.clockhands);
     }
+}
+
+/// Garbage never panics a decoder.
+fn check_garbage<O: Operands>(name: &str, decode: Decoder<O>, rounds: &[Vec<u8>], pool: &[u64]) {
+    for (round, bytes) in rounds.iter().enumerate() {
+        // Any outcome is fine except a panic; an Ok must at least be
+        // internally consistent (no unit is shorter than 2 bytes, so at
+        // most len/2 instructions).
+        if let Ok(insts) = decode(bytes, pool) {
+            assert!(
+                insts.len() <= bytes.len() / 2,
+                "{name}: round {round} decoded more instructions than bytes allow"
+            );
+        }
+    }
+    // Degenerate streams: empty, all-zero, all-ones, missing pool.
+    assert!(
+        decode(&[], pool).unwrap().is_empty(),
+        "{name}: empty stream"
+    );
+    let _ = decode(&[0u8; 32], pool);
+    let _ = decode(&[0xffu8; 32], pool);
+    let _ = decode(&[0u8; 32], &[]);
+    assert!(
+        decode(&[0x13], pool).is_err(),
+        "{name}: lone byte must not decode"
+    );
 }
 
 #[test]
@@ -182,29 +190,7 @@ fn garbage_streams_never_panic() {
             (0..len).map(|_| rng.next_u64() as u8).collect()
         })
         .collect();
-    for_each_decoder!(|name, decode| {
-        for (round, bytes) in rounds.iter().enumerate() {
-            // Any outcome is fine except a panic; an Ok must at least
-            // be internally consistent (no unit is shorter than 2
-            // bytes, so at most len/2 instructions).
-            if let Ok(insts) = decode(bytes, &pool) {
-                assert!(
-                    insts.len() <= bytes.len() / 2,
-                    "{name}: round {round} decoded more instructions than bytes allow"
-                );
-            }
-        }
-        // Degenerate streams: empty, all-zero, all-ones, missing pool.
-        assert!(
-            decode(&[], &pool).unwrap().is_empty(),
-            "{name}: empty stream"
-        );
-        let _ = decode(&[0u8; 32], &pool);
-        let _ = decode(&[0xffu8; 32], &pool);
-        let _ = decode(&[0u8; 32], &[]);
-        assert!(
-            decode(&[0x13], &pool).is_err(),
-            "{name}: lone byte must not decode"
-        );
-    });
+    check_garbage("riscv", decode_riscv, &rounds, &pool);
+    check_garbage("straight", decode_straight, &rounds, &pool);
+    check_garbage("clockhands", decode_clockhands, &rounds, &pool);
 }

@@ -1,80 +1,101 @@
 //! Property-based tests on the core ISA data structures: the hand file,
-//! the register-pointer ring allocation, and the binary encoding.
+//! the register-pointer ring allocation, and the binary encodings of all
+//! three ISAs.
 
+use ch_baselines::riscv::{Reg, RvInst, NUM_REGS};
+use ch_baselines::straight::{StInst, StSrc, MAX_DISTANCE as MAX_ST_DISTANCE};
 use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use ch_common::isa::{Inst, Operands};
 use ch_common::EncodingVariant;
-use ch_encode::{decode_clockhands, encode_clockhands};
+use ch_encode::{
+    decode_clockhands, decode_riscv, decode_straight, encode_clockhands, encode_riscv,
+    encode_straight, DecodeError, EncodeError, EncodedProgram,
+};
 use clockhands::hand::Hand;
-use clockhands::inst::{Inst, Src};
+use clockhands::inst::{Clockhands, Src};
 use clockhands::rp::RingFile;
 use clockhands::state::HandFile;
 use proptest::prelude::*;
 
-fn arb_hand() -> impl Strategy<Value = Hand> {
-    prop_oneof![Just(Hand::T), Just(Hand::U), Just(Hand::V), Just(Hand::S)]
+/// An immediate: small, at an `i32` edge, or anywhere, so both inline
+/// and pooled encodings and every field boundary get drawn.
+fn arb_i32() -> Gen<i32> {
+    prop_oneof![-64i32..64, Just(i32::MIN), Just(i32::MAX), any::<i32>()]
 }
 
-fn arb_src() -> impl Strategy<Value = Src> {
-    prop_oneof![
-        (arb_hand(), 0u8..15).prop_map(|(h, d)| Src::Hand(h, d)),
-        Just(Src::Zero),
-    ]
+fn arb_i64() -> Gen<i64> {
+    prop_oneof![-64i64..64, Just(i64::MIN), Just(i64::MAX), any::<i64>()]
 }
 
-fn arb_inst() -> impl Strategy<Value = Inst> {
-    let alu_op = prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sub),
-        Just(AluOp::Mul),
-        Just(AluOp::Xor),
-        Just(AluOp::Fadd),
-        Just(AluOp::Fdiv),
-    ];
+fn pick<T: Copy + 'static>(all: &'static [T]) -> Gen<T> {
+    (0..all.len()).prop_map(move |i| all[i])
+}
+
+/// Any instruction of ISA `O` with every field in its architectural
+/// range: `dst` and `src` draw the ISA's operands, `isa_only` its
+/// ISA-only variant. Targets are fixed up by [`arb_program`].
+fn arb_inst<O: Operands>(
+    dst: Gen<O::Dst>,
+    src: Gen<O::Src>,
+    isa_only: Gen<Inst<O>>,
+) -> Gen<Inst<O>> {
+    // Only the operations with an immediate form have an `AluImm` encoding.
+    let imm_ops: Vec<AluOp> = AluOp::ALL
+        .into_iter()
+        .filter(|op| op.imm_mnemonic().is_some())
+        .collect();
+    let imm_op = (0..imm_ops.len()).prop_map(move |i| imm_ops[i]);
+    let (d, s) = (dst, src);
     prop_oneof![
-        (alu_op, arb_hand(), arb_src(), arb_src()).prop_map(|(op, dst, src1, src2)| Inst::Alu {
-            op,
-            dst,
-            src1,
-            src2
+        (pick(&AluOp::ALL), d.clone(), s.clone(), s.clone()).prop_map(|(op, dst, src1, src2)| {
+            Inst::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            }
         }),
-        (arb_hand(), arb_src(), -8000i32..8000).prop_map(|(dst, src1, imm)| Inst::AluImm {
-            op: AluOp::Add,
-            dst,
-            src1,
-            imm
-        }),
-        (arb_hand(), -4_000_000i64..4_000_000).prop_map(|(dst, imm)| Inst::Li { dst, imm }),
-        (arb_hand(), arb_src(), -8000i32..8000).prop_map(|(dst, base, offset)| Inst::Load {
-            op: LoadOp::Ld,
-            dst,
-            base,
-            offset
-        }),
-        (arb_src(), arb_src(), -500i32..500).prop_map(|(value, base, offset)| Inst::Store {
-            op: StoreOp::Sd,
-            value,
-            base,
-            offset
-        }),
-        (arb_src(), arb_src(), 0u32..400).prop_map(|(src1, src2, target)| Inst::Branch {
-            cond: BrCond::Ne,
-            src1,
-            src2,
-            target
-        }),
-        (0u32..400).prop_map(|target| Inst::Jump { target }),
-        (arb_hand(), 0u32..400).prop_map(|(dst, target)| Inst::Call { dst, target }),
-        (arb_src()).prop_map(|src| Inst::JumpReg { src }),
-        (arb_hand(), arb_src()).prop_map(|(dst, src)| Inst::Mv { dst, src }),
+        (imm_op, d.clone(), s.clone(), arb_i32())
+            .prop_map(|(op, dst, src1, imm)| { Inst::AluImm { op, dst, src1, imm } }),
+        (d.clone(), arb_i64()).prop_map(|(dst, imm)| Inst::Li { dst, imm }),
+        (pick(&LoadOp::ALL), d.clone(), s.clone(), arb_i32()).prop_map(
+            |(op, dst, base, offset)| Inst::Load {
+                op,
+                dst,
+                base,
+                offset,
+            }
+        ),
+        (pick(&StoreOp::ALL), s.clone(), s.clone(), arb_i32()).prop_map(
+            |(op, value, base, offset)| Inst::Store {
+                op,
+                value,
+                base,
+                offset,
+            }
+        ),
+        (pick(&BrCond::ALL), s.clone(), s.clone(), any::<u32>()).prop_map(
+            |(cond, src1, src2, target)| Inst::Branch {
+                cond,
+                src1,
+                src2,
+                target,
+            }
+        ),
+        any::<u32>().prop_map(|target| Inst::Jump { target }),
+        (d.clone(), any::<u32>()).prop_map(|(dst, target)| Inst::Call { dst, target }),
+        s.clone().prop_map(|src| Inst::JumpReg { src }),
+        isa_only,
+        (d, s.clone()).prop_map(|(dst, src)| Inst::Mv { dst, src }),
         Just(Inst::Nop),
-        (arb_src()).prop_map(|src| Inst::Halt { src }),
+        s.prop_map(|src| Inst::Halt { src }),
     ]
 }
 
 /// A random instruction sequence whose control-transfer targets all
-/// land inside it.
-fn arb_program() -> impl Strategy<Value = Vec<Inst>> {
-    proptest::collection::vec(arb_inst(), 1..64).prop_map(|mut prog| {
+/// name one of its instructions.
+fn arb_program<O: Operands>(inst: Gen<Inst<O>>) -> Gen<Vec<Inst<O>>> {
+    proptest::collection::vec(inst, 1..64).prop_map(|mut prog| {
         let n = prog.len() as u32;
         for inst in &mut prog {
             if let Inst::Branch { target, .. } | Inst::Jump { target } | Inst::Call { target, .. } =
@@ -87,17 +108,74 @@ fn arb_program() -> impl Strategy<Value = Vec<Inst>> {
     })
 }
 
+fn arb_hand() -> Gen<Hand> {
+    pick(&Hand::ALL)
+}
+
+/// Clockhands: hands as destinations; `hand[d]` up to each hand's
+/// deepest encodable distance, or `zero`.
+fn clockhands_program() -> Gen<Vec<Inst<Clockhands>>> {
+    let src = prop_oneof![
+        (arb_hand(), any::<u8>()).prop_map(|(h, d)| Src::Hand(h, d % (h.max_src_distance() + 1))),
+        Just(Src::Zero),
+    ];
+    let call_reg =
+        (arb_hand(), src.clone()).prop_map(|(dst, src)| Inst::CallReg { dst, src, isa: () });
+    arb_program(arb_inst(arb_hand(), src, call_reg))
+}
+
+/// STRAIGHT: implicit destinations; `[1]`..`[127]`, `sp` or `zero`.
+fn straight_program() -> Gen<Vec<StInst>> {
+    let src = prop_oneof![
+        (1u8..MAX_ST_DISTANCE + 1).prop_map(StSrc::Dist),
+        Just(StSrc::Sp),
+        Just(StSrc::Zero),
+    ];
+    let sp_addi = arb_i32().prop_map(|imm| StInst::SpAddi { imm, isa: () });
+    arb_program(arb_inst(Just(()).into_gen(), src, sp_addi))
+}
+
+/// RISC-V: any of the 64 registers as destination or source.
+fn riscv_program() -> Gen<Vec<RvInst>> {
+    let reg = (0..NUM_REGS).prop_map(Reg);
+    let call_reg =
+        (reg.clone(), reg.clone()).prop_map(|(dst, src)| RvInst::CallReg { dst, src, isa: () });
+    arb_program(arb_inst(reg.clone(), reg, call_reg))
+}
+
+/// One ISA's encoder and decoder over the shared instruction shape.
+type Encoder<O> = fn(&[Inst<O>], EncodingVariant) -> Result<EncodedProgram, EncodeError>;
+type Decoder<O> = fn(&[u8], &[u64]) -> Result<Vec<Inst<O>>, DecodeError>;
+
+/// `decode(encode(p)) == p` under both encodings. Every field is drawn
+/// from its architectural range, so every program encodes; wide
+/// immediates and far displacements spill to the literal pool instead
+/// of failing.
+fn roundtrip<O: Operands>(
+    prog: &[Inst<O>],
+    encode: Encoder<O>,
+    decode: Decoder<O>,
+) -> TestCaseResult {
+    for variant in EncodingVariant::ALL {
+        let enc = encode(prog, variant)
+            .map_err(|e| TestCaseError::fail(format!("{variant}: {e}: {prog:?}")))?;
+        let back = decode(&enc.bytes, &enc.pool)
+            .map_err(|e| TestCaseError::fail(format!("{variant}: {e}: {prog:?}")))?;
+        prop_assert_eq!(&back, &prog.to_vec(), "{}", variant);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
-    fn encode_decode_roundtrip(prog in arb_program()) {
-        // Every field is drawn from its architectural range, so every
-        // program encodes; wide immediates and far displacements spill
-        // to the literal pool instead of failing.
-        for variant in EncodingVariant::ALL {
-            let enc = encode_clockhands(&prog, variant).expect("in-range program encodes");
-            let back = decode_clockhands(&enc.bytes, &enc.pool).expect("decodes");
-            prop_assert_eq!(&back, &prog, "{}", variant);
-        }
+    fn encode_decode_roundtrip(
+        ch in clockhands_program(),
+        st in straight_program(),
+        rv in riscv_program(),
+    ) {
+        roundtrip(&ch, encode_clockhands, decode_clockhands)?;
+        roundtrip(&st, encode_straight, decode_straight)?;
+        roundtrip(&rv, encode_riscv, decode_riscv)?;
     }
 
     #[test]
