@@ -96,6 +96,10 @@ fn main() -> ExitCode {
         let uniform =
             ch_fuzz::planted_batch(args.seed, args.cases, args.limit, ch_fuzz::Model::Uniform);
         println!("planted (uniform model): {}", uniform.summary());
+        println!(
+            "digest (FNV-1a 64): escape {:016x}, uniform {:016x}",
+            escape.digest, uniform.digest
+        );
         if escape.static_rate() < 0.95 {
             eprintln!("escape-model static catch rate below the 95% target");
             eprintln!("PROPTEST_SEED={}", args.seed);
@@ -111,11 +115,14 @@ fn main() -> ExitCode {
     }
     println!("oracles: ring-file wrap/saturation, stall rule, renamer conservation — ok");
 
-    if let Err(e) = ch_fuzz::asm_roundtrip_batch(args.seed, args.cases) {
-        eprintln!("assembler round-trip failure: {e}");
-        eprintln!("PROPTEST_SEED={}", args.seed);
-        return ExitCode::FAILURE;
-    }
+    let asm_digest = match ch_fuzz::asm_roundtrip_batch(args.seed, args.cases) {
+        Ok(digest) => digest,
+        Err(e) => {
+            eprintln!("assembler round-trip failure: {e}");
+            eprintln!("PROPTEST_SEED={}", args.seed);
+            return ExitCode::FAILURE;
+        }
+    };
     println!("asm round-trip: {} programs x 3 ISAs — ok", args.cases);
 
     match ch_fuzz::differential_batch(args.seed, args.cases, args.limit) {
@@ -123,6 +130,10 @@ fn main() -> ExitCode {
             println!(
                 "differential: {} passed, {} skipped (limit), {} instructions committed — ok",
                 stats.passed, stats.skipped, stats.committed
+            );
+            println!(
+                "digest (FNV-1a 64): asm round-trip {asm_digest:016x}, differential {:016x}",
+                stats.digest
             );
             ExitCode::SUCCESS
         }
