@@ -6,9 +6,10 @@
 //! `.data`, immediates, `off(base)` and branch targets follow the line
 //! syntax shared by all three ISAs ([`ch_common::asm`]).
 
-use super::{Reg, RvInst, RvProgram};
-use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
+use super::{Reg, Riscv, RvProgram};
+use ch_common::asm::{self, Line, Mnemonic, Syntax};
 use ch_common::exec::{LoadOp, StoreOp};
+use std::fmt;
 use std::ops::RangeInclusive;
 
 pub use ch_common::error::AsmError;
@@ -62,163 +63,25 @@ fn reg(line: &Line<'_>, tok: &str) -> Result<Reg, AsmError> {
     parse_reg(tok).ok_or_else(|| line.error(format!("unknown register `{tok}`")))
 }
 
-/// RISC operands: register names everywhere.
-struct Riscv;
-
+/// RISC operands: register names everywhere, plus `fld`/`fsd`.
 impl Syntax for Riscv {
-    type Inst = RvInst;
-
-    fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<RvInst, AsmError> {
-        let reg = |tok: &str| reg(line, tok);
-        let m = match m {
-            Mnemonic::Other("fld") => Mnemonic::Load(LoadOp::Ld),
-            Mnemonic::Other("fsd") => Mnemonic::Store(StoreOp::Sd),
-            m => m,
-        };
-        Ok(match m {
-            Mnemonic::Alu(op) => {
-                let [rd, rs1, rs2] = line.operands()?;
-                RvInst::Alu {
-                    op,
-                    dst: reg(rd)?,
-                    src1: reg(rs1)?,
-                    src2: reg(rs2)?,
-                }
-            }
-            Mnemonic::AluImm(op) => {
-                let [rd, rs1, imm] = line.operands()?;
-                RvInst::AluImm {
-                    op,
-                    dst: reg(rd)?,
-                    src1: reg(rs1)?,
-                    imm: line.imm(imm)?,
-                }
-            }
-            Mnemonic::Load(op) => {
-                let [rd, mem] = line.operands()?;
-                let (offset, base) = line.mem(mem, reg)?;
-                RvInst::Load {
-                    op,
-                    dst: reg(rd)?,
-                    base,
-                    offset,
-                }
-            }
-            Mnemonic::Store(op) => {
-                let [rs, mem] = line.operands()?;
-                let (offset, base) = line.mem(mem, reg)?;
-                RvInst::Store {
-                    op,
-                    value: reg(rs)?,
-                    base,
-                    offset,
-                }
-            }
-            Mnemonic::Branch(cond) => {
-                let [rs1, rs2, target] = line.operands()?;
-                RvInst::Branch {
-                    cond,
-                    src1: reg(rs1)?,
-                    src2: reg(rs2)?,
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("li") => {
-                let [rd, imm] = line.operands()?;
-                RvInst::Li {
-                    dst: reg(rd)?,
-                    imm: line.imm(imm)?,
-                }
-            }
-            Mnemonic::Other("mv") => {
-                let [rd, rs] = line.operands()?;
-                RvInst::Mv {
-                    dst: reg(rd)?,
-                    src: reg(rs)?,
-                }
-            }
-            Mnemonic::Other("j") => {
-                let [target] = line.operands()?;
-                RvInst::Jump {
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("call") => {
-                let [rd, target] = line.operands()?;
-                RvInst::Call {
-                    dst: reg(rd)?,
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("jalr") => {
-                let [rd, rs] = line.operands()?;
-                RvInst::CallReg {
-                    dst: reg(rd)?,
-                    src: reg(rs)?,
-                    isa: (),
-                }
-            }
-            Mnemonic::Other("jr" | "ret") => {
-                let [rs] = line.operands()?;
-                RvInst::JumpReg { src: reg(rs)? }
-            }
-            Mnemonic::Other("nop") => {
-                let [] = line.operands()?;
-                RvInst::Nop
-            }
-            Mnemonic::Other("halt") => {
-                let [rs] = line.operands()?;
-                RvInst::Halt { src: reg(rs)? }
-            }
-            _ => return line.unknown(),
-        })
+    fn parse_src(line: &Line<'_>, tok: &str) -> Result<Reg, AsmError> {
+        reg(line, tok)
     }
 
-    fn format(inst: &RvInst, targets: &Targets<'_>) -> String {
-        match *inst {
-            RvInst::Alu {
-                op,
-                dst: rd,
-                src1: rs1,
-                src2: rs2,
-            } => format!("{} {rd}, {rs1}, {rs2}", op.mnemonic()),
-            RvInst::AluImm {
-                op,
-                dst: rd,
-                src1: rs1,
-                imm,
-            } => {
-                format!("{} {rd}, {rs1}, {imm}", Mnemonic::AluImm(op))
-            }
-            RvInst::Li { dst: rd, imm } => format!("li {rd}, {imm}"),
-            RvInst::Load {
-                op,
-                dst: rd,
-                base,
-                offset,
-            } => format!("{} {rd}, {offset}({base})", op.mnemonic()),
-            RvInst::Store {
-                op,
-                value: rs,
-                base,
-                offset,
-            } => format!("{} {rs}, {offset}({base})", op.mnemonic()),
-            RvInst::Branch {
-                cond,
-                src1: rs1,
-                src2: rs2,
-                target,
-            } => format!("{} {rs1}, {rs2}, {}", cond.mnemonic(), targets.name(target)),
-            RvInst::Jump { target } => format!("j {}", targets.name(target)),
-            RvInst::Call { dst: rd, target } => format!("call {rd}, {}", targets.name(target)),
-            RvInst::CallReg {
-                dst: rd, src: rs, ..
-            } => format!("jalr {rd}, {rs}"),
-            RvInst::JumpReg { src: rs } => format!("jr {rs}"),
-            RvInst::Mv { dst: rd, src: rs } => format!("mv {rd}, {rs}"),
-            RvInst::Nop => "nop".to_string(),
-            RvInst::Halt { src: rs } => format!("halt {rs}"),
-            RvInst::SpAddi { isa, .. } => match isa {},
+    fn parse_dst(line: &Line<'_>, tok: &str) -> Result<Reg, AsmError> {
+        reg(line, tok)
+    }
+
+    fn fmt_dst(rd: Reg, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{rd}")
+    }
+
+    fn alias(m: &str) -> Option<Mnemonic<'static>> {
+        match m {
+            "fld" => Some(Mnemonic::Load(LoadOp::Ld)),
+            "fsd" => Some(Mnemonic::Store(StoreOp::Sd)),
+            _ => None,
         }
     }
 }
@@ -239,13 +102,7 @@ impl Syntax for Riscv {
 /// # Ok::<(), ch_baselines::riscv::asm::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<RvProgram, AsmError> {
-    let a = asm::assemble::<Riscv>(source)?;
-    Ok(RvProgram {
-        insts: a.insts,
-        entry: 0,
-        labels: a.labels,
-        data: a.data,
-    })
+    asm::assemble::<Riscv>(source)
 }
 
 /// Disassembles a program back to source text that [`assemble`] turns

@@ -86,10 +86,20 @@ impl Operands for Riscv {
     type CallReg = ();
     type SpAddi = Absent;
     type File = RegFile;
+    const CALL_REG: Option<()> = Some(());
 
     /// Writes to `x0` count as no destination.
     fn is_written(rd: Reg) -> bool {
         !rd.is_zero()
+    }
+
+    /// Registers are numbered below [`NUM_REGS`].
+    fn is_valid(r: Reg) -> bool {
+        r.0 < NUM_REGS
+    }
+
+    fn is_valid_dst(rd: Reg) -> bool {
+        Self::is_valid(rd)
     }
 }
 
@@ -139,6 +149,33 @@ mod tests {
         p.insts.push(RvInst::Nop);
         p.insts.push(RvInst::Halt { src: Reg::A0 });
         assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn register_numbers_past_the_file_are_refused() {
+        // Register 70 is past the 64-entry file, as a source and as a
+        // destination: validation names it, and the interpreter refuses
+        // the program instead of indexing past its file.
+        let alu = RvInst::Alu {
+            op: AluOp::Add,
+            dst: Reg::A0,
+            src1: Reg(70),
+            src2: Reg::ZERO,
+        };
+        let li = RvInst::Li {
+            dst: Reg(70),
+            imm: 1,
+        };
+        for (inst, text) in [
+            (alu, "instruction 0: source operand f38 out of range"),
+            (li, "instruction 0: destination Reg(70) out of range"),
+        ] {
+            let mut p = RvProgram::new();
+            p.insts.extend([inst, RvInst::Halt { src: Reg::A0 }]);
+            assert_eq!(p.validate().unwrap_err().to_string(), text);
+            let e = interp::Interpreter::new(p).unwrap_err();
+            assert_eq!(e.to_string(), text);
+        }
     }
 
     #[test]

@@ -6,174 +6,45 @@
 //! immediates, `off(base)` and branch targets follow the line syntax
 //! shared by all three ISAs ([`ch_common::asm`]).
 
-use super::{StInst, StProgram, StSrc, MAX_DISTANCE};
-use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
+use super::{StProgram, StSrc, Straight, MAX_DISTANCE};
+use ch_common::asm::{self, Line, Syntax};
+use std::fmt;
 
 pub use ch_common::error::AsmError;
 
-fn parse_src(line: &Line<'_>, tok: &str) -> Result<StSrc, AsmError> {
-    match tok {
-        "sp" => return Ok(StSrc::Sp),
-        "zero" => return Ok(StSrc::Zero),
-        _ => {}
-    }
-    if tok.starts_with('[') && tok.ends_with(']') {
-        // Parse wider than u8 so `[256]` reports a range problem rather
-        // than a generic parse failure, then enforce the architectural
-        // 1..=127 reach here instead of deferring to validate().
-        if let Ok(d) = tok[1..tok.len() - 1].parse::<u32>() {
-            if d == 0 || d > MAX_DISTANCE as u32 {
-                return Err(line.error(format!(
-                    "distance {d} in `{tok}` out of range (1..={MAX_DISTANCE})"
-                )));
-            }
-            return Ok(StSrc::Dist(d as u8));
-        }
-    }
-    Err(line.error(format!("bad source operand `{tok}`")))
-}
-
-/// STRAIGHT operands: implicit destinations, `[k]` sources.
-struct Straight;
-
+/// STRAIGHT operands: implicit destinations, `[k]` sources, and `jr`
+/// printed as `ret`.
 impl Syntax for Straight {
-    type Inst = StInst;
+    const JUMP_REG: &'static str = "ret";
 
-    fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<StInst, AsmError> {
-        let src = |tok: &str| parse_src(line, tok);
-        Ok(match m {
-            Mnemonic::Alu(op) => {
-                let [a, b] = line.operands()?;
-                StInst::Alu {
-                    dst: (),
-                    op,
-                    src1: src(a)?,
-                    src2: src(b)?,
+    fn parse_src(line: &Line<'_>, tok: &str) -> Result<StSrc, AsmError> {
+        match tok {
+            "sp" => return Ok(StSrc::Sp),
+            "zero" => return Ok(StSrc::Zero),
+            _ => {}
+        }
+        if tok.starts_with('[') && tok.ends_with(']') {
+            // Parse wider than u8 so `[256]` reports a range problem rather
+            // than a generic parse failure, then enforce the architectural
+            // 1..=127 reach here instead of deferring to validate().
+            if let Ok(d) = tok[1..tok.len() - 1].parse::<u32>() {
+                if d == 0 || d > MAX_DISTANCE as u32 {
+                    return Err(line.error(format!(
+                        "distance {d} in `{tok}` out of range (1..={MAX_DISTANCE})"
+                    )));
                 }
+                return Ok(StSrc::Dist(d as u8));
             }
-            Mnemonic::AluImm(op) => {
-                let [a, imm] = line.operands()?;
-                StInst::AluImm {
-                    dst: (),
-                    op,
-                    src1: src(a)?,
-                    imm: line.imm(imm)?,
-                }
-            }
-            Mnemonic::Load(op) => {
-                let [mem] = line.operands()?;
-                let (offset, base) = line.mem(mem, src)?;
-                StInst::Load {
-                    dst: (),
-                    op,
-                    base,
-                    offset,
-                }
-            }
-            Mnemonic::Store(op) => {
-                let [value, mem] = line.operands()?;
-                let (offset, base) = line.mem(mem, src)?;
-                StInst::Store {
-                    op,
-                    value: src(value)?,
-                    base,
-                    offset,
-                }
-            }
-            Mnemonic::Branch(cond) => {
-                let [a, b, target] = line.operands()?;
-                StInst::Branch {
-                    cond,
-                    src1: src(a)?,
-                    src2: src(b)?,
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("li") => {
-                let [imm] = line.operands()?;
-                StInst::Li {
-                    dst: (),
-                    imm: line.imm(imm)?,
-                }
-            }
-            Mnemonic::Other("mv") => {
-                let [s] = line.operands()?;
-                StInst::Mv {
-                    dst: (),
-                    src: src(s)?,
-                }
-            }
-            Mnemonic::Other("j") => {
-                let [target] = line.operands()?;
-                StInst::Jump {
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("call") => {
-                let [target] = line.operands()?;
-                StInst::Call {
-                    dst: (),
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("jr" | "ret") => {
-                let [s] = line.operands()?;
-                StInst::JumpReg { src: src(s)? }
-            }
-            Mnemonic::Other("spaddi") => {
-                let [imm] = line.operands()?;
-                StInst::SpAddi {
-                    imm: line.imm(imm)?,
-                    isa: (),
-                }
-            }
-            Mnemonic::Other("nop") => {
-                let [] = line.operands()?;
-                StInst::Nop
-            }
-            Mnemonic::Other("halt") => {
-                let [s] = line.operands()?;
-                StInst::Halt { src: src(s)? }
-            }
-            _ => return line.unknown(),
-        })
+        }
+        Err(line.error(format!("bad source operand `{tok}`")))
     }
 
-    fn format(inst: &StInst, targets: &Targets<'_>) -> String {
-        match *inst {
-            StInst::Alu { op, src1, src2, .. } => format!("{} {src1}, {src2}", op.mnemonic()),
-            StInst::AluImm { op, src1, imm, .. } => {
-                format!("{} {src1}, {imm}", Mnemonic::AluImm(op))
-            }
-            StInst::Li { imm, .. } => format!("li {imm}"),
-            StInst::Load {
-                op, base, offset, ..
-            } => format!("{} {offset}({base})", op.mnemonic()),
-            StInst::Store {
-                op,
-                value,
-                base,
-                offset,
-            } => format!("{} {value}, {offset}({base})", op.mnemonic()),
-            StInst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => format!(
-                "{} {src1}, {src2}, {}",
-                cond.mnemonic(),
-                targets.name(target)
-            ),
-            StInst::Jump { target } => format!("j {}", targets.name(target)),
-            StInst::Call { target, .. } => format!("call {}", targets.name(target)),
-            StInst::JumpReg { src } => format!("ret {src}"),
-            StInst::SpAddi { imm, .. } => format!("spaddi {imm}"),
-            StInst::Mv { src, .. } => format!("mv {src}"),
-            StInst::Nop => "nop".to_string(),
-            StInst::Halt { src } => format!("halt {src}"),
-            StInst::CallReg { isa, .. } => match isa {},
-        }
+    fn parse_dst(_line: &Line<'_>, _tok: &str) -> Result<(), AsmError> {
+        unreachable!("STRAIGHT destinations are implicit")
+    }
+
+    fn fmt_dst((): (), _f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        unreachable!("STRAIGHT destinations are implicit")
     }
 }
 
@@ -193,13 +64,7 @@ impl Syntax for Straight {
 /// # Ok::<(), ch_baselines::straight::asm::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<StProgram, AsmError> {
-    let a = asm::assemble::<Straight>(source)?;
-    Ok(StProgram {
-        insts: a.insts,
-        entry: 0,
-        labels: a.labels,
-        data: a.data,
-    })
+    asm::assemble::<Straight>(source)
 }
 
 /// Disassembles a program back to source text that [`assemble`] turns

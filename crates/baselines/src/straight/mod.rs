@@ -66,6 +66,8 @@ impl Operands for Straight {
     type CallReg = Absent;
     type SpAddi = ();
     type File = RingFile;
+    const IMPLICIT_DST: Option<()> = Some(());
+    const SP_ADDI: Option<()> = Some(());
 
     fn is_valid(src: StSrc) -> bool {
         src.is_valid()

@@ -55,14 +55,31 @@ pub trait Operands: Copy + Debug + Eq + Hash + Send + Sync + 'static {
     /// The interpreter's architectural operand state.
     type File: OperandFile<Self>;
 
+    /// The destination of every writing instruction where the ISA
+    /// spells none (STRAIGHT's next ring slot); `None` where the
+    /// destination is an operand of its own. The assemblers and
+    /// encoders spell and encode a destination only when this is `None`.
+    const IMPLICIT_DST: Option<Self::Dst> = None;
+    /// The `isa` payload of [`Inst::CallReg`] if the ISA has the variant.
+    const CALL_REG: Option<Self::CallReg> = None;
+    /// The `isa` payload of [`Inst::SpAddi`] if the ISA has the variant.
+    const SP_ADDI: Option<Self::SpAddi> = None;
+
     /// Whether a write to `dst` is architectural (RISC-V drops writes
     /// to `x0`).
     fn is_written(_dst: Self::Dst) -> bool {
         true
     }
 
-    /// Whether `src` names an operand the ISA can encode.
+    /// Whether `src` names an operand the ISA has. This and
+    /// [`Operands::is_valid_dst`] are the one range rule that
+    /// [`Program::validate`], the verifier and the encoders apply.
     fn is_valid(_src: Self::Src) -> bool {
+        true
+    }
+
+    /// Whether `dst` names a destination the ISA has.
+    fn is_valid_dst(_dst: Self::Dst) -> bool {
         true
     }
 }
@@ -223,6 +240,28 @@ impl<O: Operands> Inst<O> {
         }
     }
 
+    /// The source operands, mutably, in the order of [`Inst::srcs`].
+    pub fn srcs_mut(&mut self) -> impl Iterator<Item = &mut O::Src> {
+        let (a, b) = match self {
+            Inst::Alu { src1, src2, .. } | Inst::Branch { src1, src2, .. } => {
+                (Some(src1), Some(src2))
+            }
+            Inst::Store { value, base, .. } => (Some(value), Some(base)),
+            Inst::AluImm { src1: src, .. }
+            | Inst::Load { base: src, .. }
+            | Inst::JumpReg { src }
+            | Inst::CallReg { src, .. }
+            | Inst::Mv { src, .. }
+            | Inst::Halt { src } => (Some(src), None),
+            Inst::Li { .. }
+            | Inst::Jump { .. }
+            | Inst::Call { .. }
+            | Inst::SpAddi { .. }
+            | Inst::Nop => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
     /// Coarse operation class (for Fig. 15 and functional-unit routing).
     pub fn class(&self) -> OpClass {
         match *self {
@@ -266,12 +305,19 @@ pub enum ProgramError {
         /// The out-of-range target.
         target: u32,
     },
-    /// A source operand the ISA cannot encode.
+    /// A source operand the ISA does not have.
     BadSrc {
         /// Instruction index.
         at: u32,
         /// The operand, as assembly text.
         src: String,
+    },
+    /// A destination the ISA does not have.
+    BadDst {
+        /// Instruction index.
+        at: u32,
+        /// The destination, as its debug form.
+        dst: String,
     },
     /// The program is empty.
     Empty,
@@ -285,6 +331,9 @@ impl Display for ProgramError {
             }
             ProgramError::BadSrc { at, src } => {
                 write!(f, "instruction {at}: source operand {src} out of range")
+            }
+            ProgramError::BadDst { at, dst } => {
+                write!(f, "instruction {at}: destination {dst} out of range")
             }
             ProgramError::Empty => f.write_str("program has no instructions"),
         }
@@ -342,7 +391,8 @@ impl<I> Program<I> {
 }
 
 impl<O: Operands> Program<Inst<O>> {
-    /// Checks every source operand and the target rule `target < len`.
+    /// Checks every operand against the ISA's range rule and every
+    /// target against the target rule `target < len`.
     ///
     /// # Errors
     ///
@@ -356,6 +406,10 @@ impl<O: Operands> Program<Inst<O>> {
             if let Some(src) = inst.invalid_src() {
                 let src = src.to_string();
                 return Err(ProgramError::BadSrc { at, src });
+            }
+            if let Some(dst) = inst.dst().filter(|&d| !O::is_valid_dst(d)) {
+                let dst = format!("{dst:?}");
+                return Err(ProgramError::BadDst { at, dst });
             }
             if let Some(target) = inst.target().filter(|&t| t >= n) {
                 return Err(ProgramError::BadTarget { at, target });

@@ -16,197 +16,53 @@
 //! three ISAs ([`ch_common::asm`]).
 
 use crate::hand::{Hand, MAX_DISTANCE};
-use crate::inst::{Clockhands, Inst, Src};
+use crate::inst::{Clockhands, Src};
 use crate::program::Program;
-use ch_common::asm::{self, Line, Mnemonic, Syntax, Targets};
+use ch_common::asm::{self, Line, Syntax};
+use std::fmt;
 
 pub use ch_common::error::AsmError;
 
-fn parse_src(line: &Line<'_>, tok: &str) -> Result<Src, AsmError> {
-    if tok == "zero" {
-        return Ok(Src::Zero);
-    }
-    let Some(hand) = tok.get(..1).and_then(Hand::parse) else {
-        return Err(line.error(format!("unknown source operand `{tok}`")));
-    };
-    let rest = tok[1..].trim();
-    if !rest.starts_with('[') || !rest.ends_with(']') {
-        return Err(line.error(format!("source `{tok}` must look like {hand}[k] or zero")));
-    }
-    let Ok(d) = rest[1..rest.len() - 1].parse::<u8>() else {
-        return Err(line.error(format!("bad distance in `{tok}`")));
-    };
-    // Reject unencodable distances here instead of at encode/run time:
-    // a hand reaches back at most `Hand::max_src_distance` values, and
-    // s[15] is the encoding reserved for the zero register (write `zero`
-    // instead).
-    if d > hand.max_src_distance() {
-        if hand == Hand::S && d == MAX_DISTANCE - 1 {
-            return Err(line.error(format!(
-                "`{tok}` is the reserved zero-register encoding; write `zero`"
-            )));
-        }
-        return Err(line.error(format!(
-            "distance {d} in `{tok}` out of range (max {})",
-            hand.max_src_distance()
-        )));
-    }
-    Ok(Src::Hand(hand, d))
-}
-
-fn parse_dst(line: &Line<'_>, tok: &str) -> Result<Hand, AsmError> {
-    Hand::parse(tok).ok_or_else(|| line.error(format!("unknown destination hand `{tok}`")))
-}
-
 /// Clockhands operands: hands as destinations, `hand[k]` as sources.
 impl Syntax for Clockhands {
-    type Inst = Inst;
-
-    fn parse(m: Mnemonic<'_>, line: &Line<'_>) -> Result<Inst, AsmError> {
-        let src = |tok: &str| parse_src(line, tok);
-        let dst = |tok: &str| parse_dst(line, tok);
-        Ok(match m {
-            Mnemonic::Alu(op) => {
-                let [d, a, b] = line.operands()?;
-                Inst::Alu {
-                    op,
-                    dst: dst(d)?,
-                    src1: src(a)?,
-                    src2: src(b)?,
-                }
+    fn parse_src(line: &Line<'_>, tok: &str) -> Result<Src, AsmError> {
+        if tok == "zero" {
+            return Ok(Src::Zero);
+        }
+        let Some(hand) = tok.get(..1).and_then(Hand::parse) else {
+            return Err(line.error(format!("unknown source operand `{tok}`")));
+        };
+        let rest = tok[1..].trim();
+        if !rest.starts_with('[') || !rest.ends_with(']') {
+            return Err(line.error(format!("source `{tok}` must look like {hand}[k] or zero")));
+        }
+        let Ok(d) = rest[1..rest.len() - 1].parse::<u8>() else {
+            return Err(line.error(format!("bad distance in `{tok}`")));
+        };
+        // Reject unencodable distances here instead of at encode/run time:
+        // a hand reaches back at most `Hand::max_src_distance` values, and
+        // s[15] is the encoding reserved for the zero register (write `zero`
+        // instead).
+        if d > hand.max_src_distance() {
+            if hand == Hand::S && d == MAX_DISTANCE - 1 {
+                return Err(line.error(format!(
+                    "`{tok}` is the reserved zero-register encoding; write `zero`"
+                )));
             }
-            Mnemonic::AluImm(op) => {
-                let [d, a, imm] = line.operands()?;
-                Inst::AluImm {
-                    op,
-                    dst: dst(d)?,
-                    src1: src(a)?,
-                    imm: line.imm(imm)?,
-                }
-            }
-            Mnemonic::Load(op) => {
-                let [d, mem] = line.operands()?;
-                let (offset, base) = line.mem(mem, src)?;
-                Inst::Load {
-                    op,
-                    dst: dst(d)?,
-                    base,
-                    offset,
-                }
-            }
-            Mnemonic::Store(op) => {
-                let [value, mem] = line.operands()?;
-                let (offset, base) = line.mem(mem, src)?;
-                Inst::Store {
-                    op,
-                    value: src(value)?,
-                    base,
-                    offset,
-                }
-            }
-            Mnemonic::Branch(cond) => {
-                let [a, b, target] = line.operands()?;
-                Inst::Branch {
-                    cond,
-                    src1: src(a)?,
-                    src2: src(b)?,
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("li") => {
-                let [d, imm] = line.operands()?;
-                Inst::Li {
-                    dst: dst(d)?,
-                    imm: line.imm(imm)?,
-                }
-            }
-            Mnemonic::Other("mv") => {
-                let [d, s] = line.operands()?;
-                Inst::Mv {
-                    dst: dst(d)?,
-                    src: src(s)?,
-                }
-            }
-            Mnemonic::Other("j") => {
-                let [target] = line.operands()?;
-                Inst::Jump {
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("call") => {
-                let [d, target] = line.operands()?;
-                Inst::Call {
-                    dst: dst(d)?,
-                    target: line.target(target)?,
-                }
-            }
-            Mnemonic::Other("jalr") => {
-                let [d, s] = line.operands()?;
-                Inst::CallReg {
-                    dst: dst(d)?,
-                    src: src(s)?,
-                    isa: (),
-                }
-            }
-            Mnemonic::Other("jr" | "ret") => {
-                let [s] = line.operands()?;
-                Inst::JumpReg { src: src(s)? }
-            }
-            Mnemonic::Other("nop") => {
-                let [] = line.operands()?;
-                Inst::Nop
-            }
-            Mnemonic::Other("halt") => {
-                let [s] = line.operands()?;
-                Inst::Halt { src: src(s)? }
-            }
-            _ => return line.unknown(),
-        })
+            return Err(line.error(format!(
+                "distance {d} in `{tok}` out of range (max {})",
+                hand.max_src_distance()
+            )));
+        }
+        Ok(Src::Hand(hand, d))
     }
 
-    fn format(inst: &Inst, targets: &Targets<'_>) -> String {
-        match *inst {
-            Inst::Alu {
-                op,
-                dst,
-                src1,
-                src2,
-            } => format!("{} {dst}, {src1}, {src2}", op.mnemonic()),
-            Inst::AluImm { op, dst, src1, imm } => {
-                format!("{} {dst}, {src1}, {imm}", Mnemonic::AluImm(op))
-            }
-            Inst::Li { dst, imm } => format!("li {dst}, {imm}"),
-            Inst::Load {
-                op,
-                dst,
-                base,
-                offset,
-            } => format!("{} {dst}, {offset}({base})", op.mnemonic()),
-            Inst::Store {
-                op,
-                value,
-                base,
-                offset,
-            } => format!("{} {value}, {offset}({base})", op.mnemonic()),
-            Inst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => format!(
-                "{} {src1}, {src2}, {}",
-                cond.mnemonic(),
-                targets.name(target)
-            ),
-            Inst::Jump { target } => format!("j {}", targets.name(target)),
-            Inst::Call { dst, target } => format!("call {dst}, {}", targets.name(target)),
-            Inst::CallReg { dst, src, .. } => format!("jalr {dst}, {src}"),
-            Inst::SpAddi { isa, .. } => match isa {},
-            Inst::JumpReg { src } => format!("jr {src}"),
-            Inst::Mv { dst, src } => format!("mv {dst}, {src}"),
-            Inst::Nop => "nop".to_string(),
-            Inst::Halt { src } => format!("halt {src}"),
-        }
+    fn parse_dst(line: &Line<'_>, tok: &str) -> Result<Hand, AsmError> {
+        Hand::parse(tok).ok_or_else(|| line.error(format!("unknown destination hand `{tok}`")))
+    }
+
+    fn fmt_dst(dst: Hand, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{dst}")
     }
 }
 
@@ -240,6 +96,7 @@ pub fn disassemble(prog: &Program) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::Inst;
 
     #[test]
     fn assembles_paper_iota() {

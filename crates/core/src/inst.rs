@@ -66,6 +66,7 @@ impl Operands for Clockhands {
     type CallReg = ();
     type SpAddi = Absent;
     type File = HandFile;
+    const CALL_REG: Option<()> = Some(());
 
     fn is_valid(src: Src) -> bool {
         src.is_encodable()

@@ -7,8 +7,8 @@
 
 use crate::bits::*;
 use crate::form::*;
-use crate::{DecodeError, EncodeError};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use crate::DecodeError;
+use ch_common::exec::{AluOp, LoadOp, StoreOp};
 use clockhands::hand::Hand;
 use clockhands::inst::{Clockhands, Inst, Src};
 use Field::*;
@@ -16,21 +16,17 @@ use Field::*;
 /// The `s[15]` encoding: the hardwired zero register.
 const SRC_ZERO: u32 = 0b11_1111;
 
-/// 6-bit source specifier: `hand << 4 | distance`, zero = `0b11_1111`.
-fn src6(s: Src, at: u32) -> Result<u32, EncodeError> {
+/// 6-bit source specifier of a valid source: `hand << 4 | distance`,
+/// zero = `0b11_1111`.
+fn src6(s: Src) -> u32 {
     match s {
-        Src::Zero => Ok(SRC_ZERO),
-        Src::Hand(h, d) => {
-            if d > h.max_src_distance() {
-                return Err(EncodeError::BadSrc { at });
-            }
-            Ok(((h.index() as u32) << 4) | d as u32)
-        }
+        Src::Zero => SRC_ZERO,
+        Src::Hand(h, d) => ((h.index() as u32) << 4) | d as u32,
     }
 }
 
 /// Inverse of [`src6`]. Every 6-bit pattern is meaningful (`s` at
-/// distance 15 *is* the zero register), so this cannot fail.
+/// distance 15 *is* the zero register).
 fn src_from6(v: u32) -> Src {
     if v == SRC_ZERO {
         Src::Zero
@@ -96,54 +92,24 @@ impl Codec for Ch {
     type Ops = Clockhands;
     const FORMS: &'static [Form] = FORMS;
 
-    fn full(i: &Inst, at: u32) -> Result<Ops, EncodeError> {
-        let src = |s| src6(s, at);
-        Ok(match *i {
-            Inst::Alu {
-                op,
-                dst,
-                src1,
-                src2,
-            } => alu32(op, &[dst2(dst), src(src1)?, src(src2)?]),
-            Inst::AluImm { op, dst, src1, imm } => {
-                alu_imm32(op, &[dst2(dst), src(src1)?], imm.into(), at)?
-            }
-            Inst::Li { dst, imm } => op32(OP_LI, &[dst2(dst)], imm),
-            Inst::Load {
-                op,
-                dst,
-                base,
-                offset,
-            } => op32(load_opcode(op), &[dst2(dst), src(base)?], offset.into()),
-            Inst::Store {
-                op,
-                value,
-                base,
-                offset,
-            } => op32(store_opcode(op), &[src(value)?, src(base)?], offset.into()),
-            Inst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => op32(
-                branch_opcode(cond),
-                &[src(src1)?, src(src2)?],
-                target.into(),
-            ),
-            Inst::Jump { target } => op32(OP_JUMP, &[], target.into()),
-            Inst::Call { dst, target } => op32(OP_CALL, &[dst2(dst)], target.into()),
-            Inst::JumpReg { src: s } => op32(OP_JUMPREG, &[src(s)?], 0),
-            Inst::CallReg { dst, src: s, .. } => op32(OP_CALLREG, &[dst2(dst), src(s)?], 0),
-            Inst::Mv { dst, src: s } => op32(OP_MV, &[dst2(dst), src(s)?], 0),
-            Inst::Nop => op32(OP_NOP, &[], 0),
-            Inst::Halt { src: s } => op32(OP_HALT, &[src(s)?], 0),
-            Inst::SpAddi { isa, .. } => match isa {},
-        })
+    fn dst(h: Hand) -> u32 {
+        dst2(h)
     }
 
-    fn compact(i: &Inst) -> Option<Ops> {
-        let src = |s| src6(s, 0).ok();
+    fn dst_from(v: u32) -> Hand {
+        dst_from2(v)
+    }
+
+    fn src(s: Src) -> u32 {
+        src6(s)
+    }
+
+    fn src_from(v: u32) -> Option<Src> {
+        Some(src_from6(v))
+    }
+
+    /// The forms with 4-bit sources.
+    fn compact_own(i: &Inst) -> Option<Ops> {
         Some(match *i {
             Inst::Alu {
                 op,
@@ -151,8 +117,6 @@ impl Codec for Ch {
                 src1,
                 src2,
             } => calu16(op, &[dst2(dst), src4(src1)?, src4(src2)?])?,
-            Inst::Mv { dst, src: s } => op16(Q1, C_MV, &[dst2(dst), src(s)?], 0),
-            Inst::Li { dst, imm } => op16(Q1, C_LI, &[dst2(dst)], imm),
             Inst::AluImm {
                 op: AluOp::Add,
                 dst,
@@ -177,70 +141,14 @@ impl Codec for Ch {
                 src2: Src::Zero,
                 target,
             } => op16(Q1, cbranch_funct(cond)?, &[src4(src1)?], target.into()),
-            Inst::Jump { target } => op16(Q1, C_J, &[], target.into()),
-            Inst::Nop => op16(Q2, C_NOP, &[], 0),
-            Inst::Halt { src: s } => op16(Q2, C_HALT, &[src(s)?], 0),
-            Inst::JumpReg { src: s } => op16(Q2, C_JR, &[src(s)?], 0),
             _ => return None,
         })
     }
 
-    fn inst(o: &Ops, at: usize, word: u32) -> Result<Inst, DecodeError> {
+    fn inst_own(o: &Ops, at: usize, word: u32) -> Result<Inst, DecodeError> {
         let [a, b, c] = o.spec;
         let imm = || imm32(o.imm, at, word);
-        let target = o.imm as u32;
         Ok(match o.tag {
-            (W32, OP_ALU) => Inst::Alu {
-                op: alu_from_funct(o.funct, at, word)?,
-                dst: dst_from2(a),
-                src1: src_from6(b),
-                src2: src_from6(c),
-            },
-            (W32, OP_ALUIMM | OP_ADDI..=OP_XORI) => Inst::AluImm {
-                op: alu_imm_op(o, at, word)?,
-                dst: dst_from2(a),
-                src1: src_from6(b),
-                imm: imm()?,
-            },
-            (W32, OP_LI) | (Q1, C_LI) => Inst::Li {
-                dst: dst_from2(a),
-                imm: o.imm,
-            },
-            (W32, op @ OP_LB..=OP_LWU) => Inst::Load {
-                op: LoadOp::ALL[(op - OP_LB) as usize],
-                dst: dst_from2(a),
-                base: src_from6(b),
-                offset: imm()?,
-            },
-            (W32, op @ OP_SB..=OP_SD) => Inst::Store {
-                op: StoreOp::ALL[(op - OP_SB) as usize],
-                value: src_from6(a),
-                base: src_from6(b),
-                offset: imm()?,
-            },
-            (W32, op @ OP_BEQ..=OP_BGEU) => Inst::Branch {
-                cond: BrCond::ALL[(op - OP_BEQ) as usize],
-                src1: src_from6(a),
-                src2: src_from6(b),
-                target,
-            },
-            (W32, OP_JUMP) | (Q1, C_J) => Inst::Jump { target },
-            (W32, OP_CALL) => Inst::Call {
-                dst: dst_from2(a),
-                target,
-            },
-            (W32, OP_JUMPREG) | (Q2, C_JR) => Inst::JumpReg { src: src_from6(a) },
-            (W32, OP_CALLREG) => Inst::CallReg {
-                dst: dst_from2(a),
-                src: src_from6(b),
-                isa: (),
-            },
-            (W32, OP_MV) | (Q1, C_MV) => Inst::Mv {
-                dst: dst_from2(a),
-                src: src_from6(b),
-            },
-            (W32, OP_NOP) | (Q2, C_NOP) => Inst::Nop,
-            (W32, OP_HALT) | (Q2, C_HALT) => Inst::Halt { src: src_from6(a) },
             (Q0, f) => Inst::Alu {
                 op: CALU_FUNCT[f as usize],
                 dst: dst_from2(a),
@@ -269,7 +177,7 @@ impl Codec for Ch {
                 cond: CBRANCH[(c - C_BEQZ) as usize],
                 src1: src_from4(a),
                 src2: Src::Zero,
-                target,
+                target: o.imm as u32,
             },
             _ => unreachable!("tag without a form row"),
         })
@@ -279,6 +187,8 @@ impl Codec for Ch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EncodeError;
+    use ch_common::exec::BrCond;
     use ch_common::EncodingVariant;
 
     fn sample() -> Vec<Inst> {
@@ -391,12 +301,15 @@ mod tests {
 
     #[test]
     fn zero_register_is_s15() {
-        assert_eq!(src6(Src::Zero, 0).unwrap(), 0b11_1111);
+        assert_eq!(src6(Src::Zero), 0b11_1111);
         assert_eq!(src_from6(0b11_1111), Src::Zero);
         // s[14] is the deepest reachable s encoding.
         assert_eq!(src_from6(0b11_1110), Src::Hand(Hand::S, 14),);
+        let halt = Inst::Halt {
+            src: Src::Hand(Hand::S, 15),
+        };
         assert!(matches!(
-            src6(Src::Hand(Hand::S, 15), 7),
+            Ch::full(&halt, 7),
             Err(EncodeError::BadSrc { at: 7 })
         ));
     }

@@ -146,8 +146,9 @@ impl EncodedProgram {
 /// An instruction stream that cannot be expressed in the binary format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeError {
-    /// A source specifier is outside the format's range (e.g. a
-    /// register number ≥ 64, or a hand distance past the ring depth).
+    /// An operand the ISA does not have ([`ch_common::isa::Operands`]'
+    /// range rule: e.g. a register number ≥ 64, or a hand distance past
+    /// the ring depth), as a source or a destination.
     BadSrc {
         /// Index of the offending instruction.
         at: u32,

@@ -6,17 +6,10 @@
 
 use crate::bits::*;
 use crate::form::*;
-use crate::{DecodeError, EncodeError};
+use crate::DecodeError;
 use ch_baselines::riscv::{Reg, Riscv, RvInst};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use ch_common::exec::{AluOp, LoadOp, StoreOp};
 use Field::*;
-
-fn reg6(r: Reg, at: u32) -> Result<u32, EncodeError> {
-    if r.0 >= 64 {
-        return Err(EncodeError::BadSrc { at });
-    }
-    Ok(r.0 as u32)
-}
 
 /// 5-bit compact register: only x0–x31 are reachable.
 fn reg5(r: Reg) -> Option<u32> {
@@ -60,54 +53,25 @@ impl Codec for Rv {
     type Ops = Riscv;
     const FORMS: &'static [Form] = FORMS;
 
-    fn full(i: &RvInst, at: u32) -> Result<Ops, EncodeError> {
-        let r = |x| reg6(x, at);
-        Ok(match *i {
-            RvInst::Alu {
-                op,
-                dst: rd,
-                src1: rs1,
-                src2: rs2,
-            } => alu32(op, &[r(rd)?, r(rs1)?, r(rs2)?]),
-            RvInst::AluImm {
-                op,
-                dst: rd,
-                src1: rs1,
-                imm,
-            } => alu_imm32(op, &[r(rd)?, r(rs1)?], imm.into(), at)?,
-            RvInst::Li { dst: rd, imm } => op32(OP_LI, &[r(rd)?], imm),
-            RvInst::Load {
-                op,
-                dst: rd,
-                base,
-                offset,
-            } => op32(load_opcode(op), &[r(rd)?, r(base)?], offset.into()),
-            RvInst::Store {
-                op,
-                value: rs,
-                base,
-                offset,
-            } => op32(store_opcode(op), &[r(rs)?, r(base)?], offset.into()),
-            RvInst::Branch {
-                cond,
-                src1: rs1,
-                src2: rs2,
-                target,
-            } => op32(branch_opcode(cond), &[r(rs1)?, r(rs2)?], target.into()),
-            RvInst::Jump { target } => op32(OP_JUMP, &[], target.into()),
-            RvInst::Call { dst: rd, target } => op32(OP_CALL, &[r(rd)?], target.into()),
-            RvInst::JumpReg { src: rs } => op32(OP_JUMPREG, &[r(rs)?], 0),
-            RvInst::CallReg {
-                dst: rd, src: rs, ..
-            } => op32(OP_CALLREG, &[r(rd)?, r(rs)?], 0),
-            RvInst::Mv { dst: rd, src: rs } => op32(OP_MV, &[r(rd)?, r(rs)?], 0),
-            RvInst::Nop => op32(OP_NOP, &[], 0),
-            RvInst::Halt { src: rs } => op32(OP_HALT, &[r(rs)?], 0),
-            RvInst::SpAddi { isa, .. } => match isa {},
-        })
+    fn dst(rd: Reg) -> u32 {
+        rd.0 as u32
     }
 
-    fn compact(i: &RvInst) -> Option<Ops> {
+    fn dst_from(v: u32) -> Reg {
+        Reg(v as u8)
+    }
+
+    fn src(r: Reg) -> u32 {
+        r.0 as u32
+    }
+
+    fn src_from(v: u32) -> Option<Reg> {
+        Some(Reg(v as u8))
+    }
+
+    /// The destructive two-address ALU and `addi` forms, and the memory
+    /// and branch forms, all limited to x0–x31.
+    fn compact_own(i: &RvInst) -> Option<Ops> {
         Some(match *i {
             RvInst::Alu {
                 op,
@@ -115,8 +79,6 @@ impl Codec for Rv {
                 src1: rs1,
                 src2: rs2,
             } if rd == rs1 => calu16(op, &[reg5(rd)?, reg5(rs2)?])?,
-            RvInst::Mv { dst: rd, src: rs } => op16(Q1, C_MV, &[reg5(rd)?, reg5(rs)?], 0),
-            RvInst::Li { dst: rd, imm } => op16(Q1, C_LI, &[reg5(rd)?], imm),
             RvInst::AluImm {
                 op: AluOp::Add,
                 dst: rd,
@@ -141,61 +103,14 @@ impl Codec for Rv {
                 src2: Reg(0),
                 target,
             } => op16(Q1, cbranch_funct(cond)?, &[reg5(rs1)?], target.into()),
-            RvInst::Jump { target } => op16(Q1, C_J, &[], target.into()),
-            RvInst::Nop => op16(Q2, C_NOP, &[], 0),
-            RvInst::Halt { src: rs } => op16(Q2, C_HALT, &[reg5(rs)?], 0),
-            RvInst::JumpReg { src: rs } => op16(Q2, C_JR, &[reg5(rs)?], 0),
             _ => return None,
         })
     }
 
-    fn inst(o: &Ops, at: usize, word: u32) -> Result<RvInst, DecodeError> {
-        let [a, b, c] = o.spec.map(|v| Reg(v as u8));
+    fn inst_own(o: &Ops, at: usize, word: u32) -> Result<RvInst, DecodeError> {
+        let [a, b, _] = o.spec.map(|v| Reg(v as u8));
         let imm = || imm32(o.imm, at, word);
-        let target = o.imm as u32;
         Ok(match o.tag {
-            (W32, OP_ALU) => RvInst::Alu {
-                op: alu_from_funct(o.funct, at, word)?,
-                dst: a,
-                src1: b,
-                src2: c,
-            },
-            (W32, OP_ALUIMM | OP_ADDI..=OP_XORI) => RvInst::AluImm {
-                op: alu_imm_op(o, at, word)?,
-                dst: a,
-                src1: b,
-                imm: imm()?,
-            },
-            (W32, OP_LI) | (Q1, C_LI) => RvInst::Li { dst: a, imm: o.imm },
-            (W32, op @ OP_LB..=OP_LWU) => RvInst::Load {
-                op: LoadOp::ALL[(op - OP_LB) as usize],
-                dst: a,
-                base: b,
-                offset: imm()?,
-            },
-            (W32, op @ OP_SB..=OP_SD) => RvInst::Store {
-                op: StoreOp::ALL[(op - OP_SB) as usize],
-                value: a,
-                base: b,
-                offset: imm()?,
-            },
-            (W32, op @ OP_BEQ..=OP_BGEU) => RvInst::Branch {
-                cond: BrCond::ALL[(op - OP_BEQ) as usize],
-                src1: a,
-                src2: b,
-                target,
-            },
-            (W32, OP_JUMP) | (Q1, C_J) => RvInst::Jump { target },
-            (W32, OP_CALL) => RvInst::Call { dst: a, target },
-            (W32, OP_JUMPREG) | (Q2, C_JR) => RvInst::JumpReg { src: a },
-            (W32, OP_CALLREG) => RvInst::CallReg {
-                dst: a,
-                src: b,
-                isa: (),
-            },
-            (W32, OP_MV) | (Q1, C_MV) => RvInst::Mv { dst: a, src: b },
-            (W32, OP_NOP) | (Q2, C_NOP) => RvInst::Nop,
-            (W32, OP_HALT) | (Q2, C_HALT) => RvInst::Halt { src: a },
             (Q0, f) => RvInst::Alu {
                 op: CALU_FUNCT[f as usize],
                 dst: a,
@@ -224,7 +139,7 @@ impl Codec for Rv {
                 cond: CBRANCH[(c - C_BEQZ) as usize],
                 src1: a,
                 src2: Reg(0),
-                target,
+                target: o.imm as u32,
             },
             _ => unreachable!("tag without a form row"),
         })
@@ -234,6 +149,8 @@ impl Codec for Rv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EncodeError;
+    use ch_common::exec::BrCond;
     use ch_common::EncodingVariant;
 
     fn sample() -> Vec<RvInst> {

@@ -7,33 +7,29 @@
 
 use crate::bits::*;
 use crate::form::*;
-use crate::{DecodeError, EncodeError};
+use crate::DecodeError;
 use ch_baselines::straight::{StInst, StSrc, Straight};
-use ch_common::exec::{AluOp, BrCond, LoadOp, StoreOp};
+use ch_common::exec::{AluOp, LoadOp, StoreOp};
 use Field::*;
 
 /// 8-bit source: 0 = zero, 1–127 = distance, 128 = stack pointer.
 const SRC8_SP: u32 = 128;
 
-fn src8(s: StSrc, at: u32) -> Result<u32, EncodeError> {
+/// The 8-bit code of a valid source.
+fn src8(s: StSrc) -> u32 {
     match s {
-        StSrc::Zero => Ok(0),
-        StSrc::Sp => Ok(SRC8_SP),
-        StSrc::Dist(d) => {
-            if d == 0 || d > 127 {
-                return Err(EncodeError::BadSrc { at });
-            }
-            Ok(d as u32)
-        }
+        StSrc::Zero => 0,
+        StSrc::Sp => SRC8_SP,
+        StSrc::Dist(d) => d as u32,
     }
 }
 
-fn src_from8(v: u32, at: usize, word: u32) -> Result<StSrc, DecodeError> {
+fn src_from8(v: u32) -> Option<StSrc> {
     match v {
-        0 => Ok(StSrc::Zero),
-        1..=127 => Ok(StSrc::Dist(v as u8)),
-        SRC8_SP => Ok(StSrc::Sp),
-        _ => Err(DecodeError::BadSrc { at, word }),
+        0 => Some(StSrc::Zero),
+        1..=127 => Some(StSrc::Dist(v as u8)),
+        SRC8_SP => Some(StSrc::Sp),
+        _ => None,
     }
 }
 
@@ -92,48 +88,29 @@ impl Codec for St {
     type Ops = Straight;
     const FORMS: &'static [Form] = FORMS;
 
-    fn full(i: &StInst, at: u32) -> Result<Ops, EncodeError> {
-        let src = |s| src8(s, at);
-        Ok(match *i {
-            StInst::Alu { op, src1, src2, .. } => alu32(op, &[src(src1)?, src(src2)?]),
-            StInst::AluImm { op, src1, imm, .. } => alu_imm32(op, &[src(src1)?], imm.into(), at)?,
-            StInst::Li { imm, .. } => op32(OP_LI, &[], imm),
-            StInst::Load {
-                op, base, offset, ..
-            } => op32(load_opcode(op), &[src(base)?], offset.into()),
-            StInst::Store {
-                value,
-                base,
-                offset,
-                op,
-            } => op32(store_opcode(op), &[src(value)?, src(base)?], offset.into()),
-            StInst::Branch {
-                cond,
-                src1,
-                src2,
-                target,
-            } => op32(
-                branch_opcode(cond),
-                &[src(src1)?, src(src2)?],
-                target.into(),
-            ),
-            StInst::Jump { target } => op32(OP_JUMP, &[], target.into()),
-            StInst::Call { target, .. } => op32(OP_CALL, &[], target.into()),
-            StInst::JumpReg { src: s } => op32(OP_JUMPREG, &[src(s)?], 0),
-            StInst::SpAddi { imm, .. } => op32(OP_SPADDI, &[], imm.into()),
-            StInst::Mv { src: s, .. } => op32(OP_MV, &[src(s)?], 0),
-            StInst::Nop => op32(OP_NOP, &[], 0),
-            StInst::Halt { src: s } => op32(OP_HALT, &[src(s)?], 0),
-            StInst::CallReg { isa, .. } => match isa {},
-        })
+    /// Never asked: STRAIGHT destinations are implicit.
+    fn dst((): ()) -> u32 {
+        unreachable!("STRAIGHT has no destination field")
     }
 
-    fn compact(i: &StInst) -> Option<Ops> {
-        let src = |s| src8(s, 0).ok();
+    /// Never asked: STRAIGHT destinations are implicit.
+    fn dst_from(_code: u32) {
+        unreachable!("STRAIGHT has no destination field")
+    }
+
+    fn src(s: StSrc) -> u32 {
+        src8(s)
+    }
+
+    fn src_from(v: u32) -> Option<StSrc> {
+        src_from8(v)
+    }
+
+    /// The forms with 5-bit sources; the compact store has no offset
+    /// field.
+    fn compact_own(i: &StInst) -> Option<Ops> {
         Some(match *i {
             StInst::Alu { op, src1, src2, .. } => calu16(op, &[src5(src1)?, src5(src2)?])?,
-            StInst::Mv { src: s, .. } => op16(Q1, C_MV, &[src(s)?], 0),
-            StInst::Li { imm, .. } => op16(Q1, C_LI, &[], imm),
             StInst::AluImm {
                 op: AluOp::Add,
                 src1,
@@ -146,7 +123,6 @@ impl Codec for St {
                 offset,
                 ..
             } => op16(Q1, C_LD, &[src5(base)?], offset.into()),
-            // The compact store has no offset field.
             StInst::Store {
                 value,
                 base,
@@ -159,68 +135,14 @@ impl Codec for St {
                 src2: StSrc::Zero,
                 target,
             } => op16(Q1, cbranch_funct(cond)?, &[src5(src1)?], target.into()),
-            StInst::Jump { target } => op16(Q1, C_J, &[], target.into()),
-            StInst::Nop => op16(Q2, C_NOP, &[], 0),
-            StInst::Halt { src: s } => op16(Q2, C_HALT, &[src(s)?], 0),
-            StInst::JumpReg { src: s } => op16(Q2, C_JR, &[src(s)?], 0),
-            StInst::SpAddi { imm, .. } => op16(Q2, C_SPADDI, &[], imm.into()),
             _ => return None,
         })
     }
 
-    fn inst(o: &Ops, at: usize, word: u32) -> Result<StInst, DecodeError> {
+    fn inst_own(o: &Ops, at: usize, word: u32) -> Result<StInst, DecodeError> {
         let [a, b, _] = o.spec;
-        let src = |v| src_from8(v, at, word);
         let imm = || imm32(o.imm, at, word);
-        let target = o.imm as u32;
         Ok(match o.tag {
-            (W32, OP_ALU) => StInst::Alu {
-                dst: (),
-                op: alu_from_funct(o.funct, at, word)?,
-                src1: src(a)?,
-                src2: src(b)?,
-            },
-            (W32, OP_ALUIMM | OP_ADDI..=OP_XORI) => StInst::AluImm {
-                dst: (),
-                op: alu_imm_op(o, at, word)?,
-                src1: src(a)?,
-                imm: imm()?,
-            },
-            (W32, OP_LI) | (Q1, C_LI) => StInst::Li {
-                dst: (),
-                imm: o.imm,
-            },
-            (W32, op @ OP_LB..=OP_LWU) => StInst::Load {
-                dst: (),
-                op: LoadOp::ALL[(op - OP_LB) as usize],
-                base: src(a)?,
-                offset: imm()?,
-            },
-            (W32, op @ OP_SB..=OP_SD) => StInst::Store {
-                value: src(a)?,
-                base: src(b)?,
-                offset: imm()?,
-                op: StoreOp::ALL[(op - OP_SB) as usize],
-            },
-            (W32, op @ OP_BEQ..=OP_BGEU) => StInst::Branch {
-                cond: BrCond::ALL[(op - OP_BEQ) as usize],
-                src1: src(a)?,
-                src2: src(b)?,
-                target,
-            },
-            (W32, OP_JUMP) | (Q1, C_J) => StInst::Jump { target },
-            (W32, OP_CALL) => StInst::Call { dst: (), target },
-            (W32, OP_JUMPREG) | (Q2, C_JR) => StInst::JumpReg { src: src(a)? },
-            (W32, OP_SPADDI) | (Q2, C_SPADDI) => StInst::SpAddi {
-                imm: imm()?,
-                isa: (),
-            },
-            (W32, OP_MV) | (Q1, C_MV) => StInst::Mv {
-                dst: (),
-                src: src(a)?,
-            },
-            (W32, OP_NOP) | (Q2, C_NOP) => StInst::Nop,
-            (W32, OP_HALT) | (Q2, C_HALT) => StInst::Halt { src: src(a)? },
             (Q0, f) => StInst::Alu {
                 dst: (),
                 op: CALU_FUNCT[f as usize],
@@ -249,7 +171,7 @@ impl Codec for St {
                 cond: CBRANCH[(c - C_BEQZ) as usize],
                 src1: src_from5(a),
                 src2: StSrc::Zero,
-                target,
+                target: o.imm as u32,
             },
             _ => unreachable!("tag without a form row"),
         })
@@ -259,6 +181,7 @@ impl Codec for St {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ch_common::exec::BrCond;
     use ch_common::EncodingVariant;
 
     fn sample() -> Vec<StInst> {

@@ -17,16 +17,12 @@
 //! to save it (E-CSREAD). `t`/`u` entry slots hold caller leftovers
 //! with no defined meaning, so reading them is an error (E-CLOBBER).
 
-use crate::cfg::{build_funcs, Flow, Func};
-use crate::check::{
-    addi_result, check_read, load_result, mark_av, store_effect, EntryKind, Options, UseCx,
-};
-use crate::domain::{join_frames, Av, Frame, Kind, Marks, ENTRY_SITE};
-use crate::engine::{fixpoint, AbsState, Sink};
-use crate::{lint_function, lint_unreachable, FnSummary, LintClass, Report};
-use ch_common::exec::AluOp;
+use crate::check::{EntryKind, Frontend, Options, State};
+use crate::domain::{Av, Kind, Marks, ENTRY_SITE};
+use crate::engine::Sink;
+use crate::Report;
 use clockhands::hand::{Hand, MAX_DISTANCE, NUM_HANDS};
-use clockhands::inst::{Inst, Src};
+use clockhands::inst::{Clockhands, Inst, Src};
 use clockhands::program::Program;
 
 const DEPTH: usize = MAX_DISTANCE as usize;
@@ -34,145 +30,17 @@ const DEPTH: usize = MAX_DISTANCE as usize;
 /// exactly `v[0..8)` around any function that writes `v`.
 const V_SAVED: usize = 8;
 
-/// Entry token for `hand[d]` at function entry.
+/// Entry token for `hand[d]` at function entry; also its slot in the
+/// state, where each hand's window (index 0 = most recent write) takes
+/// `DEPTH` slots.
 fn tok(hand: Hand, d: usize) -> u16 {
     (hand.index() * DEPTH + d) as u16
 }
 
-fn describe(t: u16) -> String {
-    let hand = Hand::from_index(t as usize / DEPTH);
-    format!("entry {}[{}]", hand, t as usize % DEPTH)
-}
-
-fn entry_kind(t: u16) -> EntryKind {
-    let (h, d) = (t as usize / DEPTH, t as usize % DEPTH);
-    if h == Hand::V.index() && d < V_SAVED {
-        EntryKind::CalleeSaved
-    } else if h == Hand::S.index() && d == 0 {
-        EntryKind::RetAddr
-    } else {
-        EntryKind::Plain
-    }
-}
-
-/// Per-hand write windows (index 0 = most recent write) plus the frame.
-#[derive(Clone)]
-struct ChState {
-    hands: [Vec<Av>; NUM_HANDS],
-    frame: Frame,
-}
-
-impl ChState {
-    fn write(&mut self, hand: Hand, av: Av) {
-        let ring = &mut self.hands[hand.index()];
-        ring.insert(0, av);
-        ring.truncate(DEPTH);
-    }
-
-    fn mark_all(&self, marks: &mut Marks) {
-        for ring in &self.hands {
-            for av in ring {
-                mark_av(av, marks);
-            }
-        }
-        for av in self.frame.values() {
-            mark_av(av, marks);
-        }
-    }
-
-    /// State at the entry of a called function.
-    fn convention_entry() -> ChState {
-        let mut hands: [Vec<Av>; NUM_HANDS] =
-            std::array::from_fn(|_| vec![Av::opaque(ENTRY_SITE); DEPTH]);
-        for (d, slot) in hands[Hand::V.index()].iter_mut().enumerate().take(V_SAVED) {
-            *slot = Av::entry(tok(Hand::V, d));
-        }
-        // s[0] is the return address; deeper s slots are the caller's
-        // arguments and stack pointer (the deepest encodable, s[14], is
-        // still caller-meaningful; s[15] is unreachable anyway).
-        let s = &mut hands[Hand::S.index()];
-        s[0] = Av {
-            kind: Kind::RetAddr,
-            ..Av::entry(tok(Hand::S, 0))
-        };
-        for (d, slot) in s.iter_mut().enumerate().take(DEPTH - 1).skip(1) {
-            *slot = Av::entry(tok(Hand::S, d));
-        }
-        ChState {
-            hands,
-            frame: Frame::new(),
-        }
-    }
-
-    /// State at machine reset: everything unwritten except the reset
-    /// stack pointer in `s[0]`.
-    fn machine_entry() -> ChState {
-        let mut hands: [Vec<Av>; NUM_HANDS] = std::array::from_fn(|_| vec![Av::uninit(); DEPTH]);
-        hands[Hand::S.index()][0] = Av::reset();
-        ChState {
-            hands,
-            frame: Frame::new(),
-        }
-    }
-}
-
-impl AbsState for ChState {
-    fn join_with(&mut self, other: &Self, marks: &mut Marks) -> bool {
-        let mut changed = false;
-        for (ring, oring) in self.hands.iter_mut().zip(&other.hands) {
-            for (av, oav) in ring.iter_mut().zip(oring) {
-                changed |= av.join_with(oav, marks);
-            }
-        }
-        changed |= join_frames(&mut self.frame, &other.frame, marks);
-        changed
-    }
-}
-
-fn flow_of(inst: &Inst) -> Flow {
-    match *inst {
-        Inst::Branch { target, .. } => Flow::Branch(target),
-        Inst::Jump { target } => Flow::Jump(target),
-        Inst::Call { target, .. } => Flow::Call(target),
-        Inst::CallReg { .. } => Flow::CallInd,
-        Inst::JumpReg { .. } => Flow::Ret,
-        Inst::Halt { .. } => Flow::Halt,
-        _ => Flow::Fall,
-    }
-}
-
-/// Resolves one source operand, checking the read.
-#[allow(clippy::too_many_arguments)]
-fn read_src(
-    st: &ChState,
-    src: Src,
-    i: u32,
-    cx: UseCx,
-    opts: &Options,
-    sink: &mut Sink,
-    marks: &mut Marks,
-) -> Av {
-    match src {
-        Src::Zero => Av::zero(),
-        Src::Hand(h, d) => {
-            if !src.is_encodable() {
-                sink.error(
-                    "E-DIST",
-                    Some(i),
-                    Some(src.to_string()),
-                    format!(
-                        "distance {d} is not encodable on hand {h} (max {})",
-                        h.max_src_distance()
-                    ),
-                );
-                return Av::inst(i);
-            }
-            let av = st.hands[h.index()][d as usize];
-            mark_av(&av, marks);
-            check_read(&av, i, &src, cx, opts, sink, &entry_kind, &describe);
-            av
-        }
-    }
+/// The slots of `hand`'s write window.
+fn window(st: &mut State, hand: Hand) -> &mut [Av] {
+    let start = hand.index() * DEPTH;
+    &mut st.slots[start..start + DEPTH]
 }
 
 /// Number of `mv`s into `s` immediately preceding `i` within the block:
@@ -191,203 +59,134 @@ fn args_pushed(prog: &Program, block_start: u32, i: u32) -> usize {
     n.min(DEPTH - 1)
 }
 
-/// Effect of a call at `i`: the callee may write anything to `t`/`u`
-/// and deep `s`, preserves `v[0..8)` by convention, and returns with
-/// `s[0]` = the caller's stack pointer and `s[1]` = the return value.
-fn apply_call(st: &mut ChState, prog: &Program, block_start: u32, i: u32, marks: &mut Marks) {
-    // Everything live escapes into the callee (it can be reached via
-    // the s hand or memory), so all current writers count as used.
-    st.mark_all(marks);
-    let nargs = args_pushed(prog, block_start, i);
-    let sp = st.hands[Hand::S.index()][nargs];
-    st.hands[Hand::T.index()] = vec![Av::opaque(i); DEPTH];
-    st.hands[Hand::U.index()] = vec![Av::opaque(i); DEPTH];
-    let mut s = vec![Av::opaque(i); DEPTH];
-    s[0] = sp;
-    s[1] = Av::retval(i);
-    st.hands[Hand::S.index()] = s;
-    // v[0..8) survives by the callee-saved convention; deeper v slots
-    // were already caller-owned junk. The frame survives: the callee
-    // operates below our stack pointer.
-}
+impl Frontend for Clockhands {
+    const ISA: &'static str = "clockhands";
 
-#[allow(clippy::too_many_arguments)]
-fn transfer(
-    prog: &Program,
-    func: &Func,
-    b: usize,
-    mut st: ChState,
-    marks: &mut Marks,
-    sink: &mut Sink,
-    opts: &Options,
-) -> Option<ChState> {
-    let block = &func.blocks[b];
-    for i in block.start..block.end {
-        let inst = &prog.insts[i as usize];
-        match *inst {
-            Inst::Alu {
-                dst, src1, src2, ..
-            } => {
-                read_src(&st, src1, i, UseCx::Alu, opts, sink, marks);
-                read_src(&st, src2, i, UseCx::Alu, opts, sink, marks);
-                st.write(dst, Av::inst(i));
-            }
-            Inst::AluImm { op, dst, src1, imm } => {
-                let a = read_src(&st, src1, i, UseCx::Alu, opts, sink, marks);
-                let r = if op == AluOp::Add {
-                    addi_result(i, &a, imm as i64)
-                } else {
-                    Av::inst(i)
-                };
-                st.write(dst, r);
-            }
-            Inst::Li { dst, imm } => st.write(dst, Av::cst(i, imm)),
-            Inst::Load {
-                dst, base, offset, ..
-            } => {
-                let ba = read_src(&st, base, i, UseCx::Base, opts, sink, marks);
-                let v = load_result(i, &st.frame, &ba, offset, marks);
-                st.write(dst, v);
-            }
-            Inst::Store {
-                value,
-                base,
-                offset,
-                ..
-            } => {
-                let va = read_src(&st, value, i, UseCx::StoreValue, opts, sink, marks);
-                let ba = read_src(&st, base, i, UseCx::Base, opts, sink, marks);
-                store_effect(&mut st.frame, &ba, offset, va);
-            }
-            Inst::Branch { src1, src2, .. } => {
-                read_src(&st, src1, i, UseCx::Branch, opts, sink, marks);
-                read_src(&st, src2, i, UseCx::Branch, opts, sink, marks);
-            }
-            Inst::Jump { .. } | Inst::Nop => {}
-            Inst::Call { .. } => {
-                apply_call(&mut st, prog, block.start, i, marks);
-            }
-            Inst::CallReg { src, .. } => {
-                read_src(&st, src, i, UseCx::CallTarget, opts, sink, marks);
-                apply_call(&mut st, prog, block.start, i, marks);
-            }
-            Inst::Mv { dst, src } => {
-                let a = read_src(&st, src, i, UseCx::Mv, opts, sink, marks);
-                st.write(dst, a.relayed_by(i));
-            }
-            Inst::JumpReg { src } => {
-                read_src(&st, src, i, UseCx::JrTarget, opts, sink, marks);
-                if opts.conventions && !func.is_machine_entry {
-                    check_return_conventions(&st, i, sink);
-                }
-                st.mark_all(marks);
-                return None;
-            }
-            Inst::Halt { src } => {
-                read_src(&st, src, i, UseCx::Halt, opts, sink, marks);
-                st.mark_all(marks);
-                return None;
-            }
-            Inst::SpAddi { isa, .. } => match isa {},
+    /// Everything unwritten except the reset stack pointer in `s[0]`.
+    fn machine_entry() -> State {
+        let mut slots = vec![Av::uninit(); NUM_HANDS * DEPTH];
+        slots[tok(Hand::S, 0) as usize] = Av::reset();
+        State::new(slots)
+    }
+
+    fn convention_entry() -> State {
+        let mut st = State::new(vec![Av::opaque(ENTRY_SITE); NUM_HANDS * DEPTH]);
+        for (d, slot) in window(&mut st, Hand::V)
+            .iter_mut()
+            .enumerate()
+            .take(V_SAVED)
+        {
+            *slot = Av::entry(tok(Hand::V, d));
+        }
+        // s[0] is the return address; deeper s slots are the caller's
+        // arguments and stack pointer (the deepest encodable, s[14], is
+        // still caller-meaningful; s[15] is unreachable anyway).
+        let s = window(&mut st, Hand::S);
+        s[0] = Av {
+            kind: Kind::RetAddr,
+            ..Av::entry(tok(Hand::S, 0))
+        };
+        for (d, slot) in s.iter_mut().enumerate().take(DEPTH - 1).skip(1) {
+            *slot = Av::entry(tok(Hand::S, d));
+        }
+        st
+    }
+
+    fn slot(src: Src) -> Option<usize> {
+        match src {
+            Src::Hand(h, d) => Some(tok(h, d as usize) as usize),
+            Src::Zero => None,
         }
     }
-    Some(st)
-}
 
-/// At a return: `s[0]` must again be the caller's stack pointer, and
-/// each callee-saved `v[j]` must hold its entry value.
-fn check_return_conventions(st: &ChState, i: u32, sink: &mut Sink) {
-    let s0 = &st.hands[Hand::S.index()][0];
-    let sp_ok = s0.origins.is_top() || (0..DEPTH).any(|d| s0.is_entry_value(tok(Hand::S, d)));
-    if !sp_ok {
-        sink.error(
-            "E-SP",
-            Some(i),
-            Some("s[0]".to_string()),
-            "returns without the caller's stack pointer in s[0] \
-             (stack not rebalanced)"
-                .to_string(),
-        );
+    fn range_error(src: Src) -> String {
+        let Src::Hand(h, d) = src else {
+            unreachable!("zero is always valid")
+        };
+        format!(
+            "distance {d} is not encodable on hand {h} (max {})",
+            h.max_src_distance()
+        )
     }
-    for j in 0..V_SAVED {
-        let av = &st.hands[Hand::V.index()][j];
-        if !av.origins.is_top() && !av.is_entry_value(tok(Hand::V, j)) {
+
+    fn entry_kind(t: u16) -> EntryKind {
+        let (h, d) = (t as usize / DEPTH, t as usize % DEPTH);
+        if h == Hand::V.index() && d < V_SAVED {
+            EntryKind::CalleeSaved
+        } else if h == Hand::S.index() && d == 0 {
+            EntryKind::RetAddr
+        } else {
+            EntryKind::Plain
+        }
+    }
+
+    fn describe(t: u16) -> String {
+        let hand = Hand::from_index(t as usize / DEPTH);
+        format!("entry {}[{}]", hand, t as usize % DEPTH)
+    }
+
+    fn write(st: &mut State, hand: Hand, av: Av) {
+        State::shift(window(st, hand), av);
+    }
+
+    /// The callee may write anything to `t`/`u` and deep `s`, preserves
+    /// `v[0..8)` by convention, and returns with `s[0]` = the caller's
+    /// stack pointer and `s[1]` = the return value. The return address
+    /// the call writes is gone by then.
+    fn call(st: &mut State, prog: &Program, block_start: u32, i: u32, _: Hand, marks: &mut Marks) {
+        // Everything live escapes into the callee (it can be reached via
+        // the s hand or memory), so all current writers count as used.
+        st.mark_all(marks);
+        let nargs = args_pushed(prog, block_start, i);
+        let sp = st.slots[tok(Hand::S, nargs) as usize];
+        for hand in [Hand::T, Hand::U, Hand::S] {
+            window(st, hand).fill(Av::opaque(i));
+        }
+        let s = window(st, Hand::S);
+        s[0] = sp;
+        s[1] = Av::retval(i);
+        // v[0..8) survives by the callee-saved convention; deeper v slots
+        // were already caller-owned junk. The frame survives: the callee
+        // operates below our stack pointer.
+    }
+
+    /// `s[0]` must again be the caller's stack pointer, and each
+    /// callee-saved `v[j]` must hold its entry value.
+    fn check_return(st: &State, i: u32, sink: &mut Sink) {
+        let s0 = &st.slots[tok(Hand::S, 0) as usize];
+        let sp_ok = s0.origins.is_top() || (0..DEPTH).any(|d| s0.is_entry_value(tok(Hand::S, d)));
+        if !sp_ok {
             sink.error(
-                "E-CALLEE",
+                "E-SP",
                 Some(i),
-                Some(format!("v[{j}]")),
-                format!("callee-saved v[{j}] does not hold its entry value at return"),
+                Some("s[0]".to_string()),
+                "returns without the caller's stack pointer in s[0] \
+                 (stack not rebalanced)"
+                    .to_string(),
             );
         }
+        for j in 0..V_SAVED {
+            let av = &st.slots[tok(Hand::V, j) as usize];
+            if !av.origins.is_top() && !av.is_entry_value(tok(Hand::V, j)) {
+                sink.error(
+                    "E-CALLEE",
+                    Some(i),
+                    Some(format!("v[{j}]")),
+                    format!("callee-saved v[{j}] does not hold its entry value at return"),
+                );
+            }
+        }
+    }
+
+    fn sp_addi(_: &mut State, _: u32, _: i32, isa: Self::SpAddi, _: &mut Marks) {
+        match isa {}
     }
 }
 
 /// Verifies an assembled Clockhands program. See the crate docs for the
 /// property proved and the diagnostic codes.
 pub fn verify_clockhands(prog: &Program, opts: &Options) -> Report {
-    let len = prog.insts.len() as u32;
-    let flow = |i: u32| flow_of(&prog.insts[i as usize]);
-    let (funcs, issues) = build_funcs(len, prog.entry, &prog.labels, &flow);
-    let mut diags = Vec::new();
-    {
-        let mut cfg_sink = Sink::new("<cfg>");
-        for (at, msg) in issues {
-            cfg_sink.error("E-CFG", Some(at), None, msg);
-        }
-        diags.extend(cfg_sink.into_diags());
-    }
-    let mut marks = Marks::new(len as usize);
-    let mut covered = vec![false; len as usize];
-    let mut functions = Vec::new();
-    let mut fn_sinks = Vec::new();
-    for func in &funcs {
-        for b in &func.blocks {
-            for i in b.start..b.end {
-                covered[i as usize] = true;
-            }
-        }
-        let entry_state = if func.is_machine_entry {
-            ChState::machine_entry()
-        } else {
-            ChState::convention_entry()
-        };
-        let mut sink = Sink::new(&func.name);
-        fixpoint(
-            func,
-            entry_state,
-            &mut marks,
-            &mut sink,
-            |b, st, marks, sink| transfer(prog, func, b, st, marks, sink, opts),
-        );
-        fn_sinks.push(sink);
-    }
-    // Lints run after all fixpoints: a value written in one function can
-    // only be marked used from that same function's analysis, but the
-    // escape marking at calls/returns is global and must be complete.
-    for (func, mut sink) in funcs.iter().zip(fn_sinks) {
-        let classify = |i: u32| match prog.insts[i as usize] {
-            Inst::Mv { .. } => Some(LintClass::Relay),
-            Inst::Li { .. } => Some(LintClass::Fix),
-            _ => None,
-        };
-        let (dead_relays, redundant_fixes) = lint_function(func, &marks, &mut sink, &classify);
-        functions.push(FnSummary {
-            name: func.name.clone(),
-            entry: func.entry,
-            insts: func.inst_count(),
-            dead_relays,
-            redundant_fixes,
-        });
-        diags.extend(sink.into_diags());
-    }
-    let unreachable = lint_unreachable(&covered, &mut diags);
-    Report {
-        isa: "clockhands",
-        diags,
-        functions,
-        unreachable,
-        covered,
-    }
+    crate::verify(prog, opts)
 }
 
 #[cfg(test)]

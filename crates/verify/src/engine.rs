@@ -16,21 +16,24 @@ pub trait AbsState: Clone {
 const MAX_TRANSFERS: usize = 100_000;
 
 /// Runs `transfer` to a fixpoint over `func`'s blocks, starting from
-/// `entry_state` at the entry block. `transfer(block, in_state, marks,
-/// sink)` returns the block's out-state, or `None` where the block
-/// returns or halts (and may emit diagnostics — the sink deduplicates
-/// across re-runs); the out-state flows to every successor, the last
-/// one taking it by move. Returns the final per-block in-states
-/// (`None` = block unreachable).
+/// `entry_state` at the entry block. `transfer(block, state, marks,
+/// sink)` turns the block's in-state into its out-state in place, and
+/// returns `false` where the block returns or halts (it may emit
+/// diagnostics — the sink deduplicates across re-runs); the out-state
+/// is joined into every successor. One scratch state is refilled per
+/// visit, so a visit allocates only where a successor is reached for
+/// the first time. Returns the final per-block in-states (`None` =
+/// block unreachable).
 pub fn fixpoint<S: AbsState>(
     func: &Func,
     entry_state: S,
     marks: &mut Marks,
     sink: &mut Sink,
-    mut transfer: impl FnMut(usize, S, &mut Marks, &mut Sink) -> Option<S>,
+    mut transfer: impl FnMut(usize, &mut S, &mut Marks, &mut Sink) -> bool,
 ) -> Vec<Option<S>> {
     let n = func.blocks.len();
     let mut ins: Vec<Option<S>> = vec![None; n];
+    let mut scratch = entry_state.clone();
     ins[func.entry_block] = Some(entry_state);
     let mut queued = vec![false; n];
     let mut work: VecDeque<usize> = VecDeque::new();
@@ -49,21 +52,15 @@ pub fn fixpoint<S: AbsState>(
             );
             break;
         }
-        let state = ins[b].clone().expect("queued block has a state");
-        let Some(out) = transfer(b, state, marks, sink) else {
+        scratch.clone_from(ins[b].as_ref().expect("queued block has a state"));
+        if !transfer(b, &mut scratch, marks, sink) {
             continue;
-        };
-        let mut out = Some(out);
-        let succs = &func.blocks[b].succs;
-        for (k, &succ) in succs.iter().enumerate() {
+        }
+        for &succ in &func.blocks[b].succs {
             let changed = match &mut ins[succ] {
-                Some(cur) => cur.join_with(out.as_ref().expect("moved on the last edge"), marks),
+                Some(cur) => cur.join_with(&scratch, marks),
                 slot @ None => {
-                    *slot = if k + 1 == succs.len() {
-                        out.take()
-                    } else {
-                        out.clone()
-                    };
+                    *slot = Some(scratch.clone());
                     true
                 }
             };
@@ -194,7 +191,8 @@ mod tests {
         let mut marks = Marks::new(2);
         let mut sink = Sink::new("f");
         let ins = fixpoint(&func, Count(0), &mut marks, &mut sink, |_b, st, _m, _s| {
-            Some(Count((st.0 + 1).min(10)))
+            st.0 = (st.0 + 1).min(10);
+            true
         });
         assert_eq!(ins[1].as_ref().map(|s| s.0), Some(10));
         assert!(sink.into_diags().is_empty());

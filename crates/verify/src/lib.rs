@@ -36,10 +36,12 @@ pub use clockhands_isa::verify_clockhands;
 pub use riscv_isa::verify_riscv;
 pub use straight_isa::verify_straight;
 
-use cfg::Func;
+use cfg::{build_funcs, Flow, Func};
 use ch_common::error::{Diagnostic, Severity};
+use ch_common::isa::{Inst, Operands, Program};
+use check::Frontend;
 use domain::Marks;
-use engine::Sink;
+use engine::{fixpoint, Sink};
 
 /// Per-function verification summary (instruction count + lint counts).
 #[derive(Debug, Clone)]
@@ -113,23 +115,89 @@ impl Report {
     }
 }
 
-/// What a never-read instruction counts as in the lint layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LintClass {
-    /// A relay/copy move.
-    Relay,
-    /// An edge-fix or filler write (`li`).
-    Fix,
+/// How an instruction transfers control.
+fn flow_of<O: Operands>(inst: &Inst<O>) -> Flow {
+    match *inst {
+        Inst::Branch { target, .. } => Flow::Branch(target),
+        Inst::Jump { target } => Flow::Jump(target),
+        Inst::Call { target, .. } => Flow::Call(target),
+        Inst::CallReg { .. } => Flow::CallInd,
+        Inst::JumpReg { .. } => Flow::Ret,
+        Inst::Halt { .. } => Flow::Halt,
+        _ => Flow::Fall,
+    }
 }
 
-/// Counts never-read relay moves and fix writes in `func`, emitting one
-/// per-function warning per lint class. `classify` maps an instruction
-/// index to its lint class when the instruction is a candidate.
-pub(crate) fn lint_function(
+/// Verifies a program of the ISA `O`: builds its functions, runs each
+/// one's fixpoint, then the lints (see the crate docs).
+pub(crate) fn verify<O: Frontend>(prog: &Program<Inst<O>>, opts: &Options) -> Report {
+    let len = prog.insts.len() as u32;
+    let flow = |i: u32| flow_of(&prog.insts[i as usize]);
+    let (funcs, issues) = build_funcs(len, prog.entry, &prog.labels, &flow);
+    let mut diags = Vec::new();
+    {
+        let mut cfg_sink = Sink::new("<cfg>");
+        for (at, msg) in issues {
+            cfg_sink.error("E-CFG", Some(at), None, msg);
+        }
+        diags.extend(cfg_sink.into_diags());
+    }
+    let mut marks = Marks::new(len as usize);
+    let mut covered = vec![false; len as usize];
+    let mut functions = Vec::new();
+    let mut fn_sinks = Vec::new();
+    for func in &funcs {
+        for b in &func.blocks {
+            for i in b.start..b.end {
+                covered[i as usize] = true;
+            }
+        }
+        let entry_state = if func.is_machine_entry {
+            O::machine_entry()
+        } else {
+            O::convention_entry()
+        };
+        let mut sink = Sink::new(&func.name);
+        fixpoint(
+            func,
+            entry_state,
+            &mut marks,
+            &mut sink,
+            |b, st, marks, sink| check::transfer(prog, func, b, st, marks, sink, opts),
+        );
+        fn_sinks.push(sink);
+    }
+    // Lints run after all fixpoints: a value written in one function can
+    // only be marked used from that same function's analysis, but the
+    // escape marking at calls/returns is global and must be complete.
+    for (func, mut sink) in funcs.iter().zip(fn_sinks) {
+        let (dead_relays, redundant_fixes) = lint_function(func, &marks, &mut sink, &prog.insts);
+        functions.push(FnSummary {
+            name: func.name.clone(),
+            entry: func.entry,
+            insts: func.inst_count(),
+            dead_relays,
+            redundant_fixes,
+        });
+        diags.extend(sink.into_diags());
+    }
+    let unreachable = lint_unreachable(&covered, &mut diags);
+    Report {
+        isa: O::ISA,
+        diags,
+        functions,
+        unreachable,
+        covered,
+    }
+}
+
+/// Counts never-read relay moves (`mv`) and fix writes (`li`) in
+/// `func`, emitting one per-function warning per lint class.
+fn lint_function<O: Operands>(
     func: &Func,
     marks: &Marks,
     sink: &mut Sink,
-    classify: &dyn Fn(u32) -> Option<LintClass>,
+    insts: &[Inst<O>],
 ) -> (usize, usize) {
     let mut dead_relays = 0usize;
     let mut redundant_fixes = 0usize;
@@ -139,16 +207,16 @@ pub(crate) fn lint_function(
             if marks.is_used(i) {
                 continue;
             }
-            match classify(i) {
-                Some(LintClass::Relay) => {
+            match insts[i as usize] {
+                Inst::Mv { .. } => {
                     dead_relays += 1;
                     first[0].get_or_insert(i);
                 }
-                Some(LintClass::Fix) => {
+                Inst::Li { .. } => {
                     redundant_fixes += 1;
                     first[1].get_or_insert(i);
                 }
-                None => {}
+                _ => {}
             }
         }
     }
@@ -173,7 +241,7 @@ pub(crate) fn lint_function(
 
 /// Emits the program-level unreachable-code warning and returns the
 /// count. `covered` must hold one flag per instruction.
-pub(crate) fn lint_unreachable(covered: &[bool], diags: &mut Vec<Diagnostic>) -> usize {
+fn lint_unreachable(covered: &[bool], diags: &mut Vec<Diagnostic>) -> usize {
     let unreachable = covered.iter().filter(|c| !**c).count();
     if unreachable > 0 {
         let first = covered.iter().position(|c| !*c).unwrap_or(0) as u32;
