@@ -21,6 +21,11 @@ use interp::RingFile;
 /// Maximum source reference distance (M in the paper).
 pub const MAX_DISTANCE: u8 = 127;
 
+/// Most arguments a call passes: at the callee's entry the return
+/// address is `[1]` and the arguments `[2]..=[MAX_ARGS + 1]`, the window
+/// the calling convention defines as caller-meaningful.
+pub const MAX_ARGS: u8 = 11;
+
 /// A STRAIGHT source operand (the default is the zero register).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StSrc {

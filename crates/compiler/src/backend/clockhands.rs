@@ -20,11 +20,12 @@
 //! independently, a block's live values cost relays only in their own
 //! hand.
 
-use super::opt::{long_lived_locals, schedule_function, select_loop_constants, OptConfig};
-use crate::cfg::{liveness, loop_info, rpo, BitSet};
+use super::opt::{long_lived_locals, select_loop_constants, OptConfig};
+use super::ring::{self, Core, Loc, RingIsa, Stability, RA_OFF};
+use crate::cfg::{BitSet, Liveness, LoopInfo};
 use crate::ir::{Function, Ins, Module, Term, VReg};
 use ch_common::exec::{AluOp, LoadOp, StoreOp};
-use clockhands::hand::Hand;
+use clockhands::hand::{Hand, MAX_ARGS};
 use clockhands::inst::{Inst as ChInst, Src};
 use clockhands::program::Program;
 use std::collections::{HashMap, HashSet};
@@ -53,106 +54,13 @@ pub fn compile(module: &Module) -> Result<Program, String> {
 ///
 /// Returns a description of any unsatisfiable constraint.
 pub fn compile_with(module: &Module, opt: &OptConfig) -> Result<Program, String> {
-    let mut prog = Program::new();
-    let mut call_fixups: Vec<(usize, usize)> = Vec::new();
-    let mut fn_starts: Vec<u32> = Vec::new();
-
-    // _start: call main (return address to s), halt with s[1] (= the
-    // return value; s[0] is the restored SP).
-    prog.insts.push(ChInst::Call {
-        dst: Hand::S,
-        target: 0,
-    });
-    call_fixups.push((0, module.main_index()));
-    prog.insts.push(ChInst::Halt {
-        src: Src::Hand(Hand::S, 1),
-    });
-    prog.labels.insert("_start".to_string(), 0);
-
-    for f in &module.funcs {
-        fn_starts.push(prog.insts.len() as u32);
-        prog.labels.insert(f.name.clone(), prog.insts.len() as u32);
-        // Per-function variant selection: distance-aware scheduling and
-        // cost-based join anchoring are each accepted only when they
-        // strictly shrink the emitted code (fewer relays, reloads, or
-        // edge fixes). Neither heuristic has a reliable global view —
-        // the scheduler can't see join layouts and the anchor cost
-        // estimate is one-pass stale inside loops — so their results
-        // are measured, not trusted. Ties keep the earlier (more
-        // conservative) variant.
-        let scheduled;
-        let mut cands: Vec<(&Function, bool)> = vec![(f, false)];
-        if opt.min_relays {
-            cands.push((f, true));
-        }
-        if opt.schedule {
-            scheduled = schedule_function(f);
-            cands.push((&scheduled, false));
-            if opt.min_relays {
-                cands.push((&scheduled, true));
-            }
-        }
-        let (mut f, mut anchor) = cands[0];
-        if cands.len() > 1 {
-            let emitted = |func: &Function, ca: bool| -> Option<usize> {
-                let mut tmp = Program::new();
-                let mut fx = Vec::new();
-                let mut cg = FnCg::new(func, module, &mut tmp, &mut fx, opt, ca);
-                cg.converge_fillers = false;
-                cg.run().ok().map(|()| tmp.insts.len())
-            };
-            let mut best: Option<usize> = None;
-            for &(func, ca) in &cands {
-                if let Some(n) = emitted(func, ca) {
-                    if best.map(|b| n < b).unwrap_or(true) {
-                        best = Some(n);
-                        f = func;
-                        anchor = ca;
-                    }
-                }
-            }
-        }
-        FnCg::new(f, module, &mut prog, &mut call_fixups, opt, anchor).run()?;
-    }
-    for (at, func) in call_fixups {
-        if let ChInst::Call { target, .. } = &mut prog.insts[at] {
-            *target = fn_starts[func];
-        }
-    }
-    prog.entry = 0;
-    Ok(prog)
+    ring::compile::<Hands>(module, opt)
 }
 
-/// A value's current location: its hand and the hand-local write index.
-#[derive(Debug, Clone, Copy)]
-struct Loc {
-    hand: Hand,
-    pos: i64,
-}
-
-/// Snapshot of the codegen path state handed to a single-predecessor
-/// successor: live-value locations, per-hand write counters, SP position.
-type PathState = (HashMap<VReg, Loc>, [i64; 4], i64);
-/// One natural delivery along an incoming edge: (source block, source
-/// loop depth, vreg -> distance at the join).
-type Delivery = (usize, u32, HashMap<VReg, i64>);
-/// Chosen entry layout at a join: per hand (t, u), (vreg, distance).
-type JoinLayout = [Vec<(VReg, i64)>; 2];
-
-struct FnCg<'a> {
-    f: &'a Function,
-    module: &'a Module,
-    out: &'a mut Program,
-    call_fixups: &'a mut Vec<(usize, usize)>,
+/// One function's hand assignment and spill plan.
+struct Hands {
     /// Assigned hand per vreg.
     assign: Vec<Hand>,
-    /// Current location of live vregs.
-    loc: HashMap<VReg, Loc>,
-    /// Per-hand write counters along the current path (by hand index).
-    counters: [i64; 4],
-    /// Position of the stack pointer within the s hand.
-    sp_pos: i64,
-    zero_vregs: BitSet,
     /// v-assigned vregs (never relayed; defined in the entry block).
     v_set: BitSet,
     /// Number of own v writes.
@@ -162,106 +70,80 @@ struct FnCg<'a> {
     v_restore_count: usize,
     /// The subset of restored slots that must go through the stack; the
     /// rest are re-established from deeper ring positions (clobber-only
-    /// saves — see `gen_entry_prologue`).
+    /// saves — see `prologue`).
     v_stack_saved: Vec<usize>,
-    /// Optimization toggles.
-    opt: OptConfig,
-    spill_off: HashMap<VReg, i32>,
     /// Stack-resident vregs (demoted when a hand's live-in set exceeds
     /// its capacity): loaded on use, stored through on definition.
     stack_set: BitSet,
-    frame_size: i32,
-    ra_off: i32,
+    /// Frame offset of the caller-v saves.
     vsave_off: i32,
-    array_offsets: Vec<i32>,
-    block_starts: Vec<u32>,
-    fixups: Vec<(usize, usize)>,
-    /// Canonical per-hand live-in orders per block: (t list, u list).
-    entry_order: Vec<(Vec<VReg>, Vec<VReg>)>,
-    live_out: Vec<BitSet>,
-    /// Predecessor counts (single-pred blocks inherit state, no relays).
-    preds_count: Vec<usize>,
-    /// Saved path state for single-predecessor successors.
-    pending: HashMap<usize, PathState>,
-    /// Chosen entry layout per join.
-    layouts: Vec<JoinLayout>,
-    /// Natural deliveries per block, one entry per incoming edge taken
-    /// this pass.
-    deliveries: Vec<Vec<Delivery>>,
-    /// Loop depth per block.
-    depth: Vec<u32>,
-    /// Fix-up writes emitted this pass.
-    fix_writes: u64,
-    /// Filler (`li 0`) writes emitted this pass: never-read pads over
-    /// holes in a join layout, the W-REDUNDANT-FIX lint population.
-    filler_writes: u64,
-    /// Values banned from natural status, per (join block, hand). When
-    /// an edge pads the hole under a natural with a filler, the natural
-    /// is demoted to a relay on every later pass — the relay group is
-    /// contiguous from distance 0, so the hole (and its filler) is gone.
-    /// Monotone, which is what lets the pass loop converge to zero
-    /// fillers: every padding pass bans at least one new value.
-    hole_banned: Vec<[HashSet<VReg>; 2]>,
-    /// Record bans only once the ordinary layout fixpoint has settled
-    /// (pass ≥ 3). Earlier passes emit transient fillers that the
-    /// fixpoint removes on its own; reacting to those would perturb
-    /// joins that end up clean anyway.
-    ban_fillers: bool,
-    /// Run the filler-convergence tail at all. Off during variant
-    /// measurement (`compile_with`'s candidate ranking), so candidate
-    /// sizes — and therefore which variant wins — are judged exactly as
-    /// before; the tail then runs only on the winner's real emission,
-    /// keeping its blast radius to the joins that actually pad.
-    converge_fillers: bool,
-    /// Joins that gained a ban in the current pass. During the tail,
-    /// `update_layouts` rebuilds only these — every other join keeps
-    /// its settled layout verbatim, so the tail repairs padding joins
-    /// without re-running the global layout optimization (which would
-    /// reshape code far from any filler).
-    ban_dirty: HashSet<usize>,
-    /// Previous pass's deliveries keyed by source block (drift detection:
-    /// a value is only a stable natural if two consecutive passes deliver
-    /// it identically from the same predecessor).
-    deliveries_prev: Vec<HashMap<usize, HashMap<VReg, i64>>>,
-    /// Select join anchors by total estimated fix cost instead of
-    /// first arrival (see [`FnCg::update_layouts`]). The estimate is
-    /// local and one-pass stale — in loop nests it can mispredict and
-    /// produce *worse* code — so `compile_with` measures both variants
-    /// and keeps this one only when it strictly shrinks the function.
-    cost_anchor: bool,
 }
 
-impl<'a> FnCg<'a> {
-    fn new(
-        f: &'a Function,
-        module: &'a Module,
-        out: &'a mut Program,
-        call_fixups: &'a mut Vec<(usize, usize)>,
-        opt: &OptConfig,
-        cost_anchor: bool,
-    ) -> Self {
-        let live = liveness(f);
-        let loops = loop_info(f);
+impl Hands {
+    /// Counts the short-hand writes the stack reloads for `srcs` can
+    /// emit before an instruction's operand reads.
+    fn reload_writes(cg: &Core<'_, Self>, srcs: &[VReg]) -> i64 {
+        srcs.iter()
+            .filter(|&&s| cg.isa.stack_set.contains(s) && !cg.zero_vregs.contains(s))
+            .count() as i64
+    }
 
-        // ---- Zero-constant vregs ----
+    /// Stores `value` at frame offset `offset`.
+    fn store(cg: &mut Core<'_, Self>, value: Src, offset: i32) -> Result<(), String> {
+        let base = Self::sp_src(cg)?;
+        cg.push(ChInst::Store {
+            op: StoreOp::Sd,
+            value,
+            base,
+            offset,
+        });
+        Ok(())
+    }
+}
+
+/// Clockhands as a ring ISA: one ring per hand; `t` and `u` are relayed
+/// on edges, `v` and `s` never.
+impl RingIsa for Hands {
+    type O = clockhands::inst::Clockhands;
+    const NAME: &'static str = "Clockhands";
+    const MAX_PARAMS: usize = MAX_ARGS;
+    const EDGE_RINGS: &'static [Hand] = &[Hand::T, Hand::U];
+    const CONVENTION: Hand = Hand::S;
+    /// `main`'s return value (`s[0]` is the restored SP).
+    const EXIT: Src = Src::Hand(Hand::S, 1);
+    const MAX_DIST: i64 = MAX_DIST;
+    const RELAY_AT: i64 = RELAY_AT;
+    const LIMIT: i64 = 12;
+    const STABILITY: Stability = Stability::SamePred;
+    const PASS_CAP: usize = 32;
+    const COST_ANCHOR: bool = true;
+    const KEEP_CALL_ARGS: bool = false;
+
+    fn ring(h: Hand) -> usize {
+        h.index()
+    }
+
+    fn src_at(h: Hand, dist: i64) -> Src {
+        Src::Hand(h, dist as u8)
+    }
+
+    fn max_dist(h: Hand) -> i64 {
+        h.max_src_distance() as i64
+    }
+
+    fn plan(
+        f: &Function,
+        live: &Liveness,
+        loops: &LoopInfo,
+        zero_vregs: &BitSet,
+        optimize: bool,
+    ) -> (Self, Vec<Vec<Vec<VReg>>>) {
         let mut defs: HashMap<VReg, u32> = HashMap::new();
         let mut def_block: HashMap<VReg, usize> = HashMap::new();
-        let mut zeroes: Vec<VReg> = Vec::new();
         for (bi, b) in f.blocks.iter().enumerate() {
-            for ins in &b.insts {
-                if let Some(d) = ins.dst() {
-                    *defs.entry(d).or_default() += 1;
-                    def_block.insert(d, bi);
-                    if matches!(ins, Ins::Const { val: 0, .. }) {
-                        zeroes.push(d);
-                    }
-                }
-            }
-        }
-        let mut zero_vregs = BitSet::new(f.num_vregs());
-        for z in zeroes {
-            if defs[&z] == 1 {
-                zero_vregs.insert(z);
+            for d in b.insts.iter().filter_map(Ins::dst) {
+                *defs.entry(d).or_default() += 1;
+                def_block.insert(d, bi);
             }
         }
 
@@ -273,19 +155,10 @@ impl<'a> FnCg<'a> {
         // With calls only the 8 callee-saved v registers are reliable.
         let v_budget = if has_calls { 8 } else { 15 };
         let mut benefit: HashMap<VReg, u64> = HashMap::new();
-        for (bi, b) in f.blocks.iter().enumerate() {
+        for (bi, b) in f.blocks.iter().enumerate().skip(1) {
             let w = 1 + 100 * loops.depth[bi] as u64;
-            for ins in &b.insts {
-                for s in ins.srcs() {
-                    if bi != 0 {
-                        *benefit.entry(s).or_default() += w;
-                    }
-                }
-            }
-            for s in b.term.srcs() {
-                if bi != 0 {
-                    *benefit.entry(s).or_default() += w;
-                }
+            for s in b.insts.iter().flat_map(Ins::srcs).chain(b.term.srcs()) {
+                *benefit.entry(s).or_default() += w;
             }
         }
         let is_param = |v: VReg| f.params.contains(&v);
@@ -304,7 +177,7 @@ impl<'a> FnCg<'a> {
         // Greedy weighted MIS over loop bodies (the paper's scheme):
         // candidates in decreasing benefit order, kept while the v
         // window's per-loop and global capacity holds.
-        let chosen = select_loop_constants(f, &loops, &v_candidates, v_budget);
+        let chosen = select_loop_constants(f, loops, &v_candidates, v_budget);
         let mut v_set = BitSet::new(f.num_vregs());
         for &v in &chosen {
             v_set.insert(v);
@@ -314,15 +187,15 @@ impl<'a> FnCg<'a> {
         // t vs u (Section 4.3): short-lived results go to t, the rest to
         // u. Cross-block values are long-lived by definition. Block-local
         // values go to u when their def-use span exceeds what the t ring
-        // can hold: measured in actual t writes when the lifetime split
-        // is enabled, approximated by raw instruction span otherwise.
+        // can hold: measured in actual t writes when optimizing,
+        // approximated by raw instruction span otherwise.
         let mut crosses = BitSet::new(f.num_vregs());
         for b in 0..f.blocks.len() {
             crosses.union_with(&live.live_in[b]);
             crosses.union_with(&live.live_out[b]);
         }
         const SPAN_LIMIT: usize = 10;
-        let long_span = if opt.lifetime_split {
+        let long_span = if optimize {
             let is_t_local =
                 |v: VReg| !crosses.contains(v) && !zero_vregs.contains(v) && !v_set.contains(v);
             long_lived_locals(f, SPAN_LIMIT, &is_t_local)
@@ -352,20 +225,21 @@ impl<'a> FnCg<'a> {
             }
             long_span
         };
-        let mut assign = vec![Hand::T; f.num_vregs()];
-        for v in 0..f.num_vregs() as u32 {
-            assign[v as usize] = if v_set.contains(v) {
-                Hand::V
-            } else if crosses.contains(v) || long_span.contains(v) {
-                Hand::U
-            } else {
-                Hand::T
-            };
-        }
+        let assign: Vec<Hand> = (0..f.num_vregs() as u32)
+            .map(|v| {
+                if v_set.contains(v) {
+                    Hand::V
+                } else if crosses.contains(v) || long_span.contains(v) {
+                    Hand::U
+                } else {
+                    Hand::T
+                }
+            })
+            .collect();
 
         // Canonical edge orders: t and u live-ins ascending; v and zero
         // vregs are never relayed.
-        let entry_order: Vec<(Vec<VReg>, Vec<VReg>)> = live
+        let mut entry_order: Vec<Vec<Vec<VReg>>> = live
             .live_in
             .iter()
             .map(|s| {
@@ -381,7 +255,7 @@ impl<'a> FnCg<'a> {
                         _ => {}
                     }
                 }
-                (t, u)
+                vec![t, u]
             })
             .collect();
 
@@ -391,34 +265,24 @@ impl<'a> FnCg<'a> {
         let mut full_benefit: HashMap<VReg, u64> = HashMap::new();
         for (bi, b) in f.blocks.iter().enumerate() {
             let w = 1 + 100 * loops.depth[bi] as u64;
-            for ins in &b.insts {
-                for src in ins.srcs() {
-                    *full_benefit.entry(src).or_default() += w;
-                }
+            for src in b.insts.iter().flat_map(Ins::srcs) {
+                *full_benefit.entry(src).or_default() += w;
             }
         }
-        let mut entry_order = entry_order;
         let mut stack_set = BitSet::new(f.num_vregs());
         const EDGE_CAP: usize = 7;
-        loop {
-            let mut victim: Option<VReg> = None;
-            for (_, u) in &entry_order {
-                if u.len() > EDGE_CAP {
-                    victim = u
-                        .iter()
-                        .copied()
-                        .min_by_key(|v| full_benefit.get(v).copied().unwrap_or(0));
-                    break;
-                }
-            }
-            match victim {
-                Some(v) => {
-                    stack_set.insert(v);
-                    for (_, u) in &mut entry_order {
-                        u.retain(|&x| x != v);
-                    }
-                }
-                None => break,
+        while let Some(u) = entry_order
+            .iter()
+            .map(|o| &o[1])
+            .find(|u| u.len() > EDGE_CAP)
+        {
+            let victim = *u
+                .iter()
+                .min_by_key(|v| full_benefit.get(v).copied().unwrap_or(0))
+                .expect("an over-full u list is non-empty");
+            stack_set.insert(victim);
+            for o in &mut entry_order {
+                o[1].retain(|&x| x != victim);
             }
         }
 
@@ -436,518 +300,51 @@ impl<'a> FnCg<'a> {
         let v_restore_count = if v_count > 0 { 8 } else { 0 };
         let v_stack_saved: Vec<usize> = if v_count == 0 {
             Vec::new()
-        } else if !opt.lean_saves || v_count > 8 {
+        } else if !optimize || v_count > 8 {
             (0..8).collect()
         } else if has_calls {
             (8 - v_count..8).collect()
         } else {
             Vec::new()
         };
-
-        FnCg {
-            f,
-            module,
-            out,
-            call_fixups,
+        let plan = Hands {
             assign,
-            loc: HashMap::new(),
-            counters: [0; 4],
-            sp_pos: -1,
-            zero_vregs,
             v_set,
             v_count,
             v_restore_count,
             v_stack_saved,
-            opt: *opt,
-            spill_off: HashMap::new(),
             stack_set,
-            frame_size: 0,
-            ra_off: 0,
             vsave_off: 0,
-            array_offsets: Vec::new(),
-            block_starts: vec![0; f.blocks.len()],
-            fixups: Vec::new(),
-            entry_order,
-            live_out: live.live_out,
-            preds_count: f.predecessors().iter().map(|p| p.len()).collect(),
-            pending: HashMap::new(),
-            layouts: Vec::new(),
-            deliveries: Vec::new(),
-            depth: loops.depth.clone(),
-            fix_writes: 0,
-            filler_writes: 0,
-            hole_banned: vec![[HashSet::new(), HashSet::new()]; f.blocks.len()],
-            ban_fillers: false,
-            converge_fillers: true,
-            ban_dirty: HashSet::new(),
-            deliveries_prev: Vec::new(),
-            cost_anchor,
-        }
+        };
+        (plan, entry_order)
     }
 
-    /// Pushes an instruction, advancing its destination hand's counter.
-    fn push(&mut self, i: ChInst) {
-        if let Some(h) = i.dst() {
-            self.counters[h.index()] += 1;
-        }
-        self.out.insts.push(i);
+    fn dst_for(cg: &Core<'_, Self>, v: VReg) -> Hand {
+        cg.isa.assign[v as usize]
     }
 
-    /// Records that the next write to `hand` defines vreg `v` (call just
-    /// before pushing the defining instruction).
-    fn define(&mut self, v: VReg, hand: Hand) {
-        self.loc.insert(
-            v,
-            Loc {
-                hand,
-                pos: self.counters[hand.index()],
-            },
-        );
-    }
-
-    fn dist_of(&self, l: Loc) -> i64 {
-        self.counters[l.hand.index()] - 1 - l.pos
-    }
-
-    /// Reads vreg `v` as a source operand.
-    fn src(&self, v: VReg) -> Result<Src, String> {
-        if self.zero_vregs.contains(v) {
-            return Ok(Src::Zero);
-        }
-        let l = self
-            .loc
-            .get(&v)
-            .ok_or_else(|| format!("{}: v{v} has no location", self.f.name))?;
-        let d = self.dist_of(*l);
-        let limit = l.hand.max_src_distance() as i64;
-        if !(0..=limit).contains(&d) {
-            return Err(format!("{}: v{v} at {}-distance {d}", self.f.name, l.hand));
-        }
-        Ok(Src::Hand(l.hand, d as u8))
-    }
-
-    /// Reads the stack pointer.
-    fn sp_src(&self) -> Result<Src, String> {
-        let d = self.counters[Hand::S.index()] - 1 - self.sp_pos;
+    fn sp_src(cg: &Core<'_, Self>) -> Result<Src, String> {
+        let d = cg.counters[Hand::S.index()] - 1 - cg.sp_pos;
         if !(0..=Hand::S.max_src_distance() as i64).contains(&d) {
-            return Err(format!("{}: SP at s-distance {d}", self.f.name));
+            return Err(format!("{}: SP at s-distance {d}", cg.f.name));
         }
         Ok(Src::Hand(Hand::S, d as u8))
     }
 
-    /// Reloads a stack-resident vreg if it has no valid register
-    /// position, so a following read succeeds.
-    fn ensure_loaded(&mut self, v: VReg) -> Result<(), String> {
-        if !self.stack_set.contains(v) || self.zero_vregs.contains(v) {
-            return Ok(());
-        }
-        if let Some(&l) = self.loc.get(&v) {
-            // Two writes of slack below the hand's hard limit, so the
-            // reload itself plus one interleaved write cannot push the
-            // value out of range before the read.
-            let limit = l.hand.max_src_distance() as i64 - 2;
-            if self.dist_of(l) <= limit {
-                return Ok(());
-            }
-        }
-        let off = *self
-            .spill_off
-            .get(&v)
-            .ok_or_else(|| format!("{}: v{v} has no stack slot", self.f.name))?;
-        let h = self.assign[v as usize];
-        let sp = self.sp_src()?;
-        self.define(v, h);
-        self.push(ChInst::Load {
-            op: LoadOp::Ld,
-            dst: h,
-            base: sp,
-            offset: off,
-        });
-        Ok(())
-    }
-
-    /// Stores a just-defined stack-resident vreg through to its slot.
-    fn write_through(&mut self, v: VReg) -> Result<(), String> {
-        if !self.stack_set.contains(v) || self.zero_vregs.contains(v) {
-            return Ok(());
-        }
-        let off = self.spill_off[&v];
-        let val = self.src(v)?;
-        let sp = self.sp_src()?;
-        self.push(ChInst::Store {
-            op: StoreOp::Sd,
-            value: val,
-            base: sp,
-            offset: off,
-        });
-        Ok(())
-    }
-
-    /// Relays still-needed t/u values whose distance reached `threshold`.
-    /// v values are never relayed — that is the point of the v hand.
-    fn relay_over(&mut self, threshold: i64, keep: &dyn Fn(VReg) -> bool) -> Result<(), String> {
-        for _guard in 0..256 {
-            // Deterministic choice: deepest value first, vreg id ties.
-            let mut victim: Option<(i64, VReg, Hand)> = None;
-            for (&v, &l) in &self.loc {
-                if self.zero_vregs.contains(v)
-                    || matches!(l.hand, Hand::V | Hand::S)
-                    || self.stack_set.contains(v)
-                {
-                    continue;
-                }
-                let d = self.dist_of(l);
-                if keep(v)
-                    && d >= threshold
-                    && victim.map(|(bd, bv, _)| (d, v) > (bd, bv)).unwrap_or(true)
-                {
-                    victim = Some((d, v, l.hand));
-                }
-            }
-            let victim = victim.map(|(_, v, h)| (v, h));
-            match victim {
-                Some((v, hand)) => {
-                    let s = self.src(v)?;
-                    self.define(v, hand);
-                    self.push(ChInst::Mv { dst: hand, src: s });
-                }
-                None => return Ok(()),
-            }
-        }
-        Err(format!("{}: relay pressure too high", self.f.name))
-    }
-
-    fn run(mut self) -> Result<(), String> {
-        // ---- Frame layout: [ra][v-saves][call spills][arrays] ----
-        let mut needs_spill = BitSet::new(self.f.num_vregs());
-        for (b, blk) in self.f.blocks.iter().enumerate() {
-            for (i, ins) in blk.insts.iter().enumerate() {
-                if let Ins::Call { dst, .. } = ins {
-                    let mut after = self.live_out[b].clone();
-                    for later in &blk.insts[i + 1..] {
-                        for s in later.srcs() {
-                            after.insert(s);
-                        }
-                    }
-                    for s in blk.term.srcs() {
-                        after.insert(s);
-                    }
-                    if let Some(d) = dst {
-                        after.remove(*d);
-                    }
-                    needs_spill.union_with(&after);
-                }
-            }
-        }
-        self.ra_off = 0;
-        let mut off = 8i32;
-        self.vsave_off = off;
-        off += 8 * self.v_stack_saved.len() as i32;
-        needs_spill.union_with(&self.stack_set);
-        for v in needs_spill.iter() {
-            if self.zero_vregs.contains(v) || self.v_set.contains(v) {
-                continue;
-            }
-            self.spill_off.insert(v, off);
-            off += 8;
-        }
-        for &sz in &self.f.frame_slots {
-            self.array_offsets.push(off);
-            off += (sz.div_ceil(8) * 8) as i32;
-        }
-        self.frame_size = (off + 15) / 16 * 16;
-
-        // Initial layouts: canonical per-hand (deepest first, distances
-        // k-1 .. 0 — in Clockhands the edge jump writes no hand, so the
-        // last relayed value sits at distance 0).
-        self.layouts = self
-            .entry_order
-            .iter()
-            .map(|(t, u)| {
-                let mk = |o: &Vec<VReg>| {
-                    let k = o.len() as i64;
-                    o.iter()
-                        .enumerate()
-                        .map(|(j, &v)| (v, k - 1 - j as i64))
-                        .collect()
-                };
-                [mk(t), mk(u)]
-            })
-            .collect();
-
-        // Iterated distance fixing (Section 6.1): probe the natural
-        // positions each edge delivers, let joins adopt the hottest
-        // edge's layout, re-emit.
-        let fn_start = self.out.insts.len();
-        let cf_start = self.call_fixups.len();
-        self.deliveries_prev = vec![HashMap::new(); self.f.blocks.len()];
-        // Up to 4 passes reach the layout fixpoint; beyond that, extra
-        // passes run only while joins still pad layout holes with
-        // never-read fillers — each such pass bans at least one natural
-        // (see `hole_banned`), so the tail is finite and short. The hard
-        // cap is a safety net, not a tuning knob.
-        for pass in 0..32 {
-            self.out.insts.truncate(fn_start);
-            self.call_fixups.truncate(cf_start);
-            self.fixups.clear();
-            self.pending.clear();
-            self.deliveries = vec![Vec::new(); self.f.blocks.len()];
-            self.fix_writes = 0;
-            self.filler_writes = 0;
-            self.ban_fillers = self.converge_fillers && pass >= 3;
-            self.ban_dirty.clear();
-            let order = rpo(self.f);
-            for (oi, &b) in order.iter().enumerate() {
-                let next = order.get(oi + 1).copied();
-                self.gen_block(b, oi == 0, next)?;
-            }
-            let last_pass = if self.converge_fillers { 31 } else { 3 };
-            if self.fix_writes == 0 || (pass >= 3 && self.filler_writes == 0) || pass == last_pass {
-                break;
-            }
-            self.update_layouts();
-            self.deliveries_prev = self
-                .deliveries
-                .iter()
-                .map(|ds| ds.iter().map(|(f, _, n)| (*f, n.clone())).collect())
-                .collect();
-        }
-        for (at, blk) in std::mem::take(&mut self.fixups) {
-            let t = self.block_starts[blk];
-            match &mut self.out.insts[at] {
-                ChInst::Branch { target, .. } | ChInst::Jump { target } => *target = t,
-                _ => unreachable!("fixup on non-branch"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Adopts a natural delivery as each join's entry layout;
-    /// undeliverable values fall back to explicit relay slots.
-    ///
-    /// Anchor selection: candidates are the edges at the deepest loop
-    /// level (the hot path must pay zero fixes). With `cost_anchor`
-    /// on, the candidate whose implied layout minimizes the *total*
-    /// estimated fix writes across every recorded edge wins — a
-    /// first-arrival anchor can pin values at distances with holes
-    /// beneath them (its own dead interleaved writes), which every
-    /// other edge then pads with never-read fillers. Without it, the
-    /// first deepest edge wins (first-arrival, the conservative
-    /// behavior; see the `cost_anchor` field for why both exist).
-    fn update_layouts(&mut self) {
-        const LIMIT: i64 = 12;
-        for b in 0..self.f.blocks.len() {
-            // During the filler-convergence tail the layouts are settled;
-            // only joins that just gained a ban are rebuilt, so the tail
-            // cannot restructure code away from the padding joins.
-            if self.ban_fillers && !self.ban_dirty.contains(&b) {
-                continue;
-            }
-            let cands = self.deliveries[b].clone();
-            if cands.is_empty() {
-                continue;
-            }
-            let hottest = cands.iter().map(|&(_, d, _)| d).max().unwrap();
-            let prev = self.deliveries_prev[b].clone();
-            let banned = self.hole_banned[b].clone();
-            let (t_order, u_order) = self.entry_order[b].clone();
-            let build = |from: usize, nat: &HashMap<VReg, i64>| -> [Vec<(VReg, i64)>; 2] {
-                let stable = |v: VReg, d: i64| -> bool {
-                    match prev.get(&from) {
-                        Some(p) => p.get(&v) == Some(&d),
-                        None => true, // first update: optimistic
-                    }
-                };
-                let mut new_layout: [Vec<(VReg, i64)>; 2] = [Vec::new(), Vec::new()];
-                for (hi, order) in [&t_order, &u_order].into_iter().enumerate() {
-                    let mut used: std::collections::HashSet<i64> = std::collections::HashSet::new();
-                    let mut naturals: Vec<(VReg, i64)> = Vec::new();
-                    let mut relays: Vec<VReg> = Vec::new();
-                    for &v in order {
-                        match nat.get(&v) {
-                            Some(&d)
-                                if (0..=LIMIT).contains(&d)
-                                    && stable(v, d)
-                                    && !banned[hi].contains(&v)
-                                    && used.insert(d) =>
-                            {
-                                naturals.push((v, d));
-                            }
-                            _ => relays.push(v),
-                        }
-                    }
-                    // Steady state: the relay group (r values) is re-emitted
-                    // on every edge, shifting unemitted naturals by r —
-                    // relays sit at 0..r-1, naturals at observed + r.
-                    loop {
-                        let r = relays.len() as i64;
-                        match naturals.iter().position(|&(_, d)| d + r > LIMIT) {
-                            Some(i) => relays.push(naturals.remove(i).0),
-                            None => break,
-                        }
-                    }
-                    let r = relays.len() as i64;
-                    new_layout[hi] = naturals.into_iter().map(|(v, d)| (v, d + r)).collect();
-                    for (i, v) in relays.into_iter().enumerate() {
-                        new_layout[hi].push((v, i as i64));
-                    }
-                }
-                new_layout
-            };
-            let mut best: Option<(i64, JoinLayout)> = None;
-            for &(from, d, ref nat) in &cands {
-                if d != hottest {
-                    continue;
-                }
-                let layout = build(from, nat);
-                if !self.cost_anchor {
-                    best = Some((0, layout));
-                    break; // first-arrival anchor
-                }
-                let cost: i64 = cands
-                    .iter()
-                    .map(|(_, _, np)| {
-                        est_fix_writes(&layout[0], np) + est_fix_writes(&layout[1], np)
-                    })
-                    .sum();
-                if best.as_ref().map(|&(bc, _)| cost < bc).unwrap_or(true) {
-                    best = Some((cost, layout));
-                }
-            }
-            self.layouts[b] = best.unwrap().1;
-        }
-    }
-
-    /// Minimal fix writes per hand so every layout target lands at its
-    /// distance: emitted fixes occupy distances `0..c` (jumps write no
-    /// hand), an unemitted value drifts to `current + c`.
-    fn min_fix_writes(&self, targets: &[(VReg, i64)]) -> i64 {
-        est_fix_writes_with(targets, &|v| self.loc.get(&v).map(|&l| self.dist_of(l)))
-    }
-
-    /// Entry state for a non-entry block: each hand's live-ins sit at
-    /// distances `k_h - 1 - j` (the edge emitted `k_h` relays in that
-    /// hand; jumps write no hand, so nothing shifts afterwards). v values
-    /// keep their frozen positions.
-    fn block_entry_state(&mut self, b: usize, v_positions: &HashMap<VReg, i64>) {
-        self.loc.clear();
-        self.counters = [0; 4];
-        for (&v, &pos) in v_positions {
-            self.loc.insert(v, Loc { hand: Hand::V, pos });
-        }
-        self.counters[Hand::V.index()] = self.v_count as i64;
-        // SP is s[0] at every block boundary.
-        self.counters[Hand::S.index()] = 1;
-        self.sp_pos = 0;
-        for (hi, hand) in [(0, Hand::T), (1, Hand::U)] {
-            for (v, d) in self.layouts[b][hi].clone() {
-                // distance d at entry (counter 0): pos = -1 - d.
-                self.loc.insert(v, Loc { hand, pos: -1 - d });
-            }
-        }
-    }
-
-    fn gen_block(&mut self, b: usize, is_entry: bool, next: Option<usize>) -> Result<(), String> {
-        self.block_starts[b] = self.out.insts.len() as u32;
-
-        // v positions are global to the function (frozen after entry).
-        let v_positions: HashMap<VReg, i64> = self
-            .loc
-            .iter()
-            .filter(|(_, l)| l.hand == Hand::V)
-            .map(|(&v, l)| (v, l.pos))
-            .collect();
-
-        if is_entry {
-            self.gen_entry_prologue()?;
-        } else if let Some((loc, counters, sp_pos)) = self.pending.remove(&b) {
-            // Single predecessor: inherit its exact path state.
-            self.loc = loc;
-            self.counters = counters;
-            self.sp_pos = sp_pos;
-        } else {
-            self.block_entry_state(b, &v_positions);
-        }
-
-        let blk = &self.f.blocks[b];
-        // Per-point liveness within the block: needed_at[i] is the set of
-        // vregs whose value at point i (before instruction i) is still
-        // read later with no intervening redefinition, or escapes the
-        // block. A mere "used later" test is not enough — a stale value
-        // that is *redefined* before its next use must not be relayed or
-        // spilled (its inherited distance may already be unencodable).
-        let nins = blk.insts.len();
-        let mut needed_at: Vec<std::collections::HashSet<VReg>> =
-            vec![Default::default(); nins + 1];
-        let mut live: std::collections::HashSet<VReg> = self.live_out[b].iter().collect();
-        live.extend(blk.term.srcs());
-        needed_at[nins] = live.clone();
-        for i in (0..nins).rev() {
-            if let Some(d) = blk.insts[i].dst() {
-                live.remove(&d);
-            }
-            live.extend(blk.insts[i].srcs());
-            needed_at[i] = live.clone();
-        }
-
-        let insts = blk.insts.clone();
-        for (i, ins) in insts.iter().enumerate() {
-            // The current value of v must survive past this instruction:
-            // needed afterwards, and not about to be redefined here.
-            let na = &needed_at[i + 1];
-            let dst = ins.dst();
-            if self.opt.min_relays {
-                // Safety net for last-use sources: a value read here for
-                // the final time is not in `na`, but it must still be in
-                // reach *after* the stack reloads that precede the read.
-                // The legacy backend silently assumed its slack covered
-                // this; with many stack-resident operands it does not.
-                let reloads = self.reload_writes(&ins.srcs());
-                if reloads > 0 {
-                    let srcs = ins.srcs();
-                    self.relay_over(MAX_DIST + 1 - reloads, &move |v: VReg| srcs.contains(&v))?;
-                }
-            }
-            let threshold = self.relay_threshold(ins);
-            let keep = move |v: VReg| na.contains(&v) && dst != Some(v);
-            self.relay_over(threshold, &keep)?;
-            self.gen_ins(ins, &needed_at[i + 1])?;
-        }
-        let term = blk.term.clone();
-        // The terminator's reads and edge-fix writes (branch-operand
-        // reloads, join-layout fixes, epilogue) run after the last
-        // instruction's relay pass; relay once more so they start in
-        // reach.
-        let na = &needed_at[nins];
-        let threshold = self.term_relay_threshold(&term);
-        self.relay_over(threshold, &move |v: VReg| na.contains(&v))?;
-        self.gen_term(b, &term, next)?;
-        Ok(())
-    }
-
-    /// Counts the short-hand writes the stack reloads for `srcs` can
-    /// emit before this instruction's operand reads.
-    fn reload_writes(&self, srcs: &[VReg]) -> i64 {
-        srcs.iter()
-            .filter(|&&s| self.stack_set.contains(s) && !self.zero_vregs.contains(s))
-            .count() as i64
-    }
-
-    /// Relay threshold before generating `ins`.
-    ///
-    /// The fixed early margin `RELAY_AT` is kept even in minimizing
-    /// mode: placing a provably-needed relay *earlier* costs nothing
+    /// The fixed early margin `RELAY_AT` is kept even when optimizing:
+    /// placing a provably-needed relay *earlier* costs nothing
     /// statically and buys out-of-order slack — measured on the
     /// workload suite, demand-placement (relaying at the last legal
     /// point) emitted the identical instruction count but ran 0.3–1.8%
     /// more cycles because the relay `mv` lands next to its consumer
-    /// and its hop latency goes on the critical path. What minimizing
-    /// mode *does* change is the overflow accounting: the threshold is
+    /// and its hop latency goes on the critical path. What optimizing
+    /// *does* change is the overflow accounting: the threshold is
     /// capped so the writes this instruction can emit (stack reloads
     /// plus its own definition) can never push a kept value past the
-    /// hard limit, where the legacy backend trusted a fixed slack of 3.
-    fn relay_threshold(&self, ins: &Ins) -> i64 {
-        if !self.opt.min_relays {
+    /// hard limit, where the unoptimized backend trusts a fixed slack
+    /// of 3.
+    fn ins_threshold(cg: &Core<'_, Self>, ins: &Ins, _: &HashSet<VReg>) -> i64 {
+        if !cg.optimize {
             return RELAY_AT;
         }
         // A call's result write lands after `loc` is rebuilt from
@@ -957,559 +354,270 @@ impl<'a> FnCg<'a> {
             Ins::Call { .. } => 0,
             _ => ins
                 .dst()
-                .map_or(0, |d| i64::from(!self.zero_vregs.contains(d))),
+                .map_or(0, |d| i64::from(!cg.zero_vregs.contains(d))),
         };
-        RELAY_AT.min(MAX_DIST + 1 - (self.reload_writes(&ins.srcs()) + own))
+        RELAY_AT.min(MAX_DIST + 1 - (Self::reload_writes(cg, &ins.srcs()) + own))
     }
 
-    /// Relay threshold before the terminator: its operand reloads, plus
-    /// the epilogue's return-address load that precedes the return-value
-    /// read. Join-edge fix writes guard their own reads in `take_edge`.
-    fn term_relay_threshold(&self, term: &Term) -> i64 {
-        if !self.opt.min_relays {
+    /// Before the terminator: its operand reloads, plus the epilogue's
+    /// return-address load that precedes the return-value read.
+    /// Join-edge fix writes guard their own reads.
+    fn term_threshold(cg: &Core<'_, Self>, term: &Term) -> i64 {
+        if !cg.optimize {
             return RELAY_AT;
         }
         let ra = i64::from(matches!(term, Term::Ret(_)));
-        RELAY_AT.min(MAX_DIST + 1 - (self.reload_writes(&term.srcs()) + ra))
+        RELAY_AT.min(MAX_DIST + 1 - (Self::reload_writes(cg, &term.srcs()) + ra))
+    }
+
+    /// A value read here for the last time is not kept by the ordinary
+    /// relay pass, but it must still be in reach *after* the stack
+    /// reloads that precede the read; with many stack-resident operands
+    /// a fixed slack does not cover that.
+    fn before_relays(cg: &mut Core<'_, Self>, ins: &Ins) -> Result<(), String> {
+        if !cg.optimize {
+            return Ok(());
+        }
+        let srcs = ins.srcs();
+        let reloads = Self::reload_writes(cg, &srcs);
+        if reloads > 0 {
+            cg.relay_over(MAX_DIST + 1 - reloads, |v| srcs.contains(&v))?;
+        }
+        Ok(())
+    }
+
+    fn relayable(cg: &Core<'_, Self>, v: VReg, l: Loc<Hand>) -> bool {
+        !matches!(l.ring, Hand::V | Hand::S) && !cg.isa.stack_set.contains(v)
+    }
+
+    /// v survives calls (callee-saved); stack-resident values are
+    /// already in memory.
+    fn spilled_across_call(cg: &Core<'_, Self>, v: VReg, l: Loc<Hand>) -> bool {
+        !cg.isa.stack_set.contains(v) && l.ring != Hand::V
+    }
+
+    /// Frame: the caller-v saves follow the return address; every
+    /// stack-resident value gets a slot, v values never need one.
+    fn reserve_frame(cg: &mut Core<'_, Self>, spills: &mut BitSet) -> i32 {
+        cg.isa.vsave_off = 8;
+        spills.union_with(&cg.isa.stack_set);
+        for v in cg.isa.v_set.iter() {
+            spills.remove(v);
+        }
+        8 * cg.isa.v_stack_saved.len() as i32
+    }
+
+    fn reload_operands(cg: &mut Core<'_, Self>, ins: &Ins) -> Result<(), String> {
+        for src in ins.srcs() {
+            Self::reload(cg, src)?;
+        }
+        Ok(())
+    }
+
+    /// Reloads a stack-resident vreg that has no position in reach, so a
+    /// following read succeeds.
+    fn reload(cg: &mut Core<'_, Self>, v: VReg) -> Result<(), String> {
+        if !cg.isa.stack_set.contains(v) || cg.zero_vregs.contains(v) {
+            return Ok(());
+        }
+        if let Some(&l) = cg.loc.get(&v) {
+            // Two writes of slack below the hand's hard limit, so the
+            // reload itself plus one interleaved write cannot push the
+            // value out of range before the read.
+            if cg.dist(l) <= l.ring.max_src_distance() as i64 - 2 {
+                return Ok(());
+            }
+        }
+        let offset = *cg
+            .spill_off
+            .get(&v)
+            .ok_or_else(|| format!("{}: v{v} has no stack slot", cg.f.name))?;
+        let h = cg.isa.assign[v as usize];
+        let base = Self::sp_src(cg)?;
+        cg.define(v, h);
+        cg.push(ChInst::Load {
+            op: LoadOp::Ld,
+            dst: h,
+            base,
+            offset,
+        });
+        Ok(())
+    }
+
+    fn write_through(cg: &mut Core<'_, Self>, v: VReg) -> Result<(), String> {
+        if !cg.isa.stack_set.contains(v) || cg.zero_vregs.contains(v) {
+            return Ok(());
+        }
+        let offset = cg.spill_off[&v];
+        let value = cg.src(v)?;
+        Self::store(cg, value, offset)
+    }
+
+    /// After the return t/u positions are dead, v is preserved by the
+    /// convention, and `s[0]` is the restored SP, `s[1]` the return
+    /// value, which moves out of `s` at once (s churns at every call).
+    fn after_call(cg: &mut Core<'_, Self>, dst: Option<VReg>) -> Result<(), String> {
+        cg.loc.retain(|_, l| l.ring == Hand::V);
+        let sc = cg.counters[Hand::S.index()];
+        let new_sc = sc + 1 + i64::from(dst.is_some());
+        cg.counters[Hand::S.index()] = new_sc;
+        cg.sp_pos = new_sc - 1;
+        if let Some(d) = dst {
+            cg.loc.insert(
+                d,
+                Loc {
+                    ring: Hand::S,
+                    pos: sc,
+                },
+            );
+            let h = cg.isa.assign[d as usize];
+            let src = cg.src(d)?;
+            cg.define(d, h);
+            cg.push(ChInst::Mv { dst: h, src });
+        }
+        Ok(())
+    }
+
+    /// Join entry: each hand's live-ins at their layout distances, v
+    /// values at their frozen positions (global to the function once
+    /// the entry block has defined them), SP at `s[0]`.
+    fn join_entry(cg: &mut Core<'_, Self>, b: usize) {
+        let v_positions: Vec<(VReg, Loc<Hand>)> = cg
+            .loc
+            .iter()
+            .filter(|(_, l)| l.ring == Hand::V)
+            .map(|(&v, &l)| (v, l))
+            .collect();
+        cg.enter_layout(b);
+        cg.loc.extend(v_positions);
+        cg.counters[Hand::V.index()] = cg.isa.v_count as i64;
+        cg.counters[Hand::S.index()] = 1;
+        cg.sp_pos = 0;
     }
 
     /// Function entry: calling-convention state, frame setup, caller
     /// v-saves, parameter moves.
-    fn gen_entry_prologue(&mut self) -> Result<(), String> {
-        self.loc.clear();
-        self.counters = [0; 4];
+    fn prologue(cg: &mut Core<'_, Self>) -> Result<(), String> {
+        cg.loc.clear();
+        cg.counters = [0; 4];
         // s hand at entry: s[0]=RA, s[1..n]=args, s[n+1]=caller SP.
-        let n = self.f.params.len() as i64;
-        self.counters[Hand::S.index()] = n + 2;
-        let ra_pos = n + 1;
-        for (i, &p) in self.f.params.iter().enumerate() {
-            self.loc.insert(
-                p,
-                Loc {
-                    hand: Hand::S,
-                    pos: n - i as i64,
-                },
-            );
+        let n = cg.f.params.len() as i64;
+        cg.counters[Hand::S.index()] = n + 2;
+        let ra = Loc {
+            ring: Hand::S,
+            pos: n + 1,
+        };
+        for (i, &p) in cg.f.params.iter().enumerate() {
+            let pos = n - i as i64;
+            cg.loc.insert(p, Loc { ring: Hand::S, pos });
         }
-        let caller_sp_pos = 0i64;
-
         // SP = caller SP - frame (paper: `addi s, s[X], -amount`,
         // X = number of arguments plus one).
-        let d = self.counters[Hand::S.index()] - 1 - caller_sp_pos;
-        debug_assert_eq!(d, n + 1);
-        self.sp_pos = self.counters[Hand::S.index()];
-        self.push(ChInst::AluImm {
+        let caller_sp = Loc {
+            ring: Hand::S,
+            pos: 0,
+        };
+        let src1 = Self::src_at(Hand::S, cg.dist(caller_sp));
+        cg.sp_pos = cg.counters[Hand::S.index()];
+        cg.push(ChInst::AluImm {
             op: AluOp::Add,
             dst: Hand::S,
-            src1: Src::Hand(Hand::S, d as u8),
-            imm: -self.frame_size,
+            src1,
+            imm: -cg.frame_size,
         });
         // Spill RA (one deeper after the SP write).
-        let ra_d = self.counters[Hand::S.index()] - 1 - ra_pos;
-        let sp = self.sp_src()?;
-        self.push(ChInst::Store {
-            op: StoreOp::Sd,
-            value: Src::Hand(Hand::S, ra_d as u8),
-            base: sp,
-            offset: self.ra_off,
-        });
+        Self::store(cg, Self::src_at(Hand::S, cg.dist(ra)), RA_OFF)?;
         // Save the caller's v registers that the epilogue cannot reach
-        // in the ring (see the save plan in `new`) before any own v
+        // in the ring (see the save plan in `plan`) before any own v
         // write; the rest are restored by relays from deeper positions.
-        for (idx, &j) in self.v_stack_saved.clone().iter().enumerate() {
-            let sp = self.sp_src()?;
-            self.push(ChInst::Store {
-                op: StoreOp::Sd,
-                value: Src::Hand(Hand::V, j as u8),
-                base: sp,
-                offset: self.vsave_off + 8 * idx as i32,
-            });
+        for idx in 0..cg.isa.v_stack_saved.len() {
+            let j = cg.isa.v_stack_saved[idx];
+            let offset = cg.isa.vsave_off + 8 * idx as i32;
+            Self::store(cg, Src::Hand(Hand::V, j as u8), offset)?;
         }
         // Own v writes start at model position 0.
-        self.counters[Hand::V.index()] = 0;
+        cg.counters[Hand::V.index()] = 0;
         // Move parameters out of s into their assigned hands.
-        for &p in &self.f.params.clone() {
-            if self.zero_vregs.contains(p) {
+        let f = cg.f;
+        for &p in &f.params {
+            if cg.zero_vregs.contains(p) {
                 continue;
             }
-            let hand = self.assign[p as usize];
-            let s = self.src(p)?;
-            self.define(p, hand);
-            self.push(ChInst::Mv { dst: hand, src: s });
-            self.write_through(p)?;
+            let hand = cg.isa.assign[p as usize];
+            let src = cg.src(p)?;
+            cg.define(p, hand);
+            cg.push(ChInst::Mv { dst: hand, src });
+            Self::write_through(cg, p)?;
         }
         Ok(())
     }
 
-    fn gen_ins(
-        &mut self,
-        ins: &Ins,
-        needed_after: &std::collections::HashSet<VReg>,
-    ) -> Result<(), String> {
-        // Reload every stack-resident source before computing any
-        // distance (a reload is a write and would shift them).
-        for src in ins.srcs() {
-            self.ensure_loaded(src)?;
+    /// Epilogue: reload RA into u, restore the caller's v registers,
+    /// write the return value to s, restore the caller SP to s (paper:
+    /// `addi s, s[1], amount`), return.
+    fn epilogue(cg: &mut Core<'_, Self>, v: Option<VReg>) -> Result<(), String> {
+        if let Some(rv) = v {
+            Self::reload(cg, rv)?;
         }
-        self.gen_ins_inner(ins, needed_after)?;
-        if let Some(d) = ins.dst() {
-            self.write_through(d)?;
+        let ra = Loc {
+            ring: Hand::U,
+            pos: cg.counters[Hand::U.index()],
+        };
+        let base = Self::sp_src(cg)?;
+        cg.push(ChInst::Load {
+            op: LoadOp::Ld,
+            dst: Hand::U,
+            base,
+            offset: RA_OFF,
+        });
+        // Write the return value to s BEFORE restoring the caller's v
+        // registers: if the value itself lives in v, the 8 restore
+        // writes would push it past the encodable distance. The s write
+        // order the caller depends on (retval, then SP) is unaffected —
+        // restores write only v.
+        if let Some(rv) = v {
+            let src = cg.src(rv)?;
+            cg.push(ChInst::Mv { dst: Hand::S, src });
         }
-        Ok(())
-    }
-
-    fn gen_ins_inner(
-        &mut self,
-        ins: &Ins,
-        needed_after: &std::collections::HashSet<VReg>,
-    ) -> Result<(), String> {
-        match ins {
-            Ins::Const { dst, val } => {
-                if self.zero_vregs.contains(*dst) {
-                    return Ok(());
-                }
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::Li { dst: h, imm: *val });
-            }
-            Ins::FConst { dst, val } => {
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::Li {
-                    dst: h,
-                    imm: val.to_bits() as i64,
-                });
-            }
-            Ins::GlobalAddr { dst, id } => {
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::Li {
-                    dst: h,
-                    imm: self.module.globals[*id].addr as i64,
-                });
-            }
-            Ins::FrameAddr { dst, slot } => {
-                let h = self.assign[*dst as usize];
-                let sp = self.sp_src()?;
-                self.define(*dst, h);
-                self.push(ChInst::AluImm {
-                    op: AluOp::Add,
-                    dst: h,
-                    src1: sp,
-                    imm: self.array_offsets[*slot],
-                });
-            }
-            Ins::Bin { op, dst, a, b } => {
-                let s1 = self.src(*a)?;
-                let s2 = self.src(*b)?;
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::Alu {
-                    op: *op,
-                    dst: h,
-                    src1: s1,
-                    src2: s2,
-                });
-            }
-            Ins::BinImm { op, dst, a, imm } => {
-                let s1 = self.src(*a)?;
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::AluImm {
-                    op: *op,
-                    dst: h,
-                    src1: s1,
-                    imm: *imm,
-                });
-            }
-            Ins::Load { op, dst, addr, off } => {
-                let base = self.src(*addr)?;
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::Load {
-                    op: *op,
-                    dst: h,
-                    base,
-                    offset: *off,
-                });
-            }
-            Ins::Store { op, val, addr, off } => {
-                let value = self.src(*val)?;
-                let base = self.src(*addr)?;
-                self.push(ChInst::Store {
-                    op: *op,
-                    value,
-                    base,
-                    offset: *off,
-                });
-            }
-            Ins::Copy { dst, src } => {
-                let s = self.src(*src)?;
-                let h = self.assign[*dst as usize];
-                self.define(*dst, h);
-                self.push(ChInst::Mv { dst: h, src: s });
-            }
-            Ins::Call { dst, callee, args } => {
-                // 1. Spill live t/u values (v survives: callee-saved).
-                let mut after: Vec<VReg> = self
-                    .loc
-                    .keys()
-                    .copied()
-                    .filter(|&v| {
-                        needed_after.contains(&v)
-                            && Some(v) != *dst
-                            && !self.zero_vregs.contains(v)
-                            && !self.stack_set.contains(v)
-                            && self.loc[&v].hand != Hand::V
-                    })
-                    .collect();
-                after.sort_unstable();
-                for &v in &after {
-                    let s = self.src(v)?;
-                    let off = *self
-                        .spill_off
-                        .get(&v)
-                        .ok_or_else(|| format!("{}: v{v} has no spill slot", self.f.name))?;
-                    let sp = self.sp_src()?;
-                    self.push(ChInst::Store {
-                        op: StoreOp::Sd,
-                        value: s,
-                        base: sp,
-                        offset: off,
-                    });
-                }
-                // 2. Push args argN..arg1 into s (SP is already the most
-                //    recent s write, so the callee finds it at s[n+1]).
-                for &a in args.iter().rev() {
-                    let s = self.src(a)?;
-                    self.push(ChInst::Mv {
-                        dst: Hand::S,
-                        src: s,
-                    });
-                }
-                // 3. Call (RA written to s).
-                let at = self.out.insts.len();
-                self.push(ChInst::Call {
-                    dst: Hand::S,
-                    target: 0,
-                });
-                self.call_fixups.push((at, *callee));
-                // 4. After return: t/u positions dead; v preserved by the
-                //    convention; s[0]=restored SP, s[1]=return value.
-                let v_positions: Vec<(VReg, Loc)> = self
-                    .loc
-                    .iter()
-                    .filter(|(_, l)| l.hand == Hand::V)
-                    .map(|(&v, &l)| (v, l))
-                    .collect();
-                self.loc.clear();
-                for (v, l) in v_positions {
-                    self.loc.insert(v, l);
-                }
-                let sc = self.counters[Hand::S.index()];
-                let (new_sc, retval_pos) = if dst.is_some() {
-                    (sc + 2, sc)
-                } else {
-                    (sc + 1, sc)
-                };
-                self.counters[Hand::S.index()] = new_sc;
-                self.sp_pos = new_sc - 1;
-                if let Some(d) = dst {
-                    self.loc.insert(
-                        *d,
-                        Loc {
-                            hand: Hand::S,
-                            pos: retval_pos,
-                        },
-                    );
-                    // Move it out of s promptly (s churns at every call).
-                    let h = self.assign[*d as usize];
-                    let s = self.src(*d)?;
-                    self.define(*d, h);
-                    self.push(ChInst::Mv { dst: h, src: s });
-                }
-                // 5. Reload spilled values into their hands.
-                for &v in &after {
-                    let off = self.spill_off[&v];
-                    let h = self.assign[v as usize];
-                    let sp = self.sp_src()?;
-                    self.define(v, h);
-                    self.push(ChInst::Load {
+        // Restore the caller's v[0..7]: write X_7 first so X_0 ends at
+        // v[0]. Stack-saved slots reload; the rest are still in the
+        // ring — caller v[j] sits at distance v_count + j here (own
+        // writes shifted it; every inner call preserved the window
+        // contents in place), and by the time slot j is rewritten the
+        // 7 - j earlier restores have shifted it to v_count + 7, a
+        // constant within the encodable range whenever v_count <= 8.
+        let ring_d = cg.counters[Hand::V.index()] + 7;
+        for j in (0..cg.isa.v_restore_count).rev() {
+            match cg.isa.v_stack_saved.iter().position(|&x| x == j) {
+                Some(idx) => {
+                    let base = Self::sp_src(cg)?;
+                    cg.push(ChInst::Load {
                         op: LoadOp::Ld,
-                        dst: h,
-                        base: sp,
-                        offset: off,
+                        dst: Hand::V,
+                        base,
+                        offset: cg.isa.vsave_off + 8 * idx as i32,
+                    });
+                }
+                None => {
+                    debug_assert!((0..=MAX_DIST).contains(&ring_d));
+                    cg.push(ChInst::Mv {
+                        dst: Hand::V,
+                        src: Src::Hand(Hand::V, ring_d as u8),
                     });
                 }
             }
         }
+        let src1 = Self::sp_src(cg)?;
+        cg.push(ChInst::AluImm {
+            op: AluOp::Add,
+            dst: Hand::S,
+            src1,
+            imm: cg.frame_size,
+        });
+        let src = Self::src_at(Hand::U, cg.dist(ra));
+        cg.push(ChInst::JumpReg { src });
         Ok(())
     }
-
-    /// Transfers control to `t`: a single-predecessor target inherits the
-    /// path state; a join receives, per hand, exactly the writes needed
-    /// to realise its entry layout (zero on the stabilised hot edge).
-    /// Jumps write no hand (Section 3.3(3)), so they are only emitted
-    /// when the layout demands one and never disturb distances.
-    fn take_edge(&mut self, from: usize, t: usize, can_fallthrough: bool) -> Result<(), String> {
-        if self.preds_count[t] == 1 {
-            if !can_fallthrough {
-                let at = self.out.insts.len();
-                self.push(ChInst::Jump { target: 0 });
-                self.fixups.push((at, t));
-            }
-            self.pending
-                .insert(t, (self.loc.clone(), self.counters, self.sp_pos));
-            return Ok(());
-        }
-        // Record this edge's natural delivery for the layout update.
-        let d_from = self.depth[from];
-        let mut nat = HashMap::new();
-        for hi in 0..2 {
-            for &(v, _) in &self.layouts[t][hi] {
-                if let Some(&l) = self.loc.get(&v) {
-                    nat.insert(v, self.dist_of(l));
-                }
-            }
-        }
-        self.deliveries[t].push((from, d_from, nat));
-        for (hi, hand) in [(0, Hand::T), (1, Hand::U)] {
-            let targets = self.layouts[t][hi].clone();
-            let mut c = self.min_fix_writes(&targets);
-            // Pre-relay any to-be-emitted value whose read would
-            // overflow by the time its slot comes up. When a relay is
-            // needed, the victim is the deepest emitted value — not the
-            // deepest *flagged* one: every relay pushes the others one
-            // deeper in this hand, so relaying around a value sitting at
-            // MAX_DIST would push it out of reach before the recomputed
-            // fix count flags it. Relaying max-first keeps the maximum
-            // distance from ever growing.
-            for _round in 0..64 {
-                let mut need = false;
-                let mut deepest: Option<(VReg, i64)> = None;
-                for &(v, d) in &targets {
-                    if d < c {
-                        if let Some(&l) = self.loc.get(&v) {
-                            let cur = self.dist_of(l);
-                            if cur + (c - 1 - d) > MAX_DIST {
-                                need = true;
-                            }
-                            if deepest.map(|(_, bd)| cur > bd).unwrap_or(true) {
-                                deepest = Some((v, cur));
-                            }
-                        }
-                    }
-                }
-                let victim = if need { deepest } else { None };
-                match victim {
-                    Some((v, _)) => {
-                        let sop = self.src(v)?;
-                        self.define(v, hand);
-                        self.push(ChInst::Mv {
-                            dst: hand,
-                            src: sop,
-                        });
-                        self.fix_writes += 1;
-                        c = self.min_fix_writes(&targets);
-                    }
-                    None => break,
-                }
-            }
-            for slot in (0..c).rev() {
-                self.fix_writes += 1;
-                match targets.iter().find(|&&(_, d)| d == slot) {
-                    Some(&(v, _)) => {
-                        let sop = self.src(v)?;
-                        self.define(v, hand);
-                        self.push(ChInst::Mv {
-                            dst: hand,
-                            src: sop,
-                        });
-                    }
-                    // Filler slot (a gap in the layout): something must
-                    // write this hand to shift the values above into
-                    // place. A dependency-free `li 0` is the cheapest
-                    // such write — a value-carrying move was measured to
-                    // splice an extra hop into the value's dependence
-                    // chain and cost 0.5–1.8% cycles on hot edges. The
-                    // pad also bans the natural sitting above the hole,
-                    // so the next pass rebuilds this join gap-free and
-                    // the filler disappears from the final code.
-                    None => {
-                        self.filler_writes += 1;
-                        if self.ban_fillers {
-                            if let Some(&(v, _)) = targets
-                                .iter()
-                                .filter(|&&(_, d)| d > slot)
-                                .min_by_key(|&&(_, d)| d)
-                            {
-                                if self.hole_banned[t][hi].insert(v) {
-                                    self.ban_dirty.insert(t);
-                                }
-                            }
-                        }
-                        self.push(ChInst::Li { dst: hand, imm: 0 });
-                    }
-                }
-            }
-        }
-        if !can_fallthrough {
-            let at = self.out.insts.len();
-            self.push(ChInst::Jump { target: 0 });
-            self.fixups.push((at, t));
-        }
-        Ok(())
-    }
-
-    fn gen_term(&mut self, from: usize, term: &Term, next: Option<usize>) -> Result<(), String> {
-        match term {
-            Term::Jump(t) => self.take_edge(from, *t, next == Some(*t)),
-            Term::CondBr {
-                cond,
-                a,
-                b,
-                then_,
-                else_,
-            } => {
-                if then_ == else_ {
-                    return self.take_edge(from, *then_, next == Some(*then_));
-                }
-                self.ensure_loaded(*a)?;
-                self.ensure_loaded(*b)?;
-                let s1 = self.src(*a)?;
-                let s2 = self.src(*b)?;
-                let br_at = self.out.insts.len();
-                self.push(ChInst::Branch {
-                    cond: *cond,
-                    src1: s1,
-                    src2: s2,
-                    target: 0,
-                });
-                let saved_loc = self.loc.clone();
-                let saved_counters = self.counters;
-                let saved_sp = self.sp_pos;
-                let then_direct = self.preds_count[*then_] == 1 || {
-                    self.min_fix_writes(&self.layouts[*then_][0]) == 0
-                        && self.min_fix_writes(&self.layouts[*then_][1]) == 0
-                };
-                let can_ft = then_direct && next == Some(*else_);
-                self.take_edge(from, *else_, can_ft)?;
-                self.loc = saved_loc;
-                self.counters = saved_counters;
-                self.sp_pos = saved_sp;
-                if then_direct {
-                    let here = self.out.insts.len();
-                    self.take_edge(from, *then_, true)?;
-                    debug_assert_eq!(here, self.out.insts.len());
-                    self.fixups.push((br_at, *then_));
-                } else {
-                    let stub = self.out.insts.len() as u32;
-                    self.take_edge(from, *then_, false)?;
-                    if let ChInst::Branch { target, .. } = &mut self.out.insts[br_at] {
-                        *target = stub;
-                    }
-                }
-                Ok(())
-            }
-            Term::Ret(v) => {
-                // Epilogue: reload RA into u, restore the caller's v
-                // registers, write the return value to s, restore the
-                // caller SP to s (paper: `addi s, s[1], amount`), return.
-                if let Some(rv) = v {
-                    self.ensure_loaded(*rv)?;
-                }
-                let ra_u_pos = self.counters[Hand::U.index()];
-                let sp = self.sp_src()?;
-                self.push(ChInst::Load {
-                    op: LoadOp::Ld,
-                    dst: Hand::U,
-                    base: sp,
-                    offset: self.ra_off,
-                });
-                // Write the return value to s BEFORE restoring the
-                // caller's v registers: if the value itself lives in v,
-                // the 8 restore writes would push it past the encodable
-                // distance. The s write order the caller depends on
-                // (retval, then SP) is unaffected — restores write only v.
-                if let Some(rv) = v {
-                    let s = self.src(*rv)?;
-                    self.push(ChInst::Mv {
-                        dst: Hand::S,
-                        src: s,
-                    });
-                }
-                // Restore the caller's v[0..7]: write X_7 first so X_0
-                // ends at v[0]. Stack-saved slots reload; the rest are
-                // still in the ring — caller v[j] sits at distance
-                // v_count + j here (own writes shifted it; every inner
-                // call preserved the window contents in place), and by
-                // the time slot j is rewritten the 7 - j earlier
-                // restores have shifted it to v_count + 7, a constant
-                // within the encodable range whenever v_count <= 8.
-                let ring_d = self.counters[Hand::V.index()] + 7;
-                for j in (0..self.v_restore_count).rev() {
-                    match self.v_stack_saved.iter().position(|&x| x == j) {
-                        Some(idx) => {
-                            let sp = self.sp_src()?;
-                            self.push(ChInst::Load {
-                                op: LoadOp::Ld,
-                                dst: Hand::V,
-                                base: sp,
-                                offset: self.vsave_off + 8 * idx as i32,
-                            });
-                        }
-                        None => {
-                            debug_assert!((0..=MAX_DIST).contains(&ring_d));
-                            self.push(ChInst::Mv {
-                                dst: Hand::V,
-                                src: Src::Hand(Hand::V, ring_d as u8),
-                            });
-                        }
-                    }
-                }
-                let spsrc = self.sp_src()?;
-                self.push(ChInst::AluImm {
-                    op: AluOp::Add,
-                    dst: Hand::S,
-                    src1: spsrc,
-                    imm: self.frame_size,
-                });
-                let ra_d = self.counters[Hand::U.index()] - 1 - ra_u_pos;
-                self.push(ChInst::JumpReg {
-                    src: Src::Hand(Hand::U, ra_d as u8),
-                });
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Minimal fix-write count for one hand's layout given a distance
-/// oracle: the smallest `c` such that every target at distance `d >= c`
-/// is already delivered naturally (its current distance plus the `c`
-/// emitted writes lands it exactly at `d`).
-fn est_fix_writes_with(targets: &[(VReg, i64)], dist: &dyn Fn(VReg) -> Option<i64>) -> i64 {
-    let maxd = targets
-        .iter()
-        .map(|&(_, d)| d)
-        .max()
-        .map(|d| d + 1)
-        .unwrap_or(0);
-    'outer: for c in 0..=maxd {
-        for &(v, d) in targets {
-            if d >= c && dist(v) != Some(d - c) {
-                continue 'outer;
-            }
-        }
-        return c;
-    }
-    maxd
-}
-
-/// [`est_fix_writes_with`] against a recorded delivery snapshot
-/// (vreg → distance at the edge point, before any fixes).
-fn est_fix_writes(targets: &[(VReg, i64)], nat: &HashMap<VReg, i64>) -> i64 {
-    est_fix_writes_with(targets, &|v| nat.get(&v).copied())
 }
 
 #[cfg(test)]

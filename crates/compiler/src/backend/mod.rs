@@ -2,5 +2,6 @@
 
 pub mod clockhands;
 pub mod opt;
+mod ring;
 pub mod riscv;
 pub mod straight;

@@ -18,63 +18,45 @@
 //!   maximum-independent-set over loop bodies
 //!   ([`select_loop_constants`]).
 //!
-//! [`OptConfig`] carries the per-pass toggles; `OptConfig::none()`
-//! reproduces the pre-optimization backend for A/B comparisons (the
-//! `--no-opt` escape hatch and the `figures opt` experiment).
+//! [`OptConfig`] switches the layer on or off as a whole;
+//! `OptConfig::none()` reproduces the pre-optimization backend for A/B
+//! comparisons (the `--no-opt` escape hatch and the `figures opt`
+//! experiment).
 
 use crate::cfg::{BitSet, LoopInfo};
 use crate::ir::{Function, Ins, VReg};
 use std::collections::HashMap;
 
-/// Per-pass optimization toggles for the rotating-register backends.
+/// Whether the rotating-register backends optimize.
 ///
-/// The default ([`OptConfig::full`]) enables everything; `none()` is
-/// the conservative pre-optimization pipeline kept for differential
-/// testing and measurement.
+/// One switch, because the four optimizations only ever run together:
+/// distance-aware scheduling ([`schedule_function`]), the
+/// measured-lifetime t/u split ([`long_lived_locals`]), demand-driven
+/// relay thresholds with cost-anchored join layouts, and clobber-only
+/// callee saves on the `v` hand. [`OptConfig::full`] is the production
+/// pipeline; [`OptConfig::none`] is the conservative pre-optimization
+/// backend kept for differential testing and measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
-    /// Distance-aware local scheduling ([`schedule_function`]).
-    pub schedule: bool,
-    /// Measured-lifetime t/u split ([`long_lived_locals`]); when off,
-    /// the first-fit instruction-span heuristic is used.
-    pub lifetime_split: bool,
-    /// Demand-driven relay placement and value-carrying edge fixes;
-    /// when off, relays fire at a fixed conservative threshold and
-    /// edge-fix filler slots write a literal zero.
-    pub min_relays: bool,
-    /// Clobber-only callee-save traffic on the `v` hand; when off,
-    /// every function that writes `v` saves and reloads the full
-    /// callee-saved window through the stack.
-    pub lean_saves: bool,
+    /// Run the optimization layer.
+    pub optimize: bool,
 }
 
 impl OptConfig {
     /// Everything on (the default production pipeline).
     pub fn full() -> OptConfig {
-        OptConfig {
-            schedule: true,
-            lifetime_split: true,
-            min_relays: true,
-            lean_saves: true,
-        }
+        OptConfig { optimize: true }
     }
 
     /// Everything off: the conservative pre-optimization backend.
     pub fn none() -> OptConfig {
-        OptConfig {
-            schedule: false,
-            lifetime_split: false,
-            min_relays: false,
-            lean_saves: false,
-        }
+        OptConfig { optimize: false }
     }
 
     /// The process-wide configuration (see [`crate::set_optimize`]).
     pub fn current() -> OptConfig {
-        if crate::optimize_enabled() {
-            OptConfig::full()
-        } else {
-            OptConfig::none()
+        OptConfig {
+            optimize: crate::optimize_enabled(),
         }
     }
 }

@@ -15,6 +15,11 @@ pub const NUM_HANDS: usize = 4;
 /// write to hand `t`, `t[15]` the oldest reachable one.
 pub const MAX_DISTANCE: u8 = 16;
 
+/// Most arguments a call passes. At the callee's entry `s[0]` is the
+/// return address, `s[1]..=s[n]` the arguments and `s[n + 1]` the
+/// caller's stack pointer, which must be encodable: `n + 1 <= 14`.
+pub const MAX_ARGS: usize = Hand::S.max_src_distance() as usize - 1;
+
 /// One of the four register groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Hand {

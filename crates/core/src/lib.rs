@@ -62,7 +62,7 @@ pub mod program;
 pub mod rp;
 pub mod state;
 
-pub use hand::{Hand, MAX_DISTANCE, NUM_HANDS};
+pub use hand::{Hand, MAX_ARGS, MAX_DISTANCE, NUM_HANDS};
 pub use inst::{Clockhands, Inst, Src};
 pub use interp::Interpreter;
 pub use program::Program;

@@ -21,7 +21,7 @@ use crate::check::{EntryKind, Frontend, Options, State};
 use crate::domain::{Av, Kind, Marks, ENTRY_SITE};
 use crate::engine::Sink;
 use crate::Report;
-use clockhands::hand::{Hand, MAX_DISTANCE, NUM_HANDS};
+use clockhands::hand::{Hand, MAX_ARGS, MAX_DISTANCE, NUM_HANDS};
 use clockhands::inst::{Clockhands, Inst, Src};
 use clockhands::program::Program;
 
@@ -79,14 +79,15 @@ impl Frontend for Clockhands {
             *slot = Av::entry(tok(Hand::V, d));
         }
         // s[0] is the return address; deeper s slots are the caller's
-        // arguments and stack pointer (the deepest encodable, s[14], is
-        // still caller-meaningful; s[15] is unreachable anyway).
+        // arguments and stack pointer, at most `MAX_ARGS` arguments and
+        // the SP after them (the deepest encodable, s[14], is still
+        // caller-meaningful; s[15] is unreachable anyway).
         let s = window(&mut st, Hand::S);
         s[0] = Av {
             kind: Kind::RetAddr,
             ..Av::entry(tok(Hand::S, 0))
         };
-        for (d, slot) in s.iter_mut().enumerate().take(DEPTH - 1).skip(1) {
+        for (d, slot) in s.iter_mut().enumerate().take(MAX_ARGS + 2).skip(1) {
             *slot = Av::entry(tok(Hand::S, d));
         }
         st

@@ -21,7 +21,7 @@ use crate::check::{addi_result, mark_av, EntryKind, Frontend, Options, State};
 use crate::domain::{Av, Kind, Marks, ENTRY_SITE};
 use crate::engine::Sink;
 use crate::Report;
-use ch_baselines::straight::{StProgram, StSrc, Straight, MAX_DISTANCE};
+use ch_baselines::straight::{StProgram, StSrc, Straight, MAX_ARGS, MAX_DISTANCE};
 
 const DEPTH: usize = MAX_DISTANCE as usize;
 /// The slot of the special SP register, after the ring window (index 0
@@ -31,7 +31,7 @@ const SP: usize = DEPTH;
 const SP_TOK: u16 = 256;
 /// How many entry distances are modeled as caller-meaningful (return
 /// address at 1, arguments after it); deeper slots are caller leftovers.
-const ARG_DEPTH: u16 = 12;
+const ARG_DEPTH: u16 = MAX_ARGS as u16 + 1;
 
 impl Frontend for Straight {
     const ISA: &'static str = "straight";

@@ -189,3 +189,37 @@ fn a_backend_failure_is_reported_for_its_own_isa_only() {
         assert_eq!(run.result.exit_value, 45, "{isa:?}");
     }
 }
+
+#[test]
+fn parameter_counts_past_the_convention_window_are_refused() {
+    // `f(p0..p{n-1})` returns Σ p_i·(i+1); called with p_i = i + 2.
+    let src = |n: usize| {
+        let params: Vec<String> = (0..n).map(|i| format!("p{i}: int")).collect();
+        let sum: Vec<String> = (0..n).map(|i| format!("p{i} * {}", i + 1)).collect();
+        let args: Vec<String> = (0..n).map(|i| (i + 2).to_string()).collect();
+        format!(
+            "fn f({}) -> int {{ return {}; }}\nfn main() -> int {{ return f({}); }}",
+            params.join(", "),
+            sum.join(" + "),
+            args.join(", ")
+        )
+    };
+    for (isa, name, max) in [
+        (IsaKind::Straight, "STRAIGHT", 11),
+        (IsaKind::Clockhands, "Clockhands", 13),
+    ] {
+        let module = build_ir(&src(max)).unwrap();
+        let prog = compile_isa(&module, isa, true).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let want: u64 = (0..max as u64).map(|i| (i + 1) * (i + 2)).sum();
+        let run = prog.execute(LIMIT, false).unwrap();
+        assert_eq!(run.result.exit_value, want, "{name}");
+
+        let module = build_ir(&src(max + 1)).unwrap();
+        let err = format!("f: {} parameters; {name} passes at most {max}", max + 1);
+        assert_eq!(
+            compile_isa(&module, isa, true),
+            Err(CompileError::Backend(err)),
+            "{name}"
+        );
+    }
+}
