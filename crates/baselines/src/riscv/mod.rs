@@ -65,12 +65,14 @@ impl Reg {
     }
 }
 
+/// `xN`, `fN`, or, for a number past the register file, `<regN>`: a
+/// token that names no register and that no assembler reads back.
 impl std::fmt::Display for Reg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_fp() {
-            write!(f, "f{}", self.0 - 32)
-        } else {
-            write!(f, "x{}", self.0)
+        match self.0 {
+            n if n >= NUM_REGS => write!(f, "<reg{n}>"),
+            n if n >= 32 => write!(f, "f{}", n - 32),
+            n => write!(f, "x{n}"),
         }
     }
 }
@@ -139,6 +141,9 @@ mod tests {
         assert!(!Reg::x(31).is_fp());
         assert_eq!(Reg::f(3).to_string(), "f3");
         assert_eq!(Reg::x(3).to_string(), "x3");
+        assert_eq!(Reg(63).to_string(), "f31");
+        assert_eq!(Reg(70).to_string(), "<reg70>");
+        assert_eq!(asm::parse_reg("<reg70>"), None);
     }
 
     #[test]
@@ -167,7 +172,7 @@ mod tests {
             imm: 1,
         };
         for (inst, text) in [
-            (alu, "instruction 0: source operand f38 out of range"),
+            (alu, "instruction 0: source operand <reg70> out of range"),
             (li, "instruction 0: destination Reg(70) out of range"),
         ] {
             let mut p = RvProgram::new();

@@ -241,7 +241,7 @@ fn spec<C: Codec>(dst: Option<Dst<C>>, srcs: &[Src<C>], at: u32) -> Result<[u32;
     let mut n = 0;
     if let Some(d) = dst.filter(|_| C::Ops::IMPLICIT_DST.is_none()) {
         if !C::Ops::is_valid_dst(d) {
-            return Err(EncodeError::BadSrc { at });
+            return Err(EncodeError::BadDst { at });
         }
         codes[0] = C::dst(d);
         n = 1;

@@ -146,10 +146,17 @@ impl EncodedProgram {
 /// An instruction stream that cannot be expressed in the binary format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeError {
-    /// An operand the ISA does not have ([`ch_common::isa::Operands`]'
-    /// range rule: e.g. a register number ≥ 64, or a hand distance past
-    /// the ring depth), as a source or a destination.
+    /// A source operand the ISA does not have
+    /// ([`ch_common::isa::Operands::is_valid`]: e.g. a register number
+    /// ≥ 64, or a hand distance past the ring depth).
     BadSrc {
+        /// Index of the offending instruction.
+        at: u32,
+    },
+    /// A destination the ISA does not have
+    /// ([`ch_common::isa::Operands::is_valid_dst`]: e.g. a register
+    /// number ≥ 64).
+    BadDst {
         /// Index of the offending instruction.
         at: u32,
     },
@@ -180,6 +187,12 @@ impl std::fmt::Display for EncodeError {
                 write!(
                     f,
                     "instruction {at}: source specifier out of encoding range"
+                )
+            }
+            EncodeError::BadDst { at } => {
+                write!(
+                    f,
+                    "instruction {at}: destination specifier out of encoding range"
                 )
             }
             EncodeError::BadTarget { at, target } => {

@@ -271,6 +271,15 @@ mod tests {
             EncodingVariant::Fixed,
         )
         .unwrap_err();
+        assert!(matches!(err, EncodeError::BadDst { at: 0 }), "{err:?}");
+        let err = crate::encode_riscv(
+            &[RvInst::Mv {
+                dst: Reg(1),
+                src: Reg(64),
+            }],
+            EncodingVariant::Fixed,
+        )
+        .unwrap_err();
         assert!(matches!(err, EncodeError::BadSrc { at: 0 }), "{err:?}");
     }
 

@@ -94,6 +94,12 @@ pub(crate) trait Frontend: Operands {
     /// The `E-DIST` message for a source [`Operands::is_valid`] refuses.
     fn range_error(src: Self::Src) -> String;
 
+    /// The operand text and `E-DIST` message for a destination
+    /// [`Operands::is_valid_dst`] refuses.
+    fn dst_range_error(dst: Self::Dst) -> (String, String) {
+        (format!("{dst:?}"), "destination out of range".to_string())
+    }
+
     /// The convention role of an entry token.
     fn entry_kind(tok: u16) -> EntryKind;
 
@@ -154,6 +160,25 @@ fn read<O: Frontend>(
     av
 }
 
+/// Whether the ISA has destination `dst`; reports `E-DIST` at `i` if
+/// not.
+fn check_dst<O: Frontend>(dst: O::Dst, i: u32, sink: &mut Sink) -> bool {
+    let valid = O::is_valid_dst(dst);
+    if !valid {
+        let (operand, message) = O::dst_range_error(dst);
+        sink.error("E-DIST", Some(i), Some(operand), message);
+    }
+    valid
+}
+
+/// Writes `av` to `dst` for instruction `i`, unless the ISA has no such
+/// destination.
+fn write<O: Frontend>(st: &mut State, dst: O::Dst, av: Av, i: u32, sink: &mut Sink) {
+    if check_dst::<O>(dst, i, sink) {
+        O::write(st, dst, av);
+    }
+}
+
 /// Runs block `b` of `func` over `st`, leaving the block's out-state
 /// there. Returns `false` where the block returns or halts, so that no
 /// state flows out of it.
@@ -176,7 +201,7 @@ pub(crate) fn transfer<O: Frontend>(
             } => {
                 read(st, src1, UseCx::Alu);
                 read(st, src2, UseCx::Alu);
-                O::write(st, dst, Av::inst(i));
+                write::<O>(st, dst, Av::inst(i), i, sink);
             }
             Inst::AluImm { op, dst, src1, imm } => {
                 let a = read(st, src1, UseCx::Alu);
@@ -185,15 +210,15 @@ pub(crate) fn transfer<O: Frontend>(
                 } else {
                     Av::inst(i)
                 };
-                O::write(st, dst, r);
+                write::<O>(st, dst, r, i, sink);
             }
-            Inst::Li { dst, imm } => O::write(st, dst, Av::cst(i, imm)),
+            Inst::Li { dst, imm } => write::<O>(st, dst, Av::cst(i, imm), i, sink),
             Inst::Load {
                 dst, base, offset, ..
             } => {
                 let ba = read(st, base, UseCx::Base);
                 let v = load_result(i, &st.frame, &ba, offset, marks);
-                O::write(st, dst, v);
+                write::<O>(st, dst, v, i, sink);
             }
             Inst::Store {
                 value,
@@ -212,9 +237,13 @@ pub(crate) fn transfer<O: Frontend>(
                 O::without_dst(st, i);
             }
             Inst::Jump { .. } | Inst::Nop => O::without_dst(st, i),
-            Inst::Call { dst, .. } => O::call(st, prog, block.start, i, dst, marks),
+            Inst::Call { dst, .. } => {
+                check_dst::<O>(dst, i, sink);
+                O::call(st, prog, block.start, i, dst, marks);
+            }
             Inst::CallReg { dst, src, .. } => {
                 read(st, src, UseCx::CallTarget);
+                check_dst::<O>(dst, i, sink);
                 O::call(st, prog, block.start, i, dst, marks);
             }
             Inst::SpAddi { imm, isa } => {
@@ -223,7 +252,7 @@ pub(crate) fn transfer<O: Frontend>(
             }
             Inst::Mv { dst, src } => {
                 let a = read(st, src, UseCx::Mv);
-                O::write(st, dst, a.relayed_by(i));
+                write::<O>(st, dst, a.relayed_by(i), i, sink);
             }
             Inst::JumpReg { src } => {
                 read(st, src, UseCx::JrTarget);

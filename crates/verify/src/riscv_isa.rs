@@ -70,6 +70,10 @@ impl Frontend for Riscv {
         format!("register number {} out of range", r.0)
     }
 
+    fn dst_range_error(rd: Reg) -> (String, String) {
+        (rd.to_string(), Self::range_error(rd))
+    }
+
     fn entry_kind(t: u16) -> EntryKind {
         if t == 1 {
             EntryKind::RetAddr
@@ -219,6 +223,42 @@ mod tests {
              ret ra",
         );
         assert!(r.is_clean(), "{}", r.render());
+    }
+
+    #[test]
+    fn write_past_the_register_file_is_a_distance_error() {
+        // No assembler spells register 70, so the program is built
+        // directly; `Program::validate` refuses the same destination.
+        use ch_baselines::riscv::{Reg, RvInst};
+        let mut prog = RvProgram::new();
+        prog.insts.extend([
+            RvInst::Li {
+                dst: Reg::A0,
+                imm: 1,
+            },
+            RvInst::Li {
+                dst: Reg(70),
+                imm: 2,
+            },
+            RvInst::Halt { src: Reg::A0 },
+        ]);
+        let r = verify_riscv(&prog, &Options::default());
+        let e = r
+            .errors()
+            .next()
+            .unwrap_or_else(|| panic!("{}", r.render()));
+        assert_eq!(
+            (e.code, e.inst, e.operand.as_deref(), e.message.as_str()),
+            (
+                "E-DIST",
+                Some(1),
+                Some("<reg70>"),
+                "register number 70 out of range"
+            ),
+            "{}",
+            r.render()
+        );
+        assert!(prog.validate().is_err());
     }
 
     #[test]
