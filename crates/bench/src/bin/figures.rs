@@ -28,8 +28,9 @@
 //! (`CH_VERIFY_SKIP_CHECK=1` to re-baseline).
 //!
 //! `--no-opt` compiles every workload with the backend optimization
-//! layer off (`OptConfig::none()`) — the escape hatch for bisecting a
-//! miscompile down to one optimization pass. `opt` (not part of the
+//! layer off (`OptConfig::none()`) — the escape hatch for telling
+//! whether a miscompile comes from that layer at all (its optimizations
+//! switch on and off together). `opt` (not part of the
 //! default run) measures both configurations side by side and writes
 //! the `BENCH_8.json` snapshot; see `ch_bench::optreport`. `density`
 //! (not part of the default run) measures static code size and fetch

@@ -19,6 +19,10 @@
 //! adjustment (Section 3.3(3)), and because each hand rotates
 //! independently, a block's live values cost relays only in their own
 //! hand.
+//!
+//! The per-hand distance fixing is the shared ring-position core
+//! (`ring.rs`); this module supplies the hand assignment, the spill
+//! policy and the calling convention.
 
 use super::opt::{long_lived_locals, select_loop_constants, OptConfig};
 use super::ring::{self, Core, Loc, RingIsa, Stability, RA_OFF};
@@ -405,13 +409,6 @@ impl RingIsa for Hands {
             spills.remove(v);
         }
         8 * cg.isa.v_stack_saved.len() as i32
-    }
-
-    fn reload_operands(cg: &mut Core<'_, Self>, ins: &Ins) -> Result<(), String> {
-        for src in ins.srcs() {
-            Self::reload(cg, src)?;
-        }
-        Ok(())
     }
 
     /// Reloads a stack-resident vreg that has no position in reach, so a

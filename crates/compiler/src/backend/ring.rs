@@ -176,10 +176,6 @@ pub(super) trait RingIsa: Sized {
     fn before_relays(_cg: &mut Core<'_, Self>, _ins: &Ins) -> Result<(), String> {
         Ok(())
     }
-    /// Brings every source of `ins` into reach before any is read.
-    fn reload_operands(_cg: &mut Core<'_, Self>, _ins: &Ins) -> Result<(), String> {
-        Ok(())
-    }
     /// Brings `v` into reach before it is read.
     fn reload(_cg: &mut Core<'_, Self>, _v: VReg) -> Result<(), String> {
         Ok(())
@@ -280,9 +276,12 @@ pub(super) fn compile<I: RingIsa>(
 
 /// The code generator of one function.
 pub(super) struct Core<'a, I: RingIsa> {
+    /// The function.
     pub f: &'a Function,
-    pub module: &'a Module,
+    module: &'a Module,
+    /// The program the function is appended to.
     pub out: &'a mut Program<Inst<I::O>>,
+    /// Call fixups: (inst index, callee).
     call_fixups: &'a mut Vec<(usize, usize)>,
     /// The ISA's own per-function state.
     pub isa: I,
@@ -299,7 +298,9 @@ pub(super) struct Core<'a, I: RingIsa> {
     pub zero_vregs: BitSet,
     /// Frame offsets of stack-resident and call-spilled values.
     pub spill_off: HashMap<VReg, i32>,
+    /// Frame size, a multiple of 16.
     pub frame_size: i32,
+    /// Frame offset of each local array.
     array_offsets: Vec<i32>,
     /// Start index (in `out.insts`) of each block's body.
     block_starts: Vec<u32>,
@@ -425,7 +426,7 @@ impl<'a, I: RingIsa> Core<'a, I> {
     /// Reads `v` as a source operand.
     pub fn src(&self, v: VReg) -> Result<Src<I>, String> {
         if self.zero_vregs.contains(v) {
-            return Ok(Src::<I>::default());
+            return Ok(Default::default());
         }
         let l = self
             .loc
@@ -737,7 +738,9 @@ impl<'a, I: RingIsa> Core<'a, I> {
     fn gen_ins(&mut self, ins: &Ins, needed_after: &HashSet<VReg>) -> Result<(), String> {
         // Reload every stack-resident source before computing any
         // distance (a reload is a write and would shift them).
-        I::reload_operands(self, ins)?;
+        for src in ins.srcs() {
+            I::reload(self, src)?;
+        }
         match *ins {
             Ins::Const { dst, val } => {
                 if !self.zero_vregs.contains(dst) {

@@ -23,6 +23,9 @@
 //! the `call`'s own slot, SP is the special register updated by `spaddi`,
 //! and the return value is written immediately before `ret` (distance 2
 //! at the resume point).
+//!
+//! The distance fixing is the shared ring-position core (`ring.rs`);
+//! this module supplies STRAIGHT's limits and calling convention.
 
 use super::opt::OptConfig;
 use super::ring::{self, Core, Loc, RingIsa, Stability, RA_OFF};
