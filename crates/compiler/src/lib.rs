@@ -16,7 +16,10 @@
 //!   * `straight`: edge-relay distance fixing with a single ring and the
 //!     `SPADDi` special stack pointer,
 //!   * `clockhands`: hand assignment (Section 6.2) followed by per-hand
-//!     distance fixing.
+//!     distance fixing;
+//!
+//!   the last two share one ring-position core for the distance fixing
+//!   and keep only their conventions, hand assignment and spill policy.
 //!
 //! ## Quick start
 //!
